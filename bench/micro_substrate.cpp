@@ -266,10 +266,13 @@ benchBusyBitmapPopcount()
 }
 
 /**
- * Deep-queue drain at 4x the eq_depth_16384 population: the shape
- * that separates heap arities (siftDown dominates, and the tree
- * depth spans more cache levels). Outside the headline pool so the
- * headline stays comparable with pre-PR7 records.
+ * Deep-queue drain at 4x the eq_depth_16384 population, at mostly
+ * distinct ticks: nearly every event is a run of its own, so this is
+ * the run-chained queue's worst case (each pop sifts the full heap,
+ * whose depth spans more cache levels, and no pop is a cheap run
+ * successor). The name dates from the heap-arity experiment it was
+ * added for. Outside the headline pool so the headline stays
+ * comparable with pre-PR7 records.
  */
 BenchResult
 benchEqDaryDepth()

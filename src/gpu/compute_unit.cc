@@ -17,6 +17,8 @@ ComputeUnit::ComputeUnit(std::string name, EventQueue &eq,
              cfg.wfSlotsPerSimd),
       simdBusyUntil_(cfg.simdsPerCu, 0),
       simdRoundRobin_(cfg.simdsPerCu, 0),
+      simdReady_(cfg.simdsPerCu, 0),
+      simdNeedLines_(cfg.simdsPerCu, 0),
       memPort_(this->name() + ".mem", *this),
       tickEvent_([this] { tick(); }, this->name() + ".tick",
                  Event::cpuTickPriority, EventCategory::gpu)
@@ -71,6 +73,9 @@ ComputeUnit::startWorkgroup(std::uint32_t wg_id,
                 wf.wgId = wg_id;
                 wf.wfId = static_cast<std::uint32_t>(i);
                 wf.program = std::move(programs[i]);
+                if (!wf.instructionsDone())
+                    ++simdReady_[best_simd];
+                simdNeedLines_[best_simd] = 0;
                 ++liveWavefronts_;
                 ++statWavefrontsRun_;
                 break;
@@ -95,6 +100,8 @@ ComputeUnit::reset()
         wf.reset();
     std::fill(simdBusyUntil_.begin(), simdBusyUntil_.end(), 0);
     std::fill(simdRoundRobin_.begin(), simdRoundRobin_.end(), 0u);
+    std::fill(simdReady_.begin(), simdReady_.end(), 0u);
+    std::fill(simdNeedLines_.begin(), simdNeedLines_.end(), 0);
     memQueue_.clear();
     portBlocked_ = false;
     loadCtx_.clear();
@@ -122,8 +129,12 @@ ComputeUnit::tick()
 {
     ++statActiveCycles_;
 
+    // A skipped SIMD is one whose scan would issue nothing and change
+    // nothing: it has no ready wavefront, or all of them need more
+    // queue space than is free (see simdNeedLines_).
     for (unsigned s = 0; s < cfg_.simdsPerCu; ++s) {
-        if (simdBusyUntil_[s] <= curTick())
+        if (simdBusyUntil_[s] <= curTick() && simdReady_[s] > 0 &&
+            simdNeedLines_[s] <= cfg_.memQueueDepth - memQueue_.size())
             issueFromSimd(s);
     }
 
@@ -132,14 +143,8 @@ ComputeUnit::tick()
     // Re-arm only while issueable work exists; blocked wavefronts are
     // woken by memory responses, port retries free the queue.
     bool more = !memQueue_.empty() && !portBlocked_;
-    if (!more) {
-        for (const auto &wf : slots_) {
-            if (wf.active && !wf.instructionsDone() && !wf.waitingMem) {
-                more = true;
-                break;
-            }
-        }
-    }
+    for (unsigned s = 0; !more && s < cfg_.simdsPerCu; ++s)
+        more = simdReady_[s] > 0;
     // A workgroup completion inside this tick may have re-armed the
     // event via the dispatcher's startWorkgroup -> signalWork chain.
     if (more && !tickEvent_.scheduled())
@@ -150,6 +155,7 @@ bool
 ComputeUnit::issueFromSimd(unsigned simd)
 {
     unsigned base = simd * cfg_.wfSlotsPerSimd;
+    std::size_t need = SIZE_MAX;
     for (unsigned n = 0; n < cfg_.wfSlotsPerSimd; ++n) {
         unsigned k = (simdRoundRobin_[simd] + n) % cfg_.wfSlotsPerSimd;
         int idx = static_cast<int>(base + k);
@@ -158,9 +164,14 @@ ComputeUnit::issueFromSimd(unsigned simd)
             continue;
         if (executeOp(idx, wf)) {
             simdRoundRobin_[simd] = (k + 1) % cfg_.wfSlotsPerSimd;
+            simdNeedLines_[simd] = 0;
             return true;
         }
+        // Not parked at waitLoads, so blocked on queue space.
+        if (!wf.waitingMem)
+            need = std::min(need, wf.coalesced.size());
     }
+    simdNeedLines_[simd] = need;
     return false;
 }
 
@@ -213,6 +224,7 @@ ComputeUnit::executeOp(int slot_index, Wavefront &wf)
       case GpuOpType::waitLoads:
         if (wf.outstandingLoads > 0) {
             wf.waitingMem = true;
+            --simdReady_[simd];
             return false;
         }
         simdBusyUntil_[simd] = clockEdge(Cycles(op.cycles));
@@ -220,6 +232,8 @@ ComputeUnit::executeOp(int slot_index, Wavefront &wf)
         break;
     }
 
+    if (wf.instructionsDone())
+        --simdReady_[simd];
     if (wf.complete())
         wavefrontFinished(slot_index);
     return true;
@@ -267,6 +281,10 @@ ComputeUnit::handleResponse(PacketPtr pkt)
         --wf.outstandingLoads;
         if (wf.waitingMem && wf.outstandingLoads == 0) {
             wf.waitingMem = false;
+            const unsigned simd =
+                static_cast<unsigned>(slot) / cfg_.wfSlotsPerSimd;
+            ++simdReady_[simd];
+            simdNeedLines_[simd] = 0;
             signalWork();
         }
         if (wf.complete())

@@ -3,8 +3,19 @@
  * A GCN-like compute unit: 4 SIMDs x 10 wavefront slots, one vector
  * instruction issued per SIMD per cycle, a coalescer feeding a
  * bounded per-CU memory queue, and an L1 port with retry flow
- * control. Ticks are only scheduled while issueable work exists, so
- * memory-bound phases cost no idle events.
+ * control.
+ *
+ * The tick event fires every cycle while a wavefront is ready to
+ * issue (active, instructions left, not parked at waitLoads) or the
+ * memory queue can drain; a load response, a port retry or a new
+ * workgroup re-arms it. So a memory-bound phase still costs one event
+ * per cycle: on the figure grid most CU ticks issue nothing, because
+ * every ready wavefront waits for memory-queue space. Those ticks are
+ * made cheap rather than absent (the tick count is part of every
+ * run's statistics): a SIMD with no ready wavefront is not scanned,
+ * and a SIMD whose last scan issued nothing is not scanned again
+ * while the queue has fewer free entries than the cheapest of its
+ * ready wavefronts needs.
  */
 
 #ifndef MIGC_GPU_COMPUTE_UNIT_HH
@@ -125,6 +136,21 @@ class ComputeUnit : public SimObject
     std::vector<Wavefront> slots_;
     std::vector<Tick> simdBusyUntil_;
     std::vector<unsigned> simdRoundRobin_;
+
+    /** Per SIMD: ready wavefronts - exactly the ones a scan
+     *  considers. */
+    std::vector<unsigned> simdReady_;
+
+    /**
+     * Per SIMD: when its last scan issued nothing, the fewest lines
+     * any of its ready wavefronts needs in the memory queue; 0 when
+     * unknown. Every ready wavefront then sits at a memory op that
+     * did not fit, and none can change until a scan issues, so the
+     * SIMD is skipped while the queue has fewer free entries. A
+     * wavefront becoming ready (a load response unparks it, or
+     * startWorkgroup places it) clears the memo.
+     */
+    std::vector<std::size_t> simdNeedLines_;
 
     std::deque<PendingLine> memQueue_;
     bool portBlocked_ = false;

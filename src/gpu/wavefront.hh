@@ -32,11 +32,13 @@ struct Wavefront
     bool waitingMem = false;
 
     /**
-     * Coalesced lines of the memory op at @c coalescedPc. A blocked
-     * vload/vstore is re-considered every CU tick; coalescing is a
-     * pure function of the op, so the CU computes it once per
-     * program counter and reuses the buffer (storage persists across
-     * reset() to stay allocation-free between wavefronts).
+     * Coalesced lines of the memory op at @c coalescedPc. A vload or
+     * vstore blocked on memory-queue space is re-considered on each
+     * scan of its SIMD, which the CU skips until the queue could take
+     * the cheapest blocked op's lines; coalescing is a pure function
+     * of the op, so the CU computes it once per program counter and
+     * reuses the buffer (storage persists across reset() to stay
+     * allocation-free between wavefronts).
      */
     std::vector<Addr> coalesced;
     std::size_t coalescedPc = SIZE_MAX;

@@ -33,7 +33,13 @@ XBar::XBar(std::string name, EventQueue &eq, ClockDomain clock,
     }
     outputNextFree_.assign(cfg_.numOutputs, 0);
     inputNextFree_.assign(cfg_.numInputs, 0);
+    // A waiter list holds each input at most once, so reserving every
+    // list (and the wake-up scratch it swaps with) to numInputs keeps
+    // reject/retry traffic allocation-free.
     waitingInputs_.assign(cfg_.numOutputs, {});
+    for (auto &waiters : waitingInputs_)
+        waiters.reserve(cfg_.numInputs);
+    toWake_.reserve(cfg_.numInputs);
 }
 
 ResponsePort &
@@ -96,11 +102,14 @@ XBar::handleOutputSpaceFreed(unsigned output)
         return;
     // Wake every waiter; rejected ones will re-register. Waking all
     // (rather than one) avoids starvation when several L1s contend
-    // for one hot bank.
-    std::vector<unsigned> to_wake;
-    to_wake.swap(waiters);
-    for (unsigned src : to_wake)
+    // for one hot bank. Swapping with the member scratch keeps both
+    // lists' storage. A retry only re-sends into a queue, which
+    // drains from its own event, so no wake-up nests in this loop.
+    panic_if(!toWake_.empty(), "nested crossbar wake-up");
+    toWake_.swap(waiters);
+    for (unsigned src : toWake_)
         inputPorts_[src]->sendReqRetry();
+    toWake_.clear();
 }
 
 void

@@ -121,6 +121,9 @@ class XBar : public SimObject
     /** Inputs waiting for a retry, per output. */
     std::vector<std::vector<unsigned>> waitingInputs_;
 
+    /** Waiters being woken, swapped in from a waiter list. */
+    std::vector<unsigned> toWake_;
+
     StatScalar statReqPackets_;
     StatScalar statRespPackets_;
     StatScalar statRejects_;

@@ -1,7 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace migc
@@ -35,7 +33,7 @@ EventQueue::siftUp(std::size_t i)
 {
     HeapSlot slot = heap_[i];
     while (i > 0) {
-        std::size_t parent = (i - 1) / heapArity;
+        std::size_t parent = (i - 1) / 2;
         if (!before(slot, heap_[parent]))
             break;
         heap_[i] = heap_[parent];
@@ -52,18 +50,11 @@ EventQueue::siftDown(std::size_t i)
     HeapSlot slot = heap_[i];
     const std::size_t n = heap_.size();
     for (;;) {
-        const std::size_t first = heapArity * i + 1;
-        if (first >= n)
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
             break;
-        // Pick the earliest-firing child; the lowest index wins ties
-        // through strict before(), matching the binary heap's
-        // sibling pick so the arity only changes internal layout.
-        std::size_t child = first;
-        const std::size_t last = std::min(first + heapArity, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (before(heap_[c], heap_[child]))
-                child = c;
-        }
+        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+            ++child;
         if (!before(heap_[child], slot))
             break;
         heap_[i] = heap_[child];
@@ -89,9 +80,24 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
+
+    const std::uint8_t slot = hintSlot(when, ev->priority_);
+    ev->hintSlot_ = slot;
+    Event *tail = hints_[slot];
+    hints_[slot] = ev;
+    if (tail != nullptr && tail->when_ == when &&
+        tail->priority_ == ev->priority_) {
+        // The hint names this key's newest run, so every event
+        // queued for the key so far precedes ev: ev is its new tail.
+        tail->runNext_ = ev;
+        ev->runPrev_ = tail;
+        ev->heapIndex_ = Event::followerIndex;
+        return;
+    }
     ev->heapIndex_ = heap_.size();
     heap_.push_back(HeapSlot{when, ev});
-    siftUp(ev->heapIndex_);
+    if (ev->heapIndex_ > 0)
+        siftUp(ev->heapIndex_);
 }
 
 void
@@ -99,26 +105,56 @@ EventQueue::deschedule(Event *ev)
 {
     if (ev == nullptr || !ev->scheduled())
         return;
-    // The index below is only meaningful in the owning queue's heap;
-    // acting on a foreign event would silently corrupt both heaps.
+    // The links below are only meaningful in the owning queue; acting
+    // on a foreign event would silently corrupt both queues.
     panic_if(ev->queue_ != this,
              "descheduling event '%s' from a queue it is not on",
              ev->name().c_str());
 
-    std::size_t i = ev->heapIndex_;
-    ev->heapIndex_ = Event::invalidIndex;
+    Event *prev = ev->runPrev_;
+    Event *next = ev->runNext_;
+    if (next == nullptr)
+        dropHint(ev);
+    else
+        next->runPrev_ = prev;
 
-    HeapSlot last = heap_.back();
-    heap_.pop_back();
-    if (i < heap_.size()) {
-        // Refill the vacated slot with the former tail and restore
-        // the heap property in whichever direction it was violated.
-        heap_[i] = last;
-        last.ev->heapIndex_ = i;
-        siftDown(i);
-        if (last.ev->heapIndex_ == i)
-            siftUp(i);
+    const std::size_t i = ev->heapIndex_;
+    if (prev != nullptr) {
+        prev->runNext_ = next;
+    } else if (next != nullptr) {
+        // A run head with a successor: the successor shares its key
+        // and precedes every other run's head the head preceded, so
+        // it takes the slot as is.
+        heap_[i].ev = next;
+        next->heapIndex_ = i;
+    } else {
+        HeapSlot last = heap_.back();
+        heap_.pop_back();
+        if (i < heap_.size()) {
+            // Refill the vacated slot with the former tail and
+            // restore the heap property in whichever direction it
+            // was violated.
+            heap_[i] = last;
+            last.ev->heapIndex_ = i;
+            siftDown(i);
+            if (last.ev->heapIndex_ == i)
+                siftUp(i);
+        }
     }
+    ev->runPrev_ = nullptr;
+    ev->runNext_ = nullptr;
+    ev->heapIndex_ = Event::invalidIndex;
+}
+
+std::size_t
+EventQueue::numPending() const
+{
+    std::size_t n = 0;
+    for (const HeapSlot &slot : heap_) {
+        for (const Event *ev = slot.ev; ev != nullptr; ev = ev->runNext_)
+            ++n;
+    }
+    return n;
 }
 
 void
@@ -132,10 +168,17 @@ void
 EventQueue::reset()
 {
     for (HeapSlot &slot : heap_) {
-        slot.ev->heapIndex_ = Event::invalidIndex;
-        slot.ev->queue_ = nullptr;
+        for (Event *ev = slot.ev; ev != nullptr;) {
+            Event *next = ev->runNext_;
+            ev->runPrev_ = nullptr;
+            ev->runNext_ = nullptr;
+            ev->heapIndex_ = Event::invalidIndex;
+            ev->queue_ = nullptr;
+            ev = next;
+        }
     }
     heap_.clear();
+    hints_.fill(nullptr);
     curTick_ = 0;
     nextSeq_ = 0;
     numProcessed_ = 0;
@@ -146,12 +189,24 @@ Event *
 EventQueue::popTop()
 {
     Event *top = heap_.front().ev;
-    HeapSlot last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_[0] = last;
-        last.ev->heapIndex_ = 0;
-        siftDown(0);
+    Event *next = top->runNext_;
+    if (next != nullptr) {
+        // Same key, next in sequence: the successor is the new root
+        // without a sift (see the run invariant in the file comment).
+        next->runPrev_ = nullptr;
+        next->heapIndex_ = 0;
+        heap_.front().ev = next;
+        top->runNext_ = nullptr;
+    } else {
+        // A lone head is its run's tail and has no predecessor.
+        if (hints_[top->hintSlot_] == top)
+            hints_[top->hintSlot_] = nullptr;
+        HeapSlot last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty()) {
+            heap_[0] = last;
+            siftDown(0);
+        }
     }
     top->heapIndex_ = Event::invalidIndex;
     return top;

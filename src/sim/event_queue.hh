@@ -7,19 +7,25 @@
  * tick and priority fire in scheduling order, which makes every
  * simulation bit-reproducible.
  *
- * The queue is an intrusive d-ary heap over the Event objects
- * themselves: each event carries its own heap slot index, so
- * scheduling never allocates, descheduling is a true O(log n)
- * removal, and the heap holds exactly the pending events (no stale
- * entries to grow through under reschedule-heavy traffic such as
- * DRAM bank timers). The arity is the compile-time MIGC_EQ_ARITY (a
- * CMake cache variable): wider nodes make the tree shallower, so
- * siftUp — the schedule/deschedule path — does fewer compares, at
- * the cost of more sibling compares per level on siftDown. 4-ary
- * wins the synthetic reschedule storm but loses deep-queue drains
- * and the end-to-end runs (BENCH_micro.json, PR 7), so binary stays
- * the default. The arity never changes pop order because
- * (tick, priority, seq) is a strict total order over events.
+ * Most events share their (tick, priority) key with the event popped
+ * just before them: every CU, cache and queue clocked on one edge
+ * fires in the same run. So the queue is an intrusive binary heap of
+ * *runs*. The heap holds only the head event of each run; the run's
+ * later events chain behind the head through intrusive links, in
+ * sequence order. A schedule finds the run to join through a fixed
+ * table of hints, one newest-run tail per hashed key; a miss (an
+ * empty slot or another key's tail) starts a new run, which is always
+ * correct, just less compact.
+ *
+ * The run invariant: a schedule only ever appends to its key's
+ * *newest* run, so the runs of one key never interleave in sequence
+ * order - every event of an older run precedes every event of a newer
+ * one. The heap therefore keeps the exact (tick, priority, seq) order
+ * over run heads, and popping or descheduling a head lets its
+ * successor take the same slot with no sift: the successor is later
+ * than the head but still earlier than anything the head was ordered
+ * before. A follower unlinks in O(1). Nothing allocates after the
+ * heap array has grown.
  */
 
 #ifndef MIGC_SIM_EVENT_QUEUE_HH
@@ -109,13 +115,19 @@ class Event
     friend class EventQueue;
 
     static constexpr std::size_t invalidIndex = SIZE_MAX;
+    /** heapIndex_ of a scheduled event queued behind its run's head. */
+    static constexpr std::size_t followerIndex = SIZE_MAX - 1;
 
+    // The fields a pop reads come first, so they share a cache line.
     Tick when_ = 0;
     std::uint64_t seq_ = 0;       ///< insertion-order tiebreak
-    std::size_t heapIndex_ = invalidIndex; ///< slot in the owning heap
-    EventQueue *queue_ = nullptr; ///< queue holding a live schedule
+    std::size_t heapIndex_ = invalidIndex; ///< slot of a run head
+    Event *runNext_ = nullptr;    ///< next event of the same run
     int priority_ = defaultPriority;
     EventCategory category_ = EventCategory::generic;
+    std::uint8_t hintSlot_ = 0;   ///< hint slot of (when_, priority_)
+    Event *runPrev_ = nullptr;    ///< previous one; nullptr for a head
+    EventQueue *queue_ = nullptr; ///< queue holding a live schedule
 };
 
 /** An event that runs a bound callable; saves one subclass per use. */
@@ -142,22 +154,14 @@ class EventFunctionWrapper : public Event
 /**
  * The global-per-simulation event queue.
  *
- * The heap stores pointers to the scheduled events; every event
- * tracks its own index, so schedule/deschedule/reschedule are
- * allocation-free (amortized: the slot vector grows like any vector)
- * and the heap size always equals the pending-event count.
+ * Every event tracks its own heap slot (run heads) or run links
+ * (followers), so schedule/deschedule/reschedule are allocation-free
+ * (amortized: the slot vector grows like any vector) and the heap
+ * holds exactly one slot per pending run.
  */
-#ifndef MIGC_EQ_ARITY
-#define MIGC_EQ_ARITY 2
-#endif
-
 class EventQueue
 {
   public:
-    /** Children per heap node; see the file comment. */
-    static constexpr std::size_t heapArity = MIGC_EQ_ARITY;
-    static_assert(heapArity >= 2, "heap arity must be >= 2");
-
     EventQueue() { heap_.reserve(64); }
 
     /** Current simulated time. */
@@ -174,12 +178,14 @@ class EventQueue
 
     bool empty() const { return heap_.empty(); }
 
-    std::size_t numPending() const { return heap_.size(); }
+    /** Events scheduled and not yet serviced; walks every run, so
+     *  O(pending) - a diagnostic, not for hot paths. */
+    std::size_t numPending() const;
 
     /**
-     * Heap slots currently in use; always equals numPending() with
-     * the intrusive design (the regression test for stale-entry
-     * growth asserts this stays bounded under heavy reschedule).
+     * Heap slots currently in use: one per pending run, so never more
+     * than numPending() (the regression test for stale-entry growth
+     * asserts this stays bounded under heavy reschedule).
      */
     std::size_t heapSize() const { return heap_.size(); }
 
@@ -224,15 +230,32 @@ class EventQueue
 
   private:
     /**
-     * Heap slot: the fire tick is duplicated next to the event
-     * pointer so the common compare (distinct ticks) never chases
-     * the pointer; only tick ties dereference for (priority, seq).
+     * Heap slot of one run, holding its head: the fire tick is
+     * duplicated next to the event pointer so the common compare
+     * (distinct ticks) never chases the pointer; only tick ties
+     * dereference for (priority, seq).
      */
     struct HeapSlot
     {
         Tick when;
         Event *ev;
     };
+
+    static constexpr unsigned hintBits = 6;
+    static constexpr std::size_t numHints = std::size_t{1} << hintBits;
+
+    static std::uint8_t
+    hintSlot(Tick when, int priority)
+    {
+        // Ticks are multiples of clock periods, so their low bits
+        // carry little entropy; the multiply folds every bit into the
+        // top hintBits.
+        const std::uint64_t key =
+            when ^ (static_cast<std::uint64_t>(
+                        static_cast<std::uint32_t>(priority)) << 40);
+        return static_cast<std::uint8_t>(
+            (key * 0x9E3779B97F4A7C15ULL) >> (64 - hintBits));
+    }
 
     /** True when @p a fires strictly before @p b. */
     static bool
@@ -248,10 +271,28 @@ class EventQueue
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
 
-    /** Detach the root and restore the heap (no field cleanup). */
+    /** @p ev, a run's tail, is leaving: hand its hint to its
+     *  predecessor, if the hint still names it. */
+    void
+    dropHint(const Event *ev)
+    {
+        Event *&hint = hints_[ev->hintSlot_];
+        if (hint == ev)
+            hint = ev->runPrev_;
+    }
+
+    /** Detach the earliest event and restore the heap. */
     Event *popTop();
 
     std::vector<HeapSlot> heap_;
+
+    /**
+     * Per hashed (tick, priority) key: the tail of the newest run of
+     * the key last scheduled into the slot. A non-null hint is always
+     * a scheduled event of this queue, so a hint never outlives the
+     * event it names and may be dereferenced to check its key.
+     */
+    std::array<Event *, numHints> hints_{};
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numProcessed_ = 0;

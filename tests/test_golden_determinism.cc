@@ -49,23 +49,28 @@ struct Golden
     double allocBypassed;
     double predictorBypasses;
     double kernels;
+    /** Events serviced: the host-side work a run costs, which the LPT
+     *  scheduler reads. A simulator-speed change must not move it. */
+    double simEvents;
 };
 
 // Captured at commit 6f96c8a (pre-refactor seed + harness), with
-// MIGC_NO_CACHE=1, SimConfig::testConfig(), default seed.
+// MIGC_NO_CACHE=1, SimConfig::testConfig(), default seed; simEvents
+// captured the same way at eab1ddb, before the run-chained event
+// queue and the CU issue memo.
 const Golden kGoldens[] = {
     {"DGEMM", "Uncached", 23840625ULL, 9216, 6326, 1024, 0, 0, 0, 0, 0,
-     0, 0, 0, 0, 1},
+     0, 0, 0, 0, 1, 147625},
     {"FwBN", "CacheR", 4458750ULL, 12288, 4096, 4096, 16758, 0, 8192,
-     4096, 4096, 0, 0, 0, 0, 1},
+     4096, 4096, 0, 0, 0, 0, 1, 127430},
     {"FwPool", "CacheRW", 24458375ULL, 43008, 31327, 5384, 230206, 3666,
-     33177, 1826, 37471, 6144, 0, 0, 0, 1},
+     33177, 1826, 37471, 6144, 0, 0, 0, 1, 613030},
     {"BwSoft", "CacheRW-AB", 1334625ULL, 1280, 512, 8, 978, 512, 512, 0,
-     768, 256, 0, 0, 0, 1},
+     768, 256, 0, 0, 0, 1, 8711},
     {"FwLSTM", "CacheRW-CR", 11182750ULL, 17728, 14711, 56, 50405, 28,
-     4880, 2147, 3758, 96, 36, 12200, 0, 4},
+     4880, 2147, 3758, 96, 36, 12200, 0, 4, 206768},
     {"FwAct", "CacheRW-PCby", 13166500ULL, 24576, 12288, 11570, 64627,
-     0, 12206, 0, 4791, 2213, 1379, 82, 19790, 1},
+     0, 12206, 0, 4791, 2213, 1379, 82, 19790, 1, 304549},
 };
 
 class GoldenDeterminism : public ::testing::TestWithParam<Golden>
@@ -93,6 +98,7 @@ TEST_P(GoldenDeterminism, RunMetricsMatchPreRefactorGoldens)
     EXPECT_EQ(m.allocBypassed, g.allocBypassed);
     EXPECT_EQ(m.predictorBypasses, g.predictorBypasses);
     EXPECT_EQ(m.kernels, g.kernels);
+    EXPECT_EQ(m.simEvents, g.simEvents);
 }
 
 TEST_P(GoldenDeterminism, RepeatedRunsAreTickIdentical)
@@ -144,6 +150,7 @@ TEST(GoldenDeterminism, ReusedSystemMatchesGoldensThroughResets)
         EXPECT_EQ(m.predictorBypasses, g.predictorBypasses)
             << g.workload;
         EXPECT_EQ(m.kernels, g.kernels) << g.workload;
+        EXPECT_EQ(m.simEvents, g.simEvents) << g.workload;
     }
 }
 

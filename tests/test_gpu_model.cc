@@ -161,6 +161,69 @@ TEST(ComputeUnit, TracksFreeSlots)
     EXPECT_EQ(cu.freeWfSlots(), 8u);
 }
 
+TEST(ComputeUnit, QueueBlockedIssueOrderAndTimingArePinned)
+{
+    // One SIMD, a 4-line memory queue drained one line per cycle into
+    // a memory that holds one request for 40 cycles. Wavefront 0
+    // fills the queue and parks at waitLoads until its responses wake
+    // it; wavefronts 1 (4 lines) and 2 (3 lines) block on queue
+    // space, so the SIMD's scans are skipped; a late workgroup lands
+    // on that SIMD with a vector op it can issue at once. Both ways a
+    // wavefront becomes ready must end the skipping, so the line
+    // order, the workgroup finish ticks and the event count are
+    // pinned to the values the unmemoized CU produced.
+    EventQueue eq;
+    GpuConfig cfg;
+    cfg.numCus = 1;
+    cfg.simdsPerCu = 1;
+    cfg.wfSlotsPerSimd = 4;
+    cfg.memQueueDepth = 4;
+    cfg.memIssueWidth = 1;
+    PacketPool pool;
+    ComputeUnit cu("cu", eq, pool, cfg, 0);
+    MockMem mem(eq, 40 * cfg.clockPeriod, /*capacity=*/1);
+    cu.memPort().bind(mem);
+
+    std::vector<Tick> done_at;
+    cu.onWorkgroupComplete(
+        [&](unsigned) { done_at.push_back(eq.curTick()); });
+
+    std::vector<WavefrontProgram> wg0;
+    ProgramBuilder b0(0x100);
+    b0.load(0, 0x10000).waitLoads().valu(1).store(1, 0x20000, 4, 32);
+    wg0.push_back(b0.take());
+    ProgramBuilder b1(0x200);
+    b1.valu(1).load(0, 0x30000).valu(2);
+    wg0.push_back(b1.take());
+    ProgramBuilder b2(0x300);
+    b2.valu(2).load(0, 0x40000, 4, 48);
+    wg0.push_back(b2.take());
+    cu.startWorkgroup(0, std::move(wg0));
+
+    EventFunctionWrapper late(
+        [&] {
+            std::vector<WavefrontProgram> wg1;
+            ProgramBuilder b(0x400);
+            b.valu(1).load(0, 0x60000, 4, 16);
+            wg1.push_back(b.take());
+            cu.startWorkgroup(1, std::move(wg1));
+        },
+        "late");
+    eq.schedule(&late, 20 * cfg.clockPeriod);
+    eq.run();
+
+    EXPECT_TRUE(cu.idle());
+    EXPECT_EQ(mem.addrs,
+              (std::vector<Addr>{0x10000, 0x10040, 0x10080, 0x100c0,
+                                 0x60000, 0x40000, 0x40040, 0x40080,
+                                 0x20000, 0x20040, 0x30000, 0x30040,
+                                 0x30080, 0x300c0}));
+    EXPECT_EQ(done_at, (std::vector<Tick>{125000, 350000}));
+    EXPECT_EQ(eq.curTick(), 350000u);
+    EXPECT_EQ(eq.numProcessed(), 388u);
+    EXPECT_EQ(mem.rejected, 13u);
+}
+
 TEST(Dispatcher, RunsKernelsInOrderWithHooks)
 {
     EventQueue eq;

@@ -2,8 +2,9 @@
  * @file
  * Proves the simulation hot path performs zero heap allocations at
  * the default log level: event scheduling/servicing/rescheduling
- * never allocates (intrusive heap, no name-string construction), and
- * pooled packet alloc/release recycles storage.
+ * never allocates (intrusive heap, no name-string construction),
+ * pooled packet alloc/release recycles storage, and a contended
+ * crossbar's reject/retry cycles reuse their waiter lists.
  *
  * The whole test binary overrides global operator new/delete with a
  * counting wrapper; counting is only armed inside measurement
@@ -13,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
 #include <new>
 
 #include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "core/system.hh"
 #include "mem/packet_pool.hh"
+#include "mem/xbar.hh"
 #include "policy/cache_policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -201,6 +204,130 @@ TEST(HotPathAlloc, DynamicPolicyResetIsAllocationFree)
     CountingScope scope;
     sys.reset(policy, seed);
     EXPECT_EQ(scope.stop(), 0u);
+}
+
+/**
+ * A requester that keeps one read outstanding through a crossbar,
+ * re-issuing its packet as soon as the response returns, and counts
+ * the allocations made inside the sends the crossbar rejects: a
+ * rejected send only registers the requester as a waiter, so in a
+ * warm run it must allocate nothing. (Accepted sends may allocate in
+ * the crossbar's response routing, which is not reject/retry work.)
+ */
+class ContendingRequester : public RequestPort
+{
+  public:
+    explicit ContendingRequester(Addr addr)
+        : RequestPort("contender"), packet_(MemCmd::ReadReq, addr, 64, 0)
+    {}
+
+    void start() { trySend(); }
+
+    void
+    recvTimingResp(PacketPtr pkt) override
+    {
+        pkt->cmd = MemCmd::ReadReq;
+        trySend();
+    }
+
+    void recvReqRetry() override { trySend(); }
+
+    std::uint64_t rejects = 0;
+    std::uint64_t rejectAllocs = 0;
+
+  private:
+    void
+    trySend()
+    {
+        const std::uint64_t before = allocCount;
+        if (sendTimingReq(&packet_))
+            return;
+        ++rejects;
+        rejectAllocs += allocCount - before;
+    }
+
+    Packet packet_;
+};
+
+/** Answers every request a fixed latency after it arrives. */
+class FixedLatencyMem : public ResponsePort
+{
+  public:
+    FixedLatencyMem(EventQueue &eq, Tick latency)
+        : ResponsePort("mem"), eq_(eq), latency_(latency),
+          respondEvent_([this] { respond(); }, "mem.respond")
+    {}
+
+    bool
+    recvTimingReq(PacketPtr pkt) override
+    {
+        held_.push_back({eq_.curTick() + latency_, pkt});
+        if (!respondEvent_.scheduled())
+            eq_.schedule(&respondEvent_, held_.front().first);
+        return true;
+    }
+
+  private:
+    void
+    respond()
+    {
+        while (!held_.empty() && held_.front().first <= eq_.curTick()) {
+            PacketPtr pkt = held_.front().second;
+            held_.pop_front();
+            pkt->makeResponse();
+            sendTimingResp(pkt);
+        }
+        if (!held_.empty())
+            eq_.schedule(&respondEvent_, held_.front().first);
+    }
+
+    EventQueue &eq_;
+    Tick latency_;
+    std::deque<std::pair<Tick, PacketPtr>> held_;
+    EventFunctionWrapper respondEvent_;
+};
+
+TEST(HotPathAlloc, ContendedCrossbarRejectRetryIsAllocationFree)
+{
+    // Three requesters contend for one output whose queue holds one
+    // packet, so every freed slot wakes three waiters, admits one and
+    // re-registers two.
+    EventQueue eq;
+    XBar::Config cfg;
+    cfg.numInputs = 3;
+    cfg.numOutputs = 1;
+    cfg.latency = Cycles(1);
+    cfg.queueDepth = 1;
+    XBar xbar("xbar", eq, ClockDomain(1000), cfg,
+              [](Addr) { return 0u; });
+    FixedLatencyMem mem(eq, 3000);
+    xbar.memSidePort(0).bind(mem);
+
+    std::vector<std::unique_ptr<ContendingRequester>> reqs;
+    for (unsigned i = 0; i < cfg.numInputs; ++i) {
+        reqs.push_back(std::make_unique<ContendingRequester>(0x40u * i));
+        reqs.back()->bind(xbar.cpuSidePort(i));
+    }
+    for (auto &r : reqs)
+        r->start();
+    eq.run(20'000); // warm: every waiter list has held its waiters
+
+    std::uint64_t rejects = 0;
+    std::uint64_t reject_allocs = 0;
+    {
+        CountingScope scope;
+        for (auto &r : reqs) {
+            r->rejects = 0;
+            r->rejectAllocs = 0;
+        }
+        eq.run(20'000);
+        for (const auto &r : reqs) {
+            rejects += r->rejects;
+            reject_allocs += r->rejectAllocs;
+        }
+    }
+    EXPECT_GT(rejects, 1000u);
+    EXPECT_EQ(reject_allocs, 0u);
 }
 
 TEST(HotPathAlloc, PooledPacketTrafficIsAllocationFree)
