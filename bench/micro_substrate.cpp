@@ -481,7 +481,7 @@ modelSchedule(const std::vector<RunMetrics> &grid_results, unsigned k)
 
 /**
  * Deterministic fleet-quality model: replay the grid's measured
- * per-run costs through the static PR 5 hash partition vs the
+ * per-run costs through a static run-key hash partition vs the
  * work-stealing fleet (core/fleet.hh models) on a k-worker pool with
  * one 3x straggler - the sweep-level failure mode the elastic fleet
  * exists to remove. Like the schedule model above, this is built
@@ -503,16 +503,18 @@ FleetMakespanModel
 modelFleetMakespan(const std::vector<RunMetrics> &grid_results,
                    unsigned k)
 {
-    // Owners come from the real shardOf hash on the real run keys,
-    // so the static side is exactly the partition PR 5 would fork.
+    // Owners come from the run-key hash modulo k on the real run
+    // keys: the static hash partition the fleet is compared against.
     auto grid = sweepGrid();
     std::vector<double> costs;
     std::vector<unsigned> owners;
     costs.reserve(grid_results.size());
     for (std::size_t i = 0; i < grid_results.size(); ++i) {
         costs.push_back(grid_results[i].simEvents);
-        owners.push_back(shardOf(grid[i].cfg.signature(),
-                                 grid[i].workload, grid[i].policy, k));
+        owners.push_back(static_cast<unsigned>(
+            runKeyHash(grid[i].cfg.signature(), grid[i].workload,
+                       grid[i].policy) %
+            k));
     }
     std::vector<double> speeds(k, 1.0);
     speeds[0] = 1.0 / 3.0; // one straggling worker

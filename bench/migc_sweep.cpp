@@ -14,24 +14,19 @@
  *    then merges the shard caches - byte-identical to the
  *    single-process file for any worker count, steal schedule, or
  *    crash history. `--resume` folds partial shard caches into the
- *    plan first, so only never-checkpointed keys are re-enqueued.
+ *    plan first, so only never-checkpointed keys are re-enqueued;
+ *    when nothing is left pending, that rerun is just the join.
  *  - fleet worker: `--fleet SOCK --shard-index i` leases ranges from
  *    the coordinator at SOCK and writes to `<cache>.shard<i>`.
  *  - listening coordinator: `--listen SOCK --shards N` is the
  *    coordinator without the forking - workers are started by hand
  *    or a launcher (what `--manifest` prints); it merges at drain.
- *  - static worker: `--shards N --shard-index i` (no socket) is the
- *    coordinator-free hash partition (shard.hh) that every figure
- *    binary also speaks via MIGC_SHARDS / MIGC_SHARD_INDEX.
- *  - merge: `--shards N --merge` performs just the join - union the
- *    shard files into the canonical cache, dedupe identical rows,
- *    fail loudly on conflicting rows, delete the merged inputs.
  *
  * The grid is workloads x policies on one configuration; results
  * land in the same RunCache namespaces the figure binaries read, so
- * a sharded cold sweep followed by a merge makes every figure
- * binary's run free. See docs/SWEEPS.md for the workflows and the
- * fleet protocol.
+ * a fleet sweep of `--grid paper` or `--grid dynamic` makes every
+ * figure binary's run free. See docs/SWEEPS.md for the workflows
+ * and the fleet protocol.
  */
 
 #include <sys/wait.h>
@@ -56,6 +51,7 @@
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "policy/cache_policy.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "workloads/workload.hh"
@@ -72,11 +68,10 @@ struct Options
     std::string cache;              // resolved in resolveCachePath()
     std::vector<std::string> workloads; // override (empty = grid's)
     std::vector<std::string> policies;  // override (empty = grid's)
-    unsigned shards = 0;   // 0 = unsharded
-    int shardIndex = -1;   // -1 = coordinator when shards > 0
+    unsigned shards = 0;   // 0 = single process
+    int shardIndex = -1;   // fleet worker index (with --fleet)
     unsigned jobs = 0;     // threads per process (0 = MIGC_JOBS)
     bool manifest = false;
-    bool merge = false;
     std::string cacheFormat; // "" = MIGC_CACHE_FORMAT / v4 default
     bool convert = false;    // rewrite the cache in --cache-format
     std::string exportPath;  // write a copy there in --cache-format
@@ -110,12 +105,10 @@ usage(const char *argv0)
         "  --shards N             run an N-worker elastic fleet (fork\n"
         "                         local workers, lease run-key ranges,\n"
         "                         steal from stragglers, merge at join)\n"
-        "  --shard-index I        run as worker I in [0, N): a fleet\n"
-        "                         worker with --fleet, else the static\n"
-        "                         hash-partition worker\n"
+        "  --shard-index I        this fleet worker's index (with\n"
+        "                         --fleet); names <cache>.shard<I>\n"
         "  --fleet SPEC           lease work from the coordinator at\n"
-        "                         SPEC instead of a static slice;\n"
-        "                         SPEC is unix:<path>, tcp:<host>:<port>,\n"
+        "                         SPEC: unix:<path>, tcp:<host>:<port>,\n"
         "                         or a bare AF_UNIX path\n"
         "  --listen SPEC          coordinate on SPEC without forking\n"
         "                         workers (start them by hand; see\n"
@@ -129,15 +122,14 @@ usage(const char *argv0)
         "  --resume               re-enqueue only keys absent from the\n"
         "                         canonical cache and the partial\n"
         "                         <cache>.shard* files of a crashed or\n"
-        "                         interrupted fleet\n"
+        "                         interrupted fleet (with nothing left\n"
+        "                         pending, it only merges them)\n"
         "  --lease-size K         run keys per lease (default 2)\n"
         "  --renew-ms MS          lease renew deadline (default 10000);\n"
         "                         a worker silent this long forfeits\n"
         "                         its lease\n"
         "  --manifest             print the fleet coordinator + worker\n"
         "                         commands, then exit\n"
-        "  --merge                merge <cache>.shard* into <cache>\n"
-        "                         and exit\n"
         "  --cache-format v4|csv  cache serialization this process\n"
         "                         (and its forked workers) writes:\n"
         "                         v4 binary columnar (default) or the\n"
@@ -243,8 +235,6 @@ parseArgs(int argc, char **argv)
             opt.slowMs = parseCount("--slow-ms", need(i++), 1, 600000);
         } else if (arg == "--manifest") {
             opt.manifest = true;
-        } else if (arg == "--merge") {
-            opt.merge = true;
         } else if (arg == "--cache-format") {
             opt.cacheFormat = need(i++);
             fatal_if(opt.cacheFormat != "v4" &&
@@ -261,10 +251,8 @@ parseArgs(int argc, char **argv)
             fatal("unknown option %s", arg.c_str());
         }
     }
-    fatal_if(opt.shardIndex >= 0 && opt.shards == 0 &&
-                 opt.fleetSocket.empty(),
-             "--shard-index needs --shards (static worker) or "
-             "--fleet (fleet worker)");
+    fatal_if(opt.shardIndex >= 0 && opt.fleetSocket.empty(),
+             "--shard-index needs --fleet (it names a fleet worker)");
     fatal_if(opt.shardIndex >= 0 && opt.shards > 0 &&
                  static_cast<unsigned>(opt.shardIndex) >= opt.shards,
              "--shard-index %d out of range for --shards %u",
@@ -275,12 +263,6 @@ parseArgs(int argc, char **argv)
     fatal_if(!opt.fleetSocket.empty() && !opt.listenSocket.empty(),
              "--fleet (worker) and --listen (coordinator) are "
              "mutually exclusive");
-    fatal_if(!opt.listenSocket.empty() && opt.shardIndex >= 0,
-             "--listen coordinates; it cannot also be worker %d",
-             opt.shardIndex);
-    fatal_if(opt.merge && (!opt.fleetSocket.empty() ||
-                           !opt.listenSocket.empty()),
-             "--merge cannot be combined with --fleet/--listen");
     // --manifest --listen SPEC prints commands for that endpoint (the
     // multi-host workflow); --manifest --fleet is still meaningless
     // (a manifest describes a whole fleet, not one worker).
@@ -293,7 +275,7 @@ parseArgs(int argc, char **argv)
              "--slow-worker injects at fork; with --listen, start "
              "the straggler yourself with --slow-ms");
     fatal_if((opt.convert || !opt.exportPath.empty()) &&
-                 (opt.merge || opt.manifest || opt.shards > 0 ||
+                 (opt.manifest || opt.shards > 0 ||
                   !opt.fleetSocket.empty() ||
                   !opt.listenSocket.empty()),
              "--convert/--export only rewrite the cache; they cannot "
@@ -460,33 +442,21 @@ fleetSocketPath(const std::string &cache)
 }
 
 int
-runSweep(const Options &opt, const std::string &cache, ShardSpec shard)
+runSweep(const Options &opt, const std::string &cache)
 {
     SimConfig cfg = makeConfig(opt);
     std::vector<RunRequest> requests = buildGrid(opt, cfg);
-    SweepEngine engine(cache, shard);
+    SweepEngine engine(cache);
     if (opt.slowMs > 0)
         engine.setInjectedRunDelayMs(opt.slowMs);
     engine.run(requests, opt.jobs);
     engine.flush();
-    if (shard.active()) {
-        std::printf("shard %u/%u: %llu simulated, %llu from cache, "
-                    "%llu owned elsewhere (grid: %zu points)\n",
-                    shard.index, shard.shards,
-                    static_cast<unsigned long long>(
-                        engine.simulationsPerformed()),
-                    static_cast<unsigned long long>(engine.cacheHits()),
-                    static_cast<unsigned long long>(
-                        engine.shardSkipped()),
-                    requests.size());
-    } else {
-        std::printf("sweep done: %llu simulated, %llu from cache "
-                    "(grid: %zu points, %zu cache parse errors)\n",
-                    static_cast<unsigned long long>(
-                        engine.simulationsPerformed()),
-                    static_cast<unsigned long long>(engine.cacheHits()),
-                    requests.size(), engine.cacheParseErrors());
-    }
+    std::printf("sweep done: %llu simulated, %llu from cache "
+                "(grid: %zu points, %zu cache parse errors)\n",
+                static_cast<unsigned long long>(
+                    engine.simulationsPerformed()),
+                static_cast<unsigned long long>(engine.cacheHits()),
+                requests.size(), engine.cacheParseErrors());
     return 0;
 }
 
@@ -576,7 +546,9 @@ coordinateFleet(const Options &opt, const std::string &cache,
 
     if (plan.pending.empty()) {
         // Nothing to lease; fold in whatever partial shard files a
-        // previous fleet left behind and call it done.
+        // previous fleet left behind and call it done. A `--resume`
+        // rerun after a fleet that finished but never merged lands
+        // here: this is the join on its own.
         printMergeSummary(cache, mergeShardCaches(cache, opt.shards));
         return 0;
     }
@@ -696,6 +668,7 @@ int
 main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
+    rejectStaticShardEnv();
 
     // Resolve --cache-format by publishing it as MIGC_CACHE_FORMAT
     // before the first RunCache exists: one source of truth for this
@@ -704,28 +677,6 @@ main(int argc, char **argv)
     if (!opt.cacheFormat.empty())
         ::setenv("MIGC_CACHE_FORMAT", opt.cacheFormat.c_str(), 1);
 
-    // No --shards on the command line: honor the same environment
-    // hook every figure binary obeys, so `MIGC_SHARDS=4
-    // MIGC_SHARD_INDEX=0 migc_sweep` is a worker rather than a
-    // silent full-grid run duplicating the rest of the fleet
-    // (shardFromEnv is fatal on malformed or index-less specs).
-    // --merge and --manifest only need the shard *count*, so they
-    // accept MIGC_SHARDS without an index.
-    if (opt.shards == 0 && opt.fleetSocket.empty()) {
-        const char *env_shards = std::getenv("MIGC_SHARDS");
-        if ((opt.merge || opt.manifest) && env_shards &&
-            env_shards[0] != '\0') {
-            opt.shards =
-                parseCount("MIGC_SHARDS", env_shards, 1, 4096);
-        } else {
-            ShardSpec env = shardFromEnv();
-            if (env.active()) {
-                opt.shards = env.shards;
-                opt.shardIndex = static_cast<int>(env.index);
-            }
-        }
-    }
-    fatal_if(opt.merge && opt.shards == 0, "--merge needs --shards");
     fatal_if(opt.manifest && opt.shards == 0,
              "--manifest needs --shards");
     fatal_if(!opt.listenSocket.empty() && opt.shards == 0,
@@ -735,7 +686,7 @@ main(int argc, char **argv)
     const std::string cache = resolveCachePath(opt);
     fatal_if(cache.empty() &&
                  (opt.shards > 0 || !opt.fleetSocket.empty()),
-             "sharded sweeps need a cache file to merge "
+             "fleet sweeps need a cache file to merge "
              "(unset MIGC_NO_CACHE or pass --cache)");
 
     if (opt.convert || !opt.exportPath.empty()) {
@@ -751,11 +702,6 @@ main(int argc, char **argv)
         std::printf("wrote %s as %s (%zu rows; source format %s)\n",
                     dest.c_str(), cacheFormatName(fmt), rc.size(),
                     rc.loadedFormatName());
-        return 0;
-    }
-
-    if (opt.merge) {
-        printMergeSummary(cache, mergeShardCaches(cache, opt.shards));
         return 0;
     }
 
@@ -818,14 +764,9 @@ main(int argc, char **argv)
         return coordinateFleet(opt, cache, argv[0],
                                /*listen_only=*/true);
 
-    if (opt.shards > 0 && opt.shardIndex < 0)
+    if (opt.shards > 0)
         return coordinateFleet(opt, cache, argv[0],
                                /*listen_only=*/false);
 
-    ShardSpec shard;
-    if (opt.shards > 0) {
-        shard.shards = opt.shards;
-        shard.index = static_cast<unsigned>(opt.shardIndex);
-    }
-    return runSweep(opt, cache, shard);
+    return runSweep(opt, cache);
 }

@@ -1,34 +1,19 @@
 /**
  * @file
- * Deterministic multi-process sharding of sweep grids.
+ * The file side of a multi-process sweep: per-worker shard caches and
+ * the join that merges them.
  *
- * A sweep grid is a set of run keys (config signature, workload,
- * policy). A ShardSpec partitions that set across N cooperating
- * processes by a stable hash of the key text: shard i owns exactly
- * the keys whose hash lands on index i. The hash covers the run key
- * and nothing else, so the partition depends only on the grid
- * itself - it is independent of MIGC_JOBS, of submission order, and
- * of which binary submits the request. Two different binaries
- * sweeping overlapping grids under the same shard spec therefore
- * agree on who simulates every shared point.
- *
- * Each worker writes its results to a private per-shard cache file
- * (shardCachePath) using the same atomic tmp+rename discipline as
- * the canonical cache; at join, mergeShardCaches() unions the shard
- * files into the canonical file, deduplicating identical rows and
- * failing loudly on conflicting rows for the same key (which would
- * mean a nondeterministic simulator or mismatched sweeps - never
- * something to paper over). Because RunCache serializes sections and
- * rows in sorted order, the merged file is byte-identical to the one
- * a single-process sweep would have written (pinned by
- * tests/test_shard.cc and a CI spot-check).
- *
- * The sweep engine reads MIGC_SHARDS / MIGC_SHARD_INDEX in its
- * default constructor (shardFromEnv), so every existing figure and
- * ablation binary becomes a shard-capable worker with no per-binary
- * changes. bench/migc_sweep is the coordinator: it fork/execs local
- * workers (or emits a manifest for external launchers) and merges at
- * join.
+ * A migc_sweep fleet (core/fleet.hh) spreads a grid over worker
+ * processes by leasing run keys. Each worker writes its fresh results
+ * to a private per-worker cache file (shardCachePath) using the same
+ * atomic tmp+rename discipline as the canonical cache; at join,
+ * mergeShardCaches() unions the shard files into the canonical file,
+ * deduplicating identical rows and failing loudly on conflicting rows
+ * for the same key (which would mean a nondeterministic simulator or
+ * mismatched sweeps - never something to paper over). Because
+ * RunCache serializes sections and rows in sorted order, the merged
+ * file is byte-identical to the one a single-process sweep would have
+ * written (pinned by tests/test_fleet.cc and the CI fleet smokes).
  */
 
 #ifndef MIGC_CORE_SHARD_HH
@@ -38,32 +23,8 @@
 #include <string>
 #include <vector>
 
-// parseBoundedUnsigned - the shared validator behind MIGC_SHARDS /
-// MIGC_SHARD_INDEX / MIGC_JOBS and migc_sweep's count flags - lives
-// in sim/env.hh so the sim-layer thread pool can use it too; it is
-// re-exported here because every sharding caller historically reached
-// it through this header.
-#include "sim/env.hh"
-
 namespace migc
 {
-
-/** Which slice of a sweep grid this process simulates. */
-struct ShardSpec
-{
-    /** Total cooperating processes; 1 = sharding off. */
-    unsigned shards = 1;
-
-    /** This process's index in [0, shards). */
-    unsigned index = 0;
-
-    /** True when the grid is actually split (shards > 1). */
-    bool active() const { return shards > 1; }
-
-    /** Does this shard simulate the given run key? */
-    bool owns(const std::string &sig, const std::string &workload,
-              const std::string &policy) const;
-};
 
 /**
  * Stable 64-bit hash of one run key. Depends only on the three key
@@ -74,20 +35,16 @@ std::uint64_t runKeyHash(const std::string &sig,
                          const std::string &workload,
                          const std::string &policy);
 
-/** The shard in [0, shards) owning the key; shards must be >= 1. */
-unsigned shardOf(const std::string &sig, const std::string &workload,
-                 const std::string &policy, unsigned shards);
-
 /**
- * Shard spec from MIGC_SHARDS / MIGC_SHARD_INDEX. Unset (or
- * MIGC_SHARDS=1) means no sharding. Fatal on malformed values,
- * MIGC_SHARDS > 1 without an index, or an index out of range -
- * silently running the full grid would defeat the point of the
- * worker fleet.
+ * Fatal when MIGC_SHARDS or MIGC_SHARD_INDEX is set. Static key-hash
+ * sharding is gone; without this check a script written for it would
+ * silently run the full grid once per "shard". Every
+ * default-constructed SweepEngine and migc_sweep call it before
+ * anything simulates.
  */
-ShardSpec shardFromEnv();
+void rejectStaticShardEnv();
 
-/** The private cache file for shard @p index of canonical @p base. */
+/** The private cache file of worker @p index for canonical @p base. */
 std::string shardCachePath(const std::string &base, unsigned index);
 
 /** What a coordinator merge accomplished. */
@@ -111,8 +68,8 @@ struct ShardMergeStats
  * (indices [0, shards)) into the canonical file at @p base, then
  * delete the merged shard files. Identical rows for the same key
  * deduplicate; conflicting rows are fatal, and the inputs are left
- * on disk for inspection. Missing shard files are skipped (a shard
- * whose slice was fully cached writes nothing new).
+ * on disk for inspection. Missing shard files are skipped (a worker
+ * that simulated nothing writes nothing).
  */
 ShardMergeStats mergeShardCaches(const std::string &base,
                                  unsigned shards);

@@ -1,19 +1,17 @@
-/** @file Tests for the multi-process sharding layer: partition
- *  stability, the env hook every binary inherits, worker slice
- *  isolation, the coordinator merge (bit-identical to a
- *  single-process sweep, loud on conflicts), and placeholder rows
- *  for foreign grid points. */
+/** @file Tests for the file side of multi-process sweeps: the run-key
+ *  hash, the fatal check on the removed static-sharding variables, a
+ *  fleet worker's shard file holding only its own fresh rows, and
+ *  the coordinator merge (deduplicating, loud on conflicts). */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/report.hh"
+#include "core/fleet.hh"
 #include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
@@ -65,15 +63,6 @@ fileExists(const std::string &path)
     return static_cast<bool>(std::ifstream(path));
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
 void
 removeCacheFamily(const std::string &base, unsigned shards)
 {
@@ -82,8 +71,8 @@ removeCacheFamily(const std::string &base, unsigned shards)
         std::remove(shardCachePath(base, i).c_str());
 }
 
-/** The small grid all sharded-sweep tests run: 2 workloads x 3
- *  policies on the tiny test system. */
+/** The small grid the engine tests run: 2 workloads x 3 policies on
+ *  the tiny test system. */
 std::vector<RunRequest>
 smallGrid()
 {
@@ -133,220 +122,50 @@ TEST(ShardPartition, HashDependsOnlyOnKeyText)
     EXPECT_NE(h, runKeyHash("", "FwSoft", "CacheRW"));
 }
 
-TEST(ShardPartition, EveryKeyOwnedByExactlyOneShard)
-{
-    const auto grid = smallGrid();
-    for (unsigned shards : {1u, 2u, 3u, 4u, 7u, 16u}) {
-        for (const RunRequest &req : grid) {
-            const std::string sig = req.cfg.signature();
-            unsigned owners = 0;
-            for (unsigned i = 0; i < shards; ++i) {
-                ShardSpec spec{shards, i};
-                if (spec.owns(sig, req.workload, req.policy)) {
-                    ++owners;
-                    EXPECT_EQ(i, shardOf(sig, req.workload, req.policy,
-                                         shards));
-                }
-            }
-            EXPECT_EQ(owners, 1u);
-        }
-    }
-}
-
-TEST(ShardPartition, StableAcrossProcessConditions)
-{
-    // The partition must depend only on the key: recompute under a
-    // different MIGC_JOBS and in reverse key order and compare.
-    const auto grid = smallGrid();
-    std::vector<unsigned> forward;
-    {
-        ScopedEnv jobs("MIGC_JOBS", "1");
-        for (const RunRequest &req : grid)
-            forward.push_back(shardOf(req.cfg.signature(), req.workload,
-                                      req.policy, 4));
-    }
-    {
-        ScopedEnv jobs("MIGC_JOBS", "16");
-        for (std::size_t i = grid.size(); i-- > 0;) {
-            EXPECT_EQ(forward[i],
-                      shardOf(grid[i].cfg.signature(),
-                              grid[i].workload, grid[i].policy, 4));
-        }
-    }
-}
-
-TEST(ShardEnv, ParsesAndValidates)
-{
-    {
-        ScopedEnv shards("MIGC_SHARDS", nullptr);
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        ShardSpec spec = shardFromEnv();
-        EXPECT_FALSE(spec.active());
-        EXPECT_EQ(spec.shards, 1u);
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", "2");
-        ShardSpec spec = shardFromEnv();
-        EXPECT_TRUE(spec.active());
-        EXPECT_EQ(spec.shards, 4u);
-        EXPECT_EQ(spec.index, 2u);
-    }
-    {
-        // MIGC_SHARDS=1 is sharding off; an index of 0 is tolerated.
-        ScopedEnv shards("MIGC_SHARDS", "1");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_FALSE(shardFromEnv().active());
-    }
-
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    {
-        // An out-of-range or missing index must die, not silently
-        // run the whole grid.
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", "4");
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "banana");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARDS");
-    }
-    {
-        // Even with sharding off, an out-of-range index means the
-        // user meant a different fleet size - running the full grid
-        // would silently duplicate every other worker's runs.
-        ScopedEnv shards("MIGC_SHARDS", "1");
-        ScopedEnv index("MIGC_SHARD_INDEX", "7");
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-}
-
-TEST(ShardedSweep, WorkersSimulateDisjointSlicesAndPlaceholderTheRest)
-{
-    const std::string base = tempCachePath("slices");
-    removeCacheFamily(base, 4);
-
-    const auto grid = smallGrid();
-    std::uint64_t total_sims = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-        SweepEngine engine(base, ShardSpec{4, i});
-        std::vector<RunMetrics> results = engine.run(grid);
-        total_sims += engine.simulationsPerformed();
-        ASSERT_EQ(results.size(), grid.size());
-        for (std::size_t k = 0; k < grid.size(); ++k) {
-            const std::string sig = grid[k].cfg.signature();
-            const bool owned = ShardSpec{4, i}.owns(
-                sig, grid[k].workload, grid[k].policy);
-            // Owned points carry real metrics; foreign points come
-            // back as labeled all-zero placeholders.
-            EXPECT_EQ(results[k].workload, grid[k].workload);
-            EXPECT_EQ(results[k].policy, grid[k].policy);
-            if (owned)
-                EXPECT_GT(results[k].execTicks, Tick(0));
-            else
-                EXPECT_EQ(results[k].execTicks, Tick(0));
-        }
-        EXPECT_EQ(engine.simulationsPerformed() + engine.shardSkipped(),
-                  grid.size());
-    }
-    // The shards partition the grid: every point simulated exactly
-    // once across the fleet.
-    EXPECT_EQ(total_sims, grid.size());
-    removeCacheFamily(base, 4);
-}
-
-TEST(ShardedSweep, MergedShardCachesAreBitIdenticalToSingleProcess)
-{
-    const std::string solo = tempCachePath("solo");
-    const std::string sharded = tempCachePath("sharded");
-    std::remove(solo.c_str());
-    removeCacheFamily(sharded, 4);
-
-    const auto grid = smallGrid();
-    {
-        SweepEngine engine(solo);
-        engine.run(grid);
-    }
-    for (unsigned i = 0; i < 4; ++i) {
-        SweepEngine engine(sharded, ShardSpec{4, i});
-        engine.run(grid);
-    }
-    ShardMergeStats stats = mergeShardCaches(sharded, 4);
-    EXPECT_EQ(stats.rows, grid.size());
-
-    // The acceptance bar: the coordinator-merged cache is the same
-    // file, byte for byte, that the single-process sweep wrote.
-    const std::string solo_bytes = readFile(solo);
-    ASSERT_FALSE(solo_bytes.empty());
-    EXPECT_EQ(solo_bytes, readFile(sharded));
-
-    // Merged shard files are cleaned up.
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_FALSE(fileExists(shardCachePath(sharded, i)));
-
-    // The merged canonical cache warm-starts both an unsharded
-    // engine and a sharded worker: neither simulates anything.
-    {
-        SweepEngine engine(sharded);
-        engine.run(grid);
-        EXPECT_EQ(engine.simulationsPerformed(), 0u);
-    }
-    {
-        SweepEngine engine(sharded, ShardSpec{4, 1});
-        engine.run(grid);
-        EXPECT_EQ(engine.simulationsPerformed(), 0u);
-        EXPECT_EQ(engine.shardSkipped(), 0u);
-    }
-    std::remove(solo.c_str());
-    removeCacheFamily(sharded, 4);
-}
-
 TEST(ShardedSweep, EnvHookDrivesTheDefaultEngine)
 {
-    // MIGC_SHARDS / MIGC_SHARD_INDEX must reach the default-
-    // constructed engine every figure binary uses - that is the
-    // zero-per-binary-changes contract.
-    const std::string base = tempCachePath("envhook");
-    removeCacheFamily(base, 2);
-    ScopedEnv cache("MIGC_SWEEP_CACHE", base.c_str());
-    ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
-    ScopedEnv shards("MIGC_SHARDS", "2");
-    ScopedEnv index("MIGC_SHARD_INDEX", "1");
-
-    SweepEngine engine;
-    EXPECT_TRUE(engine.shard().active());
-    EXPECT_EQ(engine.shard().shards, 2u);
-    EXPECT_EQ(engine.shard().index, 1u);
-
+    // Static sharding is gone. A script that still exports its
+    // variables must die before anything simulates instead of
+    // running the full grid once per "shard"; the default-
+    // constructed engine every figure binary uses is where that
+    // check has to fire.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ScopedEnv no_cache("MIGC_NO_CACHE", "1");
     const auto grid = smallGrid();
-    engine.run(grid);
-    engine.flush();
-    EXPECT_LT(engine.simulationsPerformed(), grid.size());
-    EXPECT_EQ(engine.simulationsPerformed() + engine.shardSkipped(),
-              grid.size());
-    // Results land in the private shard file, not the canonical one.
-    EXPECT_FALSE(fileExists(base));
-    EXPECT_TRUE(fileExists(shardCachePath(base, 1)));
-    removeCacheFamily(base, 2);
+    {
+        ScopedEnv shards("MIGC_SHARDS", "2");
+        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_SHARDS is no longer supported.*"
+            "migc_sweep --grid paper[|]dynamic --shards N");
+    }
+    {
+        ScopedEnv shards("MIGC_SHARDS", nullptr);
+        ScopedEnv index("MIGC_SHARD_INDEX", "1");
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_SHARD_INDEX is no longer supported");
+    }
 }
 
 TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
 {
-    // A worker must serve the canonical cache read-only and write
-    // only its own new rows to the shard file - otherwise every
-    // shard file grows into a full copy of the canonical cache.
+    // A fleet worker must serve the canonical cache read-only and
+    // write only its own new rows to the shard file - otherwise
+    // every shard file grows into a full copy of the canonical
+    // cache.
     const std::string base = tempCachePath("freshonly");
-    removeCacheFamily(base, 2);
+    const std::string sock = ::testing::TempDir() + "migc_shard.sock";
+    removeCacheFamily(base, 1);
 
     const auto grid = smallGrid();
     {
@@ -357,51 +176,40 @@ TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
     auto extended = grid;
     extended.push_back(
         RunRequest{SimConfig::testConfig(), "FwSoft", "CacheRW-AB"});
-    const std::string new_sig = extended.back().cfg.signature();
-    const unsigned owner =
-        shardOf(new_sig, "FwSoft", "CacheRW-AB", 2);
+    // Lease every key, cached or not, so the worker also answers
+    // canonical rows from its warm store.
+    std::vector<std::uint32_t> all(extended.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = static_cast<std::uint32_t>(i);
+    const std::uint64_t hash = gridFingerprint(extended);
+    FleetServer server(
+        sock,
+        FleetQueue(std::vector<double>(extended.size(), 1.0), all,
+                   FleetConfig{2, 10000}),
+        hash);
+    server.start();
     {
-        SweepEngine engine(base, ShardSpec{2, owner});
-        engine.run(extended);
+        SweepEngine engine(base, FleetWorkerSpec{0});
+        FleetClient client(sock, 0, hash);
+        SweepEngine::FleetRunStats st =
+            engine.runFleet(extended, client, 1);
         // Everything but the new point replays from the canonical
         // warm store.
+        EXPECT_EQ(st.runs, 1u);
+        EXPECT_EQ(st.hits, grid.size());
         EXPECT_EQ(engine.simulationsPerformed(), 1u);
-        EXPECT_EQ(engine.cacheHits(), grid.size());
     }
+    EXPECT_TRUE(server.drained());
+    server.stop();
 
     // Count rows through RunCache so the check is format-agnostic
     // (the shard file is v4 binary by default, csv under
     // MIGC_CACHE_FORMAT=csv).
-    std::ifstream in(shardCachePath(base, owner), std::ios::binary);
+    std::ifstream in(shardCachePath(base, 0), std::ios::binary);
     ASSERT_TRUE(in);
-    RunCache shard_rows(shardCachePath(base, owner), 8);
+    RunCache shard_rows(shardCachePath(base, 0), 8);
     EXPECT_EQ(shard_rows.size(), 1u);
-    removeCacheFamily(base, 2);
-}
-
-TEST(ShardedSweep, WorkerFigureCsvLandsNextToTheRealOne)
-{
-    // A shard worker's figure is partial (placeholder zeros for
-    // foreign points); exporting it must not clobber a complete
-    // figure CSV in the same directory.
-    const std::string path = ::testing::TempDir() + "migc_fig.csv";
-    const std::string shard_path = shardCachePath(path, 1);
-    std::remove(path.c_str());
-    std::remove(shard_path.c_str());
-
-    FigureData fig;
-    fig.title = "t";
-    fig.valueLabel = "v";
-    fig.workloads = {"FwSoft"};
-    fig.series = {"CacheR"};
-    fig.values = {{1.0}};
-
-    ScopedEnv shards("MIGC_SHARDS", "2");
-    ScopedEnv index("MIGC_SHARD_INDEX", "1");
-    writeFigureCsv(path, fig);
-    EXPECT_FALSE(fileExists(path));
-    EXPECT_TRUE(fileExists(shard_path));
-    std::remove(shard_path.c_str());
+    removeCacheFamily(base, 1);
 }
 
 TEST(ShardMerge, MissingShardFilesAreSkipped)
