@@ -614,14 +614,13 @@ syntheticRow(const std::string &workload, const std::string &policy,
     return m;
 }
 
-/** Write the synthetic grid to @p path in @p format (one compact
- *  write: the checkpoint interval is too large to trigger). */
+/** Write the synthetic grid to @p path as v4 (one compact write:
+ *  the checkpoint interval is too large to trigger). */
 void
-writeSyntheticCache(const std::string &path, const SyntheticGrid &g,
-                    CacheFormat format)
+writeSyntheticCache(const std::string &path, const SyntheticGrid &g)
 {
     std::remove(path.c_str());
-    RunCache rc(path, 1u << 30, format);
+    RunCache rc(path, 1u << 30);
     std::uint64_t salt = 0;
     for (const auto &sig : g.sigs)
         for (const auto &w : g.workloads)
@@ -714,18 +713,16 @@ benchWarmReplayV4(const std::string &path, const SyntheticGrid &g)
 }
 
 /**
- * Coordinator join over 4 x 25k-row shard files (plus no canonical
- * cache). In v4 mode this takes the zero-copy k-way merge; the csv
- * variant measures the same join through the general RunCache path.
- * Only the merge itself is timed - re-seeding the consumed input
- * files between reps is setup.
+ * Coordinator join over 4 x 25k-row compacted shard files (plus no
+ * canonical cache): the zero-copy k-way merge. Only the merge itself
+ * is timed - re-seeding the consumed input files between reps is
+ * setup.
  */
 BenchResult
-benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
-                    CacheFormat format, const char *name, int reps)
+benchShardMerge100k(const std::string &base, const SyntheticGrid &g)
 {
     BenchResult r;
-    r.name = name;
+    r.name = "shard_merge_100k";
     r.eventScenario = false;
     constexpr unsigned kShards = 4;
 
@@ -738,8 +735,8 @@ benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
         for (unsigned i = 0; i < kShards; ++i) {
             const std::string path = shardCachePath(base, i);
             std::remove(path.c_str());
-            shards.push_back(std::make_unique<RunCache>(
-                path, 1u << 30, format));
+            shards.push_back(
+                std::make_unique<RunCache>(path, 1u << 30));
         }
         std::uint64_t salt = 0;
         std::size_t at = 0;
@@ -758,6 +755,7 @@ benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
         }
     }
 
+    const int reps = 5;
     r.seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
         std::remove(base.c_str());
@@ -772,7 +770,8 @@ benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
         r.seconds += secondsSince(t0);
         if (stats.rows != g.rows() || stats.files != kShards)
             std::fprintf(stderr, "%s: bad merge (%zu rows, %zu "
-                         "files)\n", name, stats.rows, stats.files);
+                         "files)\n", r.name.c_str(), stats.rows,
+                         stats.files);
     }
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
     std::remove(base.c_str());
@@ -923,32 +922,20 @@ main(int argc, char **argv)
     results.push_back(benchSweepColdEngine(grid_results));
     results.push_back(benchSweepWarmReplay());
 
-    // Data-plane scenarios: same 100k-row synthetic grid through
-    // both serializations. The merge dispatch reads
-    // MIGC_CACHE_FORMAT, so pin it per scenario and restore.
+    // Data-plane scenarios: the same 100k-row synthetic grid as a
+    // v4 cache and as its v3 csv export.
     {
-        const char *old_fmt = std::getenv("MIGC_CACHE_FORMAT");
-        const std::string saved = old_fmt ? old_fmt : "";
         const SyntheticGrid grid100k = syntheticGrid();
         const std::string v4_path = "BENCH_cache_v4.tmp.bin";
         const std::string v3_path = "BENCH_cache_v3.tmp.csv";
-        writeSyntheticCache(v4_path, grid100k, CacheFormat::v4);
-        writeSyntheticCache(v3_path, grid100k, CacheFormat::csv);
+        writeSyntheticCache(v4_path, grid100k);
+        RunCache(v4_path, 1u << 30).exportFile(v3_path,
+                                               CacheFormat::csv);
         results.push_back(benchCacheV4Load(v4_path, grid100k));
         results.push_back(benchCacheV3Parse(v3_path, grid100k));
         results.push_back(benchWarmReplayV4(v4_path, grid100k));
-        ::setenv("MIGC_CACHE_FORMAT", "v4", 1);
-        results.push_back(benchShardMerge100k(
-            "BENCH_merge_v4.tmp.bin", grid100k, CacheFormat::v4,
-            "shard_merge_100k", 5));
-        ::setenv("MIGC_CACHE_FORMAT", "csv", 1);
-        results.push_back(benchShardMerge100k(
-            "BENCH_merge_v3.tmp.csv", grid100k, CacheFormat::csv,
-            "shard_merge_100k_csv", 1));
-        if (old_fmt)
-            ::setenv("MIGC_CACHE_FORMAT", saved.c_str(), 1);
-        else
-            ::unsetenv("MIGC_CACHE_FORMAT");
+        results.push_back(
+            benchShardMerge100k("BENCH_merge_v4.tmp.bin", grid100k));
         std::remove(v4_path.c_str());
         std::remove(v3_path.c_str());
     }

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/shard.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_service.hh"
 #include "serve/transport.hh"
@@ -129,6 +130,7 @@ main(int argc, char **argv)
     // stdout is the protocol stream; keep status chatter (cache
     // load, per-simulation informs) off it in both modes.
     setInformStream(stderr);
+    rejectRemovedEnv();
 
     SweepEngine engine(cache);
     opts.cachePath = cache;

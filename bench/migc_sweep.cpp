@@ -10,14 +10,16 @@
  *    pending run-key list (longest-estimated-job-first, costs from
  *    prior RunCache rows), serves it as leases over an AF_UNIX
  *    socket (core/fleet.hh), and fork/execs N local workers that
- *    lease, simulate, checkpoint, and report until the queue drains;
- *    then merges the shard caches - byte-identical to the
+ *    lease, simulate, checkpoint, push, and report until the queue
+ *    drains; then merges the pushed shards - byte-identical to the
  *    single-process file for any worker count, steal schedule, or
- *    crash history. `--resume` folds partial shard caches into the
- *    plan first, so only never-checkpointed keys are re-enqueued;
- *    when nothing is left pending, that rerun is just the join.
+ *    crash history. `--resume` folds the stored shards into the plan
+ *    first, so only never-pushed keys are re-enqueued; when nothing
+ *    is left pending, that rerun is just the join.
  *  - fleet worker: `--fleet SOCK --shard-index i` leases ranges from
- *    the coordinator at SOCK and writes to `<cache>.shard<i>`.
+ *    the coordinator at SOCK, checkpoints to `<cache>.worker<i>` and
+ *    pushes that file, which the coordinator stores as
+ *    `<cache>.shard<i>`.
  *  - listening coordinator: `--listen SOCK --shards N` is the
  *    coordinator without the forking - workers are started by hand
  *    or a launcher (what `--manifest` prints); it merges at drain.
@@ -72,16 +74,15 @@ struct Options
     int shardIndex = -1;   // fleet worker index (with --fleet)
     unsigned jobs = 0;     // threads per process (0 = MIGC_JOBS)
     bool manifest = false;
-    std::string cacheFormat; // "" = MIGC_CACHE_FORMAT / v4 default
-    bool convert = false;    // rewrite the cache in --cache-format
+    std::string cacheFormat; // --export's format ("" = v4)
+    bool convert = false;    // rewrite the cache as v4
     std::string exportPath;  // write a copy there in --cache-format
 
     // Fleet (elastic lease queue) options. Sockets are endpoint
     // specs: unix:<path>, tcp:<host>:<port>, or a bare AF_UNIX path.
     std::string fleetSocket;  // worker: coordinator socket to join
     std::string listenSocket; // coordinator: serve leases, don't fork
-    bool push = false;        // worker: force shard push over the wire
-    bool resume = false;      // fold partial shard caches into plan
+    bool resume = false;      // fold stored shards into the plan
     unsigned leaseSize = 2;   // keys per lease
     unsigned renewMs = 10000; // lease renew deadline
     int slowWorkerIndex = -1; // straggler injection (coordinator)
@@ -106,7 +107,8 @@ usage(const char *argv0)
         "                         local workers, lease run-key ranges,\n"
         "                         steal from stragglers, merge at join)\n"
         "  --shard-index I        this fleet worker's index (with\n"
-        "                         --fleet); names <cache>.shard<I>\n"
+        "                         --fleet); names <cache>.worker<I>\n"
+        "                         and the stored <cache>.shard<I>\n"
         "  --fleet SPEC           lease work from the coordinator at\n"
         "                         SPEC: unix:<path>, tcp:<host>:<port>,\n"
         "                         or a bare AF_UNIX path\n"
@@ -115,12 +117,11 @@ usage(const char *argv0)
         "                         --manifest); merges when drained.\n"
         "                         tcp:<host>:0 binds an ephemeral port\n"
         "                         and prints the real one\n"
-        "  --push                 workers upload their shard cache to\n"
-        "                         the coordinator before each done\n"
-        "                         (default for tcp: endpoints - no\n"
-        "                         shared filesystem assumed)\n"
+        "  --push                 accepted and ignored: every fleet\n"
+        "                         worker pushes its shard to the\n"
+        "                         coordinator before each done\n"
         "  --resume               re-enqueue only keys absent from the\n"
-        "                         canonical cache and the partial\n"
+        "                         canonical cache and the stored\n"
         "                         <cache>.shard* files of a crashed or\n"
         "                         interrupted fleet (with nothing left\n"
         "                         pending, it only merges them)\n"
@@ -130,15 +131,13 @@ usage(const char *argv0)
         "                         its lease\n"
         "  --manifest             print the fleet coordinator + worker\n"
         "                         commands, then exit\n"
-        "  --cache-format v4|csv  cache serialization this process\n"
-        "                         (and its forked workers) writes:\n"
-        "                         v4 binary columnar (default) or the\n"
-        "                         v3 csv text; reads always sniff\n"
-        "  --convert              rewrite <cache> in --cache-format\n"
-        "                         and exit (v4 <-> csv migration)\n"
-        "  --export PATH          write a copy of <cache> to PATH in\n"
-        "                         --cache-format and exit (the\n"
-        "                         original is untouched)\n"
+        "  --convert              rewrite <cache> as v4 and exit\n"
+        "                         (migrates a v3 text cache)\n"
+        "  --export PATH          write a copy of <cache> to PATH and\n"
+        "                         exit (the original is untouched)\n"
+        "  --cache-format v4|csv  --export's format: v4 binary\n"
+        "                         columnar (default) or the v3 csv\n"
+        "                         text; caches are always written v4\n"
         "  --jobs J               worker threads per process\n"
         "  --slow-worker I:MS     testing: fork worker I with an MS ms\n"
         "                         sleep after every run (straggler)\n"
@@ -212,7 +211,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--listen") {
             opt.listenSocket = need(i++);
         } else if (arg == "--push") {
-            opt.push = true;
+            // Accepted and ignored so existing scripts still parse:
+            // every fleet worker pushes.
         } else if (arg == "--resume") {
             opt.resume = true;
         } else if (arg == "--lease-size") {
@@ -280,6 +280,10 @@ parseArgs(int argc, char **argv)
                   !opt.listenSocket.empty()),
              "--convert/--export only rewrite the cache; they cannot "
              "be combined with sweep or fleet roles");
+    fatal_if(!opt.cacheFormat.empty() && opt.exportPath.empty(),
+             "--cache-format only picks --export's format: caches are "
+             "always written as v4. For a v3 text copy, run "
+             "`migc_sweep --export PATH --cache-format csv`");
     return opt;
 }
 
@@ -350,18 +354,9 @@ workerArgs(const std::string &argv0, const Options &opt,
         args.push_back("--policies");
         args.push_back(joinStrings(opt.policies, ","));
     }
-    if (!opt.cacheFormat.empty()) {
-        // The env var also propagates across fork, but the manifest
-        // prints these lines for copy-paste from a fresh shell.
-        args.push_back("--cache-format");
-        args.push_back(opt.cacheFormat);
-    }
     if (opt.jobs > 0) {
         args.push_back("--jobs");
         args.push_back(std::to_string(opt.jobs));
-    }
-    if (opt.push) {
-        args.push_back("--push");
     }
     if (opt.slowWorkerIndex >= 0 &&
         static_cast<unsigned>(opt.slowWorkerIndex) == index) {
@@ -468,29 +463,21 @@ runFleetWorker(const Options &opt, const std::string &cache)
     std::vector<RunRequest> requests = buildGrid(opt, cfg);
     const unsigned index = static_cast<unsigned>(opt.shardIndex);
 
-    // Push is the no-shared-filesystem mode: forced by --push, and
-    // the default over TCP (a tcp: coordinator is presumed to be on
-    // another machine; a unix: one shares our filesystem, where
-    // pushing would just re-store files the merge already reads).
     FleetClientOptions copts;
     copts.gridSize = requests.size();
-    copts.push =
-        opt.push ||
-        parseEndpoint(opt.fleetSocket).kind == Endpoint::Kind::tcp;
 
-    // The client connects before the engine opens any cache file so
-    // a restarted worker can fetch its own pre-crash checkpoint back
-    // from the coordinator's shard store first.
+    // The client connects before the engine opens its checkpoint so
+    // a restarted worker without one can fetch its stored shard back
+    // from the coordinator first: its pushes then start from that
+    // copy and never shrink it.
     FleetClient client(opt.fleetSocket, index,
                        gridFingerprint(requests), copts);
-    if (copts.push) {
-        const std::string shard_file = shardCachePath(cache, index);
-        std::ifstream probe(shard_file);
-        if (!probe && client.fetchShard(index, shard_file)) {
-            inform("worker %u: fetched its stored shard cache back "
-                   "from the coordinator",
-                   index);
-        }
+    const std::string checkpoint = workerCheckpointPath(cache, index);
+    if (!std::ifstream(checkpoint) &&
+        client.fetchShard(index, checkpoint)) {
+        inform("worker %u: fetched its stored shard back from the "
+               "coordinator",
+               index);
     }
 
     SweepEngine engine(cache, FleetWorkerSpec{index});
@@ -498,7 +485,6 @@ runFleetWorker(const Options &opt, const std::string &cache)
         engine.setInjectedRunDelayMs(opt.slowMs);
     SweepEngine::FleetRunStats st =
         engine.runFleet(requests, client, opt.jobs);
-    engine.flush();
     std::printf("worker %u drained: %llu simulated, %llu from cache, "
                 "%llu leases, %llu stale dones\n",
                 index, static_cast<unsigned long long>(st.runs),
@@ -561,12 +547,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
                                  : opt.listenSocket;
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending, fcfg),
-                       gridFingerprint(requests));
-    // Always accept shard uploads: a unix-socket fleet shares the
-    // filesystem and never pushes, but a worker that does push (tcp,
-    // or --push) must find a store, and it is the same canonical
-    // shardCachePath the merge reads either way.
-    server.setShardStore(cache);
+                       gridFingerprint(requests), cache);
     server.start();
 
     if (listen_only) {
@@ -639,9 +620,9 @@ coordinateFleet(const Options &opt, const std::string &cache,
         if (failed > 0 && !server.drained()) {
             server.stop();
             fatal("%u fleet worker%s died with %zu key%s still "
-                  "unfinished; completed runs are checkpointed in "
-                  "the shard caches - re-run with --resume to "
-                  "finish the rest",
+                  "unfinished; completed runs are stored in the "
+                  "shard caches - re-run with --resume to finish "
+                  "the rest",
                   failed, failed == 1 ? "" : "s",
                   server.pendingCount(),
                   server.pendingCount() == 1 ? "" : "s");
@@ -668,14 +649,7 @@ int
 main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
-    rejectStaticShardEnv();
-
-    // Resolve --cache-format by publishing it as MIGC_CACHE_FORMAT
-    // before the first RunCache exists: one source of truth for this
-    // process's caches AND the forked fleet workers' (environments
-    // survive fork/exec, so the whole fleet writes one format).
-    if (!opt.cacheFormat.empty())
-        ::setenv("MIGC_CACHE_FORMAT", opt.cacheFormat.c_str(), 1);
+    rejectRemovedEnv();
 
     fatal_if(opt.manifest && opt.shards == 0,
              "--manifest needs --shards");
@@ -694,7 +668,10 @@ main(int argc, char **argv)
                  "--convert/--export need a cache file (unset "
                  "MIGC_NO_CACHE or pass --cache)");
         RunCache rc(cache); // sniffs whatever format is on disk
-        const CacheFormat fmt = cacheFormatFromEnv();
+        const CacheFormat fmt =
+            opt.cacheFormat == "csv" || opt.cacheFormat == "v3"
+                ? CacheFormat::csv
+                : CacheFormat::v4;
         const std::string dest =
             opt.exportPath.empty() ? cache : opt.exportPath;
         fatal_if(!rc.exportFile(dest, fmt),
@@ -719,10 +696,9 @@ main(int argc, char **argv)
         std::printf(
             "# elastic fleet: start the coordinator first (it owns "
             "the lease queue\n"
-            "# and merges at drain), then one worker per index%s:\n",
-            tcp ? " on any host that can reach it (shard files "
-                  "travel over the socket)"
-                : " on the same host");
+            "# and merges at drain), then one worker per index%s\n"
+            "# (workers push their shards over the socket):\n",
+            tcp ? " on any host that can reach it" : " on the same host");
         std::vector<std::string> coord{
             self,           "--grid",  opt.grid,
             "--config",     opt.config, "--cache",
@@ -736,10 +712,6 @@ main(int argc, char **argv)
             coord.push_back("--policies");
             coord.push_back(joinStrings(opt.policies, ","));
         }
-        if (!opt.cacheFormat.empty()) {
-            coord.push_back("--cache-format");
-            coord.push_back(opt.cacheFormat);
-        }
         if (opt.resume)
             coord.push_back("--resume");
         std::printf("%s\n", shellJoin(coord).c_str());
@@ -751,7 +723,7 @@ main(int argc, char **argv)
         std::printf(
             "# after a crash, rerun the coordinator line with "
             "--resume: only keys\n"
-            "# absent from the canonical cache and the partial "
+            "# absent from the canonical cache and the stored "
             "<cache>.shard* files\n"
             "# are re-enqueued\n");
         return 0;

@@ -348,21 +348,14 @@ writeFileAtomic(const std::string &path, const std::string &bytes,
 } // namespace
 
 FleetServer::FleetServer(std::string endpoint_spec, FleetQueue queue,
-                         std::uint64_t grid_hash)
+                         std::uint64_t grid_hash, std::string cache_base)
     : path_(std::move(endpoint_spec)), queue_(std::move(queue)),
-      gridHash_(grid_hash)
+      gridHash_(grid_hash), storeBase_(std::move(cache_base))
 {}
 
 FleetServer::~FleetServer()
 {
     stop();
-}
-
-void
-FleetServer::setShardStore(std::string cache_base)
-{
-    std::lock_guard<std::mutex> lk(storeMu_);
-    storeBase_ = std::move(cache_base);
 }
 
 void
@@ -482,11 +475,6 @@ FleetServer::handlePush(const ServeRequest &req, std::string &buf,
     }
 
     std::lock_guard<std::mutex> lk(storeMu_);
-    if (storeBase_.empty()) {
-        reply = "# error: this coordinator has no shard store "
-                "(started without one); push refused\n";
-        return true;
-    }
     const std::string dest = shardCachePath(storeBase_, req.worker);
     std::string error;
     if (!writeFileAtomic(dest, payload, &error)) {
@@ -504,8 +492,6 @@ std::string
 FleetServer::handleFetch(const ServeRequest &req)
 {
     std::lock_guard<std::mutex> lk(storeMu_);
-    if (storeBase_.empty())
-        return "# none\n";
     const std::string path = shardCachePath(storeBase_, req.worker);
     std::ifstream in(path, std::ios::binary);
     if (!in)

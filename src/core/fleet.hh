@@ -28,33 +28,31 @@
  *
  *  - Crash-safe expiry. A worker that misses its renew deadline
  *    (SIGKILL, hang, dropped socket) has its remaining keys silently
- *    requeued. Its finished rows are already checkpointed in its
- *    `.shard<i>` cache, and re-execution of an unreported key is
- *    byte-identical (the run-identity contract), so the coordinator
- *    merge dedupes any overlap - a killed worker costs only its
- *    unleased tail.
+ *    requeued. Its finished rows are already in the coordinator's
+ *    store (see push below), and re-execution of an unreported key
+ *    is byte-identical (the run-identity contract), so the
+ *    coordinator merge dedupes any overlap - a killed worker costs
+ *    only its unleased tail.
  *
  * FleetQueue is the deterministic core: no clock, no socket, no
  * thread - every call takes `now` in milliseconds, so unit tests
  * replay lease/steal/expiry schedules exactly. FleetServer wraps it
  * in a socket front end (serve_protocol verbs `lease`/`done`/
- * `renew`/`stats`, plus `push`/`fetch` when a shard store is
- * attached); FleetClient is the worker side used by
- * SweepEngine::runFleet.
+ * `renew`/`stats`/`push`/`fetch`); FleetClient is the worker side
+ * used by SweepEngine::runFleet.
  *
- * Multi-host fleets need two more things than the single-host
- * original: a TCP endpoint (`tcp:<host>:<port>` instead of a socket
- * path - both sides parse the spec through serve/transport.hh) and a
- * way to move shard cache files without a shared filesystem. The
- * `push` verb uploads a worker's whole `.shard<i>` file to the
- * coordinator (cache_v4-checksummed; the coordinator stores it
- * tmp+rename at the canonical shardCachePath, so the drain-time
- * merge and `--resume` see exactly the files a local fleet would
- * have written), and `fetch` streams a stored copy back so a
- * restarted worker resumes from its own pre-crash checkpoint.
- * Workers push *before* each `done` - the same checkpoint-before-
- * report ordering that makes local crashes safe extends verbatim to
- * the no-shared-FS case.
+ * Shard bytes travel one way, the same for a local fleet and a
+ * multi-host one (a `tcp:<host>:<port>` endpoint instead of a socket
+ * path - both sides parse the spec through serve/transport.hh). A
+ * worker checkpoints to a private file (workerCheckpointPath) and
+ * the `push` verb uploads that whole file to the coordinator
+ * (cache_v4-checksummed), which stores it tmp+rename as the worker's
+ * shard (shardCachePath) - the only shard file the drain-time merge
+ * and `--resume` read, and one no worker ever writes. Workers push
+ * *before* each `done`, one push at a time, so a reported key is
+ * always in the store and the stored copy only grows. `fetch`
+ * streams a stored copy back, so a restarted worker resumes from its
+ * own pre-crash shard instead of pushing a smaller one over it.
  *
  * FleetClient treats the connection as disposable: any transport
  * error, torn frame, or reply that fails validation drops the
@@ -269,12 +267,11 @@ std::uint64_t fleetNowMs();
  * (unix:<path>, tcp:<host>:<port>, or a bare AF_UNIX path - see
  * serve/transport.hh), accepts any number of workers, and answers
  * the `lease`/`done`/`renew`/`stats` verbs of the serve protocol
- * (serve_protocol.hh), one request line per response. With a shard
- * store attached (setShardStore) it also answers `push` (store a
- * checksummed shard cache upload at the canonical shardCachePath)
- * and `fetch` (stream a stored file back). All queue access is
- * serialized on one mutex; `handleLine` is also public so tests can
- * drive the line protocol without a socket.
+ * (serve_protocol.hh), one request line per response, plus `push`
+ * (store a checksummed shard upload at shardCachePath) and `fetch`
+ * (stream a stored shard back). All queue access is serialized on
+ * one mutex; `handleLine` is also public so tests can drive the line
+ * protocol without a socket.
  */
 class FleetServer
 {
@@ -282,24 +279,17 @@ class FleetServer
     /** @p grid_hash fingerprints the coordinator's request grid
      *  (gridFingerprint in sweep_engine.hh); a worker whose `lease`
      *  carries a different hash built a different grid and is
-     *  refused rather than handed meaningless indices. */
+     *  refused rather than handed meaningless indices. Pushed shards
+     *  are stored at shardCachePath(@p cache_base, worker) with
+     *  tmp+rename, where the drain-time merge and a later `--resume`
+     *  read them. */
     FleetServer(std::string endpoint_spec, FleetQueue queue,
-                std::uint64_t grid_hash);
+                std::uint64_t grid_hash, std::string cache_base);
 
     ~FleetServer();
 
     FleetServer(const FleetServer &) = delete;
     FleetServer &operator=(const FleetServer &) = delete;
-
-    /**
-     * Accept `push` uploads and answer `fetch` downloads, storing
-     * shard files at shardCachePath(@p cache_base, worker) with the
-     * same tmp+rename discipline the workers themselves use - so
-     * the drain-time merge and a later `--resume` find exactly the
-     * files a shared-filesystem fleet would have left. Call before
-     * start().
-     */
-    void setShardStore(std::string cache_base);
 
     /** Bind, listen, and start the accept thread. Fatal on socket
      *  errors (an unreachable coordinator is never worth a silent
@@ -352,7 +342,7 @@ class FleetServer
     FleetQueue queue_;
     std::uint64_t gridHash_;
 
-    std::string storeBase_; ///< shard-store cache base ("" = off)
+    std::string storeBase_; ///< canonical cache the store belongs to
     mutable std::mutex storeMu_;
     std::uint64_t pushesStored_ = 0;
 
@@ -372,11 +362,6 @@ struct FleetClientOptions
      *  at or past this bound is treated as a torn frame and resynced
      *  rather than handed to the engine (0 = no bound known). */
     std::size_t gridSize = 0;
-
-    /** Upload the shard cache (`push`) before each `done`, and let
-     *  the engine fetch a stored copy back at startup - the
-     *  no-shared-filesystem mode. */
-    bool push = false;
 
     /** Wraps every connected stream; the fault-injection tests
      *  inject FaultyStream here. Identity when empty. */
@@ -427,19 +412,16 @@ class FleetClient
      *  already counted the key (stale). */
     bool done(std::uint64_t id, std::uint32_t key);
 
-    /** Upload @p bytes (the worker's current shard cache file) under
-     *  lease @p id; the coordinator stores it at the canonical
-     *  shardCachePath. Retries like every other verb; fatal when the
-     *  coordinator repeatedly refuses the frame. */
+    /** Upload @p bytes (the worker's current checkpoint file) under
+     *  lease @p id; the coordinator stores it at shardCachePath.
+     *  Retries like every other verb; fatal when the coordinator
+     *  repeatedly refuses the frame. */
     void pushShard(std::uint64_t id, const std::string &bytes);
 
     /** Download the coordinator's stored copy of shard @p shard into
      *  @p dest (tmp+rename). @return false when the coordinator has
      *  no stored file for that shard. */
     bool fetchShard(unsigned shard, const std::string &dest);
-
-    /** Push-before-done mode is on (FleetClientOptions::push). */
-    bool pushEnabled() const { return opts_.push; }
 
     /** Is @p key still this worker's to run under lease @p id? False
      *  once the key was completed, stolen, or the lease went stale. */

@@ -5,13 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <map>
 #include <memory>
 #include <string_view>
-#include <vector>
-
-#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/cache_v4.hh"
 #include "core/sweep_engine.hh"
@@ -24,12 +23,6 @@ namespace migc
 
 namespace
 {
-
-bool
-fileExists(const std::string &path)
-{
-    return static_cast<bool>(std::ifstream(path));
-}
 
 long
 fileSize(const std::string &path)
@@ -44,24 +37,91 @@ fileSize(const std::string &path)
 }
 
 /**
- * The zero-copy coordinator join: when the canonical cache and every
- * non-empty shard file are clean single-segment v4, merge them with
- * one k-way walk over the mapped, already-sorted key columns -
- * no RunCache, no per-row map inserts, no materialized RunMetrics -
- * and write the result as one canonical segment via tmp+rename.
- * Semantics match the sequential merge exactly: earlier inputs win
- * (canonical first, then shard 0..N-1), identical losing rows count
- * as duplicates, a differing row for the same key is fatal before
- * anything is written or removed.
- *
- * @return false (having written nothing) when any input disqualifies
- * the fast path - text formats, appended multi-segment files, torn
- * tails - so the caller falls back to the general RunCache merge.
+ * Map @p path as one clean v4 segment. Anything else - v3 text,
+ * checkpoint appends (every pushed shard has them), a torn tail - is
+ * first compacted in place through RunCache: the load keeps every
+ * parseable row and counts the rest into @p stats, and saveNow()
+ * rewrites the file as the one canonical segment of that row set.
  */
-bool
-mergeShardCachesV4(const std::string &base, unsigned shards,
-                   ShardMergeStats &stats)
+std::shared_ptr<const MappedCacheV4>
+mapCompacted(const std::string &path, ShardMergeStats &stats)
 {
+    std::string why;
+    if (auto file = MappedCacheV4::map(path, &why))
+        return file;
+    {
+        RunCache rc(path);
+        stats.parseErrors += rc.parseErrors();
+        fatal_if(!rc.saveNow(),
+                 "could not compact %s for the merge; shard inputs "
+                 "left on disk",
+                 path.c_str());
+    }
+    auto file = MappedCacheV4::map(path, &why);
+    panic_if(file == nullptr, "compacted cache %s does not map: %s",
+             path.c_str(), why.c_str());
+    return file;
+}
+
+} // namespace
+
+std::uint64_t
+runKeyHash(const std::string &sig, const std::string &workload,
+           const std::string &policy)
+{
+    // '\n' cannot appear inside a key component (keys are one-line
+    // cache fields), so the concatenation is unambiguous.
+    std::string key;
+    key.reserve(sig.size() + workload.size() + policy.size() + 2);
+    key += sig;
+    key += '\n';
+    key += workload;
+    key += '\n';
+    key += policy;
+    return fnv1a(key);
+}
+
+void
+rejectRemovedEnv()
+{
+    const char *use_fleet =
+        "static sharding was removed. Spread a grid over processes "
+        "with `migc_sweep --grid paper|dynamic --shards N`, then run "
+        "the figure binaries on the merged cache";
+    const std::pair<const char *, const char *> removed[] = {
+        {"MIGC_SHARDS", use_fleet},
+        {"MIGC_SHARD_INDEX", use_fleet},
+        {"MIGC_CACHE_FORMAT",
+         "caches are always written as v4. For a v3 text copy, run "
+         "`migc_sweep --export PATH --cache-format csv`"},
+    };
+    for (const auto &[name, instead] : removed) {
+        const char *value = std::getenv(name);
+        fatal_if(value != nullptr && value[0] != '\0',
+                 "%s is no longer supported: %s", name, instead);
+    }
+}
+
+std::string
+shardCachePath(const std::string &base, unsigned index)
+{
+    return csprintf("%s.shard%u", base.c_str(), index);
+}
+
+std::string
+workerCheckpointPath(const std::string &base, unsigned index)
+{
+    return csprintf("%s.worker%u", base.c_str(), index);
+}
+
+ShardMergeStats
+mergeShardCaches(const std::string &base, unsigned shards)
+{
+    fatal_if(base.empty(),
+             "cannot merge shard caches without a cache path "
+             "(MIGC_NO_CACHE sweeps leave nothing to merge)");
+    fatal_if(shards < 1, "cannot merge zero shards");
+
     struct Input
     {
         std::string path;
@@ -72,37 +132,31 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
     using MergeKey = std::tuple<std::string_view, std::string_view,
                                 std::string_view>;
 
+    ShardMergeStats stats;
     std::vector<Input> inputs;
     std::vector<std::string> consumed;
-    if (fileSize(base) > 0) {
-        std::string why;
-        auto file = MappedCacheV4::map(base, &why);
-        if (file == nullptr)
-            return false;
-        inputs.push_back(Input{base, std::move(file), 0, false});
-    }
+    if (fileSize(base) > 0)
+        inputs.push_back(Input{base, mapCompacted(base, stats), 0, false});
     for (unsigned i = 0; i < shards; ++i) {
         const std::string path = shardCachePath(base, i);
         const long bytes = fileSize(path);
         if (bytes < 0)
             continue;
-        if (bytes == 0) {
-            // A worker SIGKILL'd before its first checkpoint leaves
-            // a zero-length file: a legitimate empty cache, merged
-            // as zero rows and consumed like any other shard input.
-            stats.files += 1;
-            consumed.push_back(path);
-            continue;
-        }
-        std::string why;
-        auto file = MappedCacheV4::map(path, &why);
-        if (file == nullptr)
-            return false;
         stats.files += 1;
         consumed.push_back(path);
-        inputs.push_back(Input{path, std::move(file), 0, true});
+        // A zero-length file is a legitimate empty cache: merged as
+        // zero rows and consumed like any other shard input.
+        if (bytes > 0)
+            inputs.push_back(
+                Input{path, mapCompacted(path, stats), 0, true});
     }
 
+    // One k-way walk over the mapped, sorted key columns - no
+    // RunCache, no per-row map inserts, no materialized RunMetrics.
+    // Earlier inputs win ties (canonical first, then shard 0..N-1),
+    // identical losing rows count as duplicates, and a differing row
+    // for the same key is fatal before anything is written or
+    // removed.
     auto keyOf = [](const Input &in, std::size_t idx) {
         const V4SegmentView &seg = in.file->segment();
         const V4Key &k = seg.keys[idx];
@@ -120,8 +174,7 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
     for (;;) {
         // Smallest live key across the input heads; the earliest
         // input breaks ties, so canonical rows take priority over
-        // shard rows - the held-rows-win rule of the sequential
-        // merge.
+        // shard rows.
         int winner = -1;
         MergeKey best;
         for (std::size_t j = 0; j < inputs.size(); ++j) {
@@ -152,10 +205,10 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
                 continue;
             const V4Row &lrow = in.file->segment().rows[in.next];
             // Bitwise equality is the common deterministic case; on
-            // a mismatch, fall back to the serialized comparison the
-            // sequential merge uses, so a bit pattern that formats
-            // identically (e.g. -0.0 vs 0.0) still counts as a
-            // duplicate rather than aborting the join.
+            // a mismatch, compare the serialized rows, so a bit
+            // pattern that formats identically (e.g. -0.0 vs 0.0)
+            // still counts as a duplicate rather than aborting the
+            // join.
             if (std::memcmp(&lrow, &wrow, sizeof(V4Row)) == 0 ||
                 in.file->materialize(in.next).toCsv() ==
                     win.file->materialize(win.next - 1).toCsv()) {
@@ -175,6 +228,9 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
         }
     }
 
+    // The shard inputs are only consumed once the canonical file is
+    // safely on disk; a failed write (full disk, unwritable
+    // directory) must not cost the workers their results.
     const std::string merged = buildV4Segment(out);
     const std::string tmp = csprintf("%s.%d.tmp", base.c_str(),
                                      static_cast<int>(::getpid()));
@@ -189,105 +245,11 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
         ok = false;
     if (!ok) {
         std::remove(tmp.c_str());
-        // Same contract as the general path: the shard inputs are
-        // only consumed once the canonical file is safely on disk.
         fatal("could not write merged cache %s; shard inputs left "
               "on disk",
               base.c_str());
     }
     for (const std::string &path : consumed)
-        std::remove(path.c_str());
-    return true;
-}
-
-} // namespace
-
-std::uint64_t
-runKeyHash(const std::string &sig, const std::string &workload,
-           const std::string &policy)
-{
-    // '\n' cannot appear inside a key component (keys are one-line
-    // cache fields), so the concatenation is unambiguous.
-    std::string key;
-    key.reserve(sig.size() + workload.size() + policy.size() + 2);
-    key += sig;
-    key += '\n';
-    key += workload;
-    key += '\n';
-    key += policy;
-    return fnv1a(key);
-}
-
-void
-rejectStaticShardEnv()
-{
-    for (const char *name : {"MIGC_SHARDS", "MIGC_SHARD_INDEX"}) {
-        const char *value = std::getenv(name);
-        fatal_if(value != nullptr && value[0] != '\0',
-                 "%s is no longer supported: static sharding was "
-                 "removed. Spread a grid over processes with "
-                 "`migc_sweep --grid paper|dynamic --shards N`, then "
-                 "run the figure binaries on the merged cache",
-                 name);
-    }
-}
-
-std::string
-shardCachePath(const std::string &base, unsigned index)
-{
-    return csprintf("%s.shard%u", base.c_str(), index);
-}
-
-ShardMergeStats
-mergeShardCaches(const std::string &base, unsigned shards)
-{
-    fatal_if(base.empty(),
-             "cannot merge shard caches without a cache path "
-             "(MIGC_NO_CACHE sweeps leave nothing to merge)");
-    fatal_if(shards < 1, "cannot merge zero shards");
-
-    // Zero-copy k-way fast path: all-v4 inputs merge over their
-    // mapped sorted key columns without parsing a row (falls through
-    // to the general path on any non-v4 / fragmented / damaged
-    // input, or when the configured write format is not v4).
-    if (cacheFormatFromEnv() == CacheFormat::v4) {
-        ShardMergeStats fast;
-        if (mergeShardCachesV4(base, shards, fast))
-            return fast;
-    }
-
-    // The canonical RunCache loads whatever the file already holds;
-    // each shard file then unions in. Conflicting rows abort before
-    // anything is rewritten or removed, so the inputs survive for
-    // inspection.
-    RunCache canonical(base);
-    ShardMergeStats stats;
-    std::vector<std::string> merged;
-    for (unsigned i = 0; i < shards; ++i) {
-        const std::string path = shardCachePath(base, i);
-        if (!fileExists(path))
-            continue;
-        RunCache::MergeStats r = canonical.mergeFile(path);
-        fatal_if(r.conflicts > 0,
-                 "shard cache %s: %zu row%s conflict with rows already "
-                 "merged for the same (config, workload, policy) - "
-                 "the shards did not run the same deterministic sweep; "
-                 "refusing to merge (inputs left on disk)",
-                 path.c_str(), r.conflicts, r.conflicts == 1 ? "" : "s");
-        stats.files += 1;
-        stats.rows += r.rows;
-        stats.duplicates += r.duplicates;
-        stats.parseErrors += r.parseErrors;
-        merged.push_back(path);
-    }
-    // The shard inputs are only consumed once the canonical file is
-    // safely on disk; a failed write (full disk, unwritable
-    // directory) must not cost the workers their results.
-    fatal_if(!canonical.saveNow(),
-             "could not write merged cache %s; shard inputs left on "
-             "disk",
-             base.c_str());
-    for (const std::string &path : merged)
         std::remove(path.c_str());
     return stats;
 }
@@ -299,8 +261,8 @@ planFleetSweep(const std::vector<RunRequest> &requests,
     fatal_if(shards < 1, "cannot plan a fleet of zero workers");
 
     // Memory-only probe cache: union the canonical file (and, on
-    // resume, the partial shard files) without ever writing - the
-    // shard files must stay on disk untouched until the join merge
+    // resume, the stored shards) without ever writing - the shard
+    // files must stay on disk untouched until the join merge
     // consumes them.
     RunCache probe{std::string()};
     if (!cache.empty())

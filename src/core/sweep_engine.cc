@@ -39,20 +39,6 @@ constexpr const char *kCacheTagV3 = "# migc-sweep-v3";
 /** Section separator inside a v3 file. */
 constexpr const char *kSectionTag = "# config ";
 
-/**
- * v2: single-config files written before the multi-config cache; the
- * signature follows the tag on the same line. v2 rows are PRESERVED
- * (imported as a section keyed by that old-format signature, carried
- * across rewrites like any foreign section) but never served:
- * current lookups use the new signature format, which embeds a hash
- * of every structural parameter precisely because the old format
- * aliased structurally different configs (it ignored ablation axes
- * like L1 associativity and DBI rows) - serving an old row could
- * return a different machine's result. Nothing is silently lost;
- * stale-but-inspectable beats wrong.
- */
-constexpr const char *kCacheTagV2 = "# migc-sweep-v2 ";
-
 bool
 startsWith(const std::string &s, const char *prefix)
 {
@@ -143,20 +129,6 @@ sweepCachePathFromEnv()
     return path ? path : "mi_sweep_cache.csv";
 }
 
-CacheFormat
-cacheFormatFromEnv()
-{
-    const char *v = std::getenv("MIGC_CACHE_FORMAT");
-    if (v == nullptr || v[0] == '\0' || std::strcmp(v, "v4") == 0)
-        return CacheFormat::v4;
-    if (std::strcmp(v, "csv") == 0 || std::strcmp(v, "v3") == 0)
-        return CacheFormat::csv;
-    fatal("MIGC_CACHE_FORMAT must be \"v4\" or \"csv\" (alias "
-          "\"v3\"), not \"%s\"",
-          v);
-    return CacheFormat::v4; // unreachable
-}
-
 const char *
 cacheFormatName(CacheFormat format)
 {
@@ -167,20 +139,17 @@ cacheFormatName(CacheFormat format)
 // RunCache
 // ---------------------------------------------------------------------
 
-RunCache::RunCache(std::string path, std::size_t checkpoint_interval)
-    : RunCache(std::move(path), checkpoint_interval,
-               cacheFormatFromEnv())
-{}
-
 RunCache::RunCache(std::string path, std::size_t checkpoint_interval,
                    CacheFormat format)
     : path_(std::move(path)),
       checkpointInterval_(checkpoint_interval > 0 ? checkpoint_interval
                                                   : 1),
-      format_(format),
       log_(std::make_shared<std::deque<RunMetrics>>()),
       base_(CacheSnapshot::empty())
 {
+    panic_if(format != CacheFormat::v4,
+             "a run cache writes v4 only; write a csv copy with "
+             "exportFile()");
     if (enabled())
         load();
 }
@@ -207,7 +176,7 @@ RunCache::MergeStats
 RunCache::mergeFromFile(const std::string &path,
                         bool classify_collisions)
 {
-    // Sniff the first 8 bytes: the v4 magic never begins a v3/v2
+    // Sniff the first 8 bytes: the v4 magic never begins a v3
     // text file (those start with '#'), so the dispatch is exact.
     char magic[sizeof(kV4SegMagic)];
     std::size_t got = 0;
@@ -255,33 +224,24 @@ RunCache::mergeTextFile(const std::string &path,
     }
 
     const bool durable = path == path_;
-    std::string sig;
-    bool in_section = false;
-    if (line == kCacheTagV3) {
-        // Sections follow; rows before the first "# config" line
-        // (there should be none) are ignored.
-        if (path == path_) {
-            noteLoadedFormat("v3");
-            fileState_ = FileState::cleanV3;
-        }
-    } else if (startsWith(line, kCacheTagV2)) {
-        // Whole legacy file becomes one preserved-but-unserved
-        // section under its old-format signature (see kCacheTagV2).
-        sig = line.substr(std::strlen(kCacheTagV2));
-        in_section = true;
-        if (path == path_) {
-            noteLoadedFormat("v2");
-            fileState_ = FileState::other;
-        }
-    } else {
+    if (path == path_)
+        fileState_ = FileState::other; // text never takes appends
+    if (line != kCacheTagV3) {
+        // Anything else - including the single-config "# migc-sweep-
+        // v2" caches of early builds, whose signatures aliased
+        // structurally different configs - serves nothing.
         warn("ignoring sweep cache %s: unrecognized format tag",
              path.c_str());
-        if (path == path_) {
+        if (path == path_)
             noteLoadedFormat("foreign");
-            fileState_ = FileState::other;
-        }
         return stats;
     }
+    // Sections follow; rows before the first "# config" line (there
+    // should be none) are ignored.
+    if (path == path_)
+        noteLoadedFormat("v3");
+    std::string sig;
+    bool in_section = false;
 
     while (std::getline(in, line)) {
         if (line.empty())
@@ -517,12 +477,11 @@ RunCache::save()
     // so one sorted index covers everything; the snapshot's
     // canonical section/row order is the file's serialization order.
     std::shared_ptr<const CacheSnapshot> snap = snapshot();
-    if (!writeSnapshotTo(path_, *snap, format_))
+    if (!writeSnapshotTo(path_, *snap, CacheFormat::v4))
         return false;
     pendingAppend_.clear();
     appendedSinceCompact_ = false;
-    fileState_ = format_ == CacheFormat::v4 ? FileState::cleanV4
-                                            : FileState::cleanV3;
+    fileState_ = FileState::cleanV4;
     return true;
 }
 
@@ -532,11 +491,11 @@ RunCache::exportFile(const std::string &path, CacheFormat format)
     if (!writeSnapshotTo(path, *snapshot(), format))
         return false;
     if (path == path_) {
-        // The export just compacted our own file.
+        // The export just rewrote our own file whole.
         pendingAppend_.clear();
         appendedSinceCompact_ = false;
         fileState_ = format == CacheFormat::v4 ? FileState::cleanV4
-                                               : FileState::cleanV3;
+                                               : FileState::other;
     }
     return true;
 }
@@ -544,10 +503,10 @@ RunCache::exportFile(const std::string &path, CacheFormat format)
 bool
 RunCache::appendPending()
 {
-    // Canonical order *within* the chunk keeps an appended v4
-    // segment binary-searchable and a csv chunk tidy; order across
-    // chunks is the file's append history, and the next compaction
-    // restores the one global canonical order.
+    // Canonical order *within* the segment keeps it binary-
+    // searchable; order across segments is the file's append
+    // history, and the next compaction restores the one global
+    // canonical order.
     std::vector<const std::pair<std::string, const RunMetrics *> *>
         rows;
     rows.reserve(pendingAppend_.size());
@@ -561,39 +520,14 @@ RunCache::appendPending()
                                   b->second->policy);
               });
 
-    std::string chunk;
-    if (format_ == CacheFormat::v4) {
-        std::vector<V4RowRef> refs;
-        refs.reserve(rows.size());
-        for (const auto *entry : rows) {
-            refs.push_back(V4RowRef{entry->first,
-                                    entry->second->workload,
-                                    entry->second->policy,
-                                    packV4Row(*entry->second)});
-        }
-        chunk = buildV4Segment(refs);
-    } else {
-        // The leading newline terminates any torn partial line a
-        // crashed writer left at the tail, so this chunk's rows
-        // always start at a line boundary; readers skip the blank
-        // line it normally produces.
-        chunk = "\n";
-        std::string_view last_sig;
-        bool have_sig = false;
-        for (const auto *entry : rows) {
-            if (!have_sig || entry->first != last_sig) {
-                chunk += kSectionTag;
-                chunk += entry->first;
-                chunk += '\n';
-                chunk += RunMetrics::csvHeader();
-                chunk += '\n';
-                last_sig = entry->first;
-                have_sig = true;
-            }
-            chunk += entry->second->toCsv();
-            chunk += '\n';
-        }
+    std::vector<V4RowRef> refs;
+    refs.reserve(rows.size());
+    for (const auto *entry : rows) {
+        refs.push_back(V4RowRef{entry->first, entry->second->workload,
+                                entry->second->policy,
+                                packV4Row(*entry->second)});
     }
+    const std::string chunk = buildV4Segment(refs);
 
     std::FILE *f = std::fopen(path_.c_str(), "ab");
     if (f == nullptr)
@@ -614,11 +548,7 @@ RunCache::checkpoint()
     unsaved_ = 0;
     if (!enabled() || pendingAppend_.empty())
         return;
-    const bool appendable =
-        (format_ == CacheFormat::v4 &&
-         fileState_ == FileState::cleanV4) ||
-        (format_ == CacheFormat::csv &&
-         fileState_ == FileState::cleanV3);
+    const bool appendable = fileState_ == FileState::cleanV4;
     if (appendable && appendPending())
         return;
     if (appendable) {
@@ -627,6 +557,17 @@ RunCache::checkpoint()
         fileState_ = FileState::other;
     }
     save();
+}
+
+void
+RunCache::removeFile()
+{
+    if (enabled())
+        std::remove(path_.c_str());
+    unsaved_ = 0;
+    pendingAppend_.clear();
+    appendedSinceCompact_ = false;
+    fileState_ = FileState::absent;
 }
 
 const RunMetrics *
@@ -762,7 +703,7 @@ gridFingerprint(const std::vector<RunRequest> &requests)
 SweepEngine::SweepEngine()
     : SweepEngine(sweepCachePathFromEnv())
 {
-    rejectStaticShardEnv();
+    rejectRemovedEnv();
 }
 
 SweepEngine::SweepEngine(std::string cache_path)
@@ -772,7 +713,7 @@ SweepEngine::SweepEngine(std::string cache_path)
 SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
     : cachePath_(cache_path.empty()
                      ? cache_path
-                     : shardCachePath(cache_path, fleet.index))
+                     : workerCheckpointPath(cache_path, fleet.index))
 {
     if (cache_path.empty()) {
         warn("fleet worker %u with the cache disabled: its results "
@@ -782,8 +723,8 @@ SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
     }
     // Warm-start from the canonical cache into the read-only side
     // store: points some earlier sweep already merged replay from it
-    // instead of being resimulated, while the writable shard file
-    // stays limited to this worker's own fresh rows.
+    // instead of being resimulated, while the checkpoint file stays
+    // limited to the keys this worker is leased.
     warm_.mergeFile(cache_path);
 }
 
@@ -1049,6 +990,13 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
     std::exception_ptr error;
     std::mutex error_mu;
 
+    // Held from reading the checkpoint file until its push is
+    // stored, so pushes reach the coordinator in the order they were
+    // read. The file only grows, so the stored copy only grows too:
+    // without this, an older read could land after a newer push and
+    // drop a row already reported done.
+    std::mutex push_mu;
+
     auto processKey = [&](std::uint64_t id, std::uint32_t key,
                           std::unique_ptr<System> &sys,
                           std::string &sys_structure) {
@@ -1062,47 +1010,36 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
         bool cached;
         {
             std::lock_guard<std::mutex> lk(mu_);
-            cached =
-                findCached(sig, req.workload, req.policy) != nullptr;
+            const RunMetrics *m =
+                findCached(sig, req.workload, req.policy);
+            cached = m != nullptr;
+            if (cached) {
+                // The coordinator only ever sees pushed bytes, so a
+                // row answered from the warm import is promoted into
+                // the checkpoint before this key is reported done
+                // (insert is first-write-wins: a row already there
+                // is a no-op).
+                cache().insert(sig, *m);
+                cache().checkpoint();
+            }
         }
         if (cached) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            if (client.pushEnabled()) {
-                // In the no-shared-filesystem mode, the only bytes
-                // the coordinator ever sees are pushed shard files -
-                // so a row satisfied from the warm import must be
-                // promoted into the writable shard cache before this
-                // key is reported done (insert is first-write-wins:
-                // a row already in the shard cache is a no-op).
-                std::lock_guard<std::mutex> lk(mu_);
-                const RunMetrics *m =
-                    findCached(sig, req.workload, req.policy);
-                if (m != nullptr) {
-                    cache().insert(sig, *m);
-                    cache().checkpoint();
-                }
-            }
         } else {
             Job job{&req, sig, 0.0, key};
             RunMetrics m = runJob(job, sys, sys_structure);
             std::lock_guard<std::mutex> lk(mu_);
             cache().insert(sig, std::move(m));
-            // Checkpoint before reporting done: the coordinator
-            // retires a key on `done`, so the row must already be
-            // durable in the shard cache - this ordering is the
-            // whole crash-safety contract. The checkpoint appends
-            // the fresh rows (O(fresh) bytes); making every run
-            // durable no longer costs a whole-file rewrite per run.
+            // Checkpoint before pushing: the push sends the file.
             cache().checkpoint();
         }
-        if (client.pushEnabled()) {
-            // Push-before-done extends the checkpoint-before-done
-            // ordering across hosts: once the coordinator retires
-            // this key, its row is already durable *there*. The
-            // whole file is read under the engine lock (no
-            // checkpoint can land mid-read) and pushes only ever
-            // grow, so the last push stored for this shard holds
-            // every row reported before it.
+        {
+            // Push before done: the coordinator retires a key on
+            // `done`, so its row must already be in the coordinator's
+            // store - this ordering is the whole crash-safety
+            // contract. The file is read under the engine lock, so no
+            // checkpoint lands mid-read.
+            std::lock_guard<std::mutex> plk(push_mu);
             std::string bytes;
             {
                 std::lock_guard<std::mutex> lk(mu_);
@@ -1213,7 +1150,10 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
     if (error)
         std::rethrow_exception(error);
 
-    flush();
+    // Drained: every row is in the coordinator's stored copy, so the
+    // private checkpoint has nothing left to protect.
+    std::lock_guard<std::mutex> lk(mu_);
+    cache().removeFile();
     return stats;
 }
 

@@ -29,10 +29,12 @@
  *
  * A fourth mechanism scales past one process: as a fleet worker
  * (FleetWorkerSpec, runFleet) the engine simulates the run keys a
- * coordinator leases it, writing them to a private per-worker shard
- * cache file; the coordinator (bench/migc_sweep) merges the shard
- * files into the canonical cache at join, byte-identical to a
- * single-process sweep (see shard.hh and fleet.hh).
+ * coordinator leases it, checkpointing them to a private per-worker
+ * file and pushing that file to the coordinator before each key is
+ * reported done; the coordinator (bench/migc_sweep) merges the
+ * pushed shard copies into the canonical cache at join,
+ * byte-identical to a single-process sweep (see shard.hh and
+ * fleet.hh).
  */
 
 #ifndef MIGC_CORE_SWEEP_ENGINE_HH
@@ -69,13 +71,13 @@ class FleetClient;
 std::string sweepCachePathFromEnv();
 
 /**
- * On-disk serialization a RunCache writes. Reading always sniffs the
- * file (v4 magic / v3 tag / legacy v2 tag), so any cache loads under
- * either setting; the format only decides what saves produce.
+ * A cache serialization. RunCache writes v4 only; csv exists for
+ * RunCache::exportFile. Reading sniffs the file (v4 magic / v3 tag),
+ * so a v3 cache from an older build loads and its next write is v4.
  *
  *  - v4: binary columnar segments (cache_v4.hh) - interned sorted
  *    keys, fixed-width metric columns, checksummed footers, mmap'd
- *    zero-copy serving, O(fresh) checkpoint appends. The default.
+ *    zero-copy serving, O(fresh) checkpoint appends.
  *  - csv: the v3 text format, byte-identical to what pre-v4 builds
  *    wrote - for diffing, grep, and foreign tooling.
  */
@@ -85,11 +87,7 @@ enum class CacheFormat
     csv,
 };
 
-/** MIGC_CACHE_FORMAT: "v4" (default) or "csv" ("v3" accepted as an
- *  alias); anything else is fatal. */
-CacheFormat cacheFormatFromEnv();
-
-/** "v4" / "csv" for messages and manifests. */
+/** "v4" / "csv" for messages. */
 const char *cacheFormatName(CacheFormat format);
 
 /** One grid point: run @p workload under @p policy on @p cfg. */
@@ -111,24 +109,25 @@ struct RunRequest
 std::uint64_t gridFingerprint(const std::vector<RunRequest> &requests);
 
 /**
- * Tag selecting SweepEngine's fleet-worker constructor: it writes
- * fresh rows to the private shardCachePath(cache, index) file and
- * warm-imports the canonical cache; the coordinator's leases decide
- * what it runs.
+ * Tag selecting SweepEngine's fleet-worker constructor: it
+ * checkpoints to the private workerCheckpointPath(cache, index) file
+ * and warm-imports the canonical cache; the coordinator's leases
+ * decide what it runs.
  */
 struct FleetWorkerSpec
 {
-    /** This worker's index: names its shard cache file and
-     *  identifies it in the coordinator's accounting. */
+    /** This worker's index: names its checkpoint file and its shard
+     *  in the coordinator's store, and identifies it in the
+     *  coordinator's accounting. */
     unsigned index = 0;
 };
 
 /**
  * Multi-config on-disk result store.
  *
- * On disk the cache is either a v4 binary columnar file
- * (cache_v4.hh) or a v3 text file of one section per configuration
- * signature:
+ * The cache writes the v4 binary columnar format (cache_v4.hh). It
+ * also reads the v3 text format of older builds, one section per
+ * configuration signature:
  *
  *   # migc-sweep-v3
  *   # config <signature>
@@ -137,30 +136,26 @@ struct FleetWorkerSpec
  *   # config <signature'>
  *   ...
  *
- * Reads sniff the format, so v3 and legacy v2 files load
- * transparently no matter what CacheFormat this cache writes, and a
- * save migrates the file. Sections whose signature belongs to some
- * other configuration are preserved across save cycles, so binaries
- * with different configs can share one cache path without clobbering
- * each other. Legacy single-config v2 files import as one such
- * foreign section: their rows are preserved, but never served,
- * because the old signature format aliased structurally different
- * configs (see kCacheTagV2 in sweep_engine.cc).
+ * Reads sniff the format, so a v3 file loads transparently and the
+ * next save migrates it to v4. Any other file is ignored with a
+ * warning and serves nothing. Sections whose signature
+ * belongs to some other configuration are preserved across save
+ * cycles, so binaries with different configs can share one cache
+ * path without clobbering each other.
  *
  * Durability is two-tier. checkpoint() appends only the rows
- * inserted since the last durable write - one small segment (v4) or
- * section chunk (csv) at the end of the file, O(fresh) bytes, which
- * is what the amortized insert checkpointing and the fleet's
- * checkpoint-before-done contract use; a sweep writing N rows costs
- * O(N) total bytes instead of the O(N^2) of rewriting the file at
- * every checkpoint. flush()/saveNow() compact: one canonical sorted
- * rewrite via tmp+rename, so the *final* file bytes are a pure
- * function of the row set - identical across job counts, steal
- * schedules, and crash/resume histories - and a once-appended file
- * never stays fragmented past the next flush. A torn append (crash
- * mid-write) is detected on load (v4: footer checksum; csv: the
- * partial line fails to parse), costs only the torn rows, and is
- * cleaned up by the next compaction.
+ * inserted since the last durable write - one small segment at the
+ * end of the file, O(fresh) bytes, which is what the amortized
+ * insert checkpointing and the fleet's checkpoint-before-done
+ * contract use; a sweep writing N rows costs O(N) total bytes
+ * instead of the O(N^2) of rewriting the file at every checkpoint.
+ * flush()/saveNow() compact: one canonical sorted rewrite via
+ * tmp+rename, so the *final* file bytes are a pure function of the
+ * row set - identical across job counts, steal schedules, and
+ * crash/resume histories - and a once-appended file never stays
+ * fragmented past the next flush. A torn append (crash mid-write)
+ * is detected on load by the footer checksum, costs only the torn
+ * rows, and is cleaned up by the next compaction.
  *
  * An empty path disables disk I/O; results are then memoized in
  * memory only (the MIGC_NO_CACHE=1 behavior).
@@ -183,13 +178,12 @@ struct FleetWorkerSpec
 class RunCache
 {
   public:
-    /** Write format from MIGC_CACHE_FORMAT (default v4). */
+    /** @p format must be v4, the only format a cache writes (the
+     *  parameter stays for existing callers); exportFile() writes a
+     *  csv copy. */
     explicit RunCache(std::string path,
-                      std::size_t checkpoint_interval = 8);
-
-    /** Explicit write format (tests, converters). */
-    RunCache(std::string path, std::size_t checkpoint_interval,
-             CacheFormat format);
+                      std::size_t checkpoint_interval = 8,
+                      CacheFormat format = CacheFormat::v4);
 
     /** Flushes pending results (best effort). */
     ~RunCache();
@@ -199,11 +193,8 @@ class RunCache
 
     bool enabled() const { return !path_.empty(); }
 
-    /** The serialization saves write. */
-    CacheFormat format() const { return format_; }
-
-    /** Format the initial load found on disk: "v4", "v3", "v2",
-     *  "foreign" (unrecognized), or "none" (missing/empty file).
+    /** Format the initial load found on disk: "v4", "v3", "foreign"
+     *  (unrecognized), or "none" (missing/empty file).
      *  Operator-facing (migc_serve stats). */
     const char *loadedFormatName() const;
 
@@ -228,11 +219,11 @@ class RunCache
     };
 
     /**
-     * Union another cache file (v4, v3, or legacy v2 - sniffed) into
-     * memory without writing anything; rows already held win. This
-     * is how a fleet worker warm-starts from the canonical cache and
-     * how the coordinator folds shard files back in (shard.hh). A
-     * missing file merges zero rows.
+     * Union another cache file (v4 or v3 - sniffed) into memory
+     * without writing anything; rows already held win. This is how a
+     * fleet worker warm-starts from the canonical cache and how the
+     * coordinator plans a resume and compacts shard inputs
+     * (shard.hh). A missing file merges zero rows.
      */
     MergeStats mergeFile(const std::string &path);
 
@@ -283,12 +274,17 @@ class RunCache
      * Make every in-memory row durable cheaply: append the rows
      * inserted since the last durable write to the end of the file
      * (O(fresh) bytes), falling back to a full compacting save when
-     * the file cannot take an append (different/damaged format,
-     * torn tail, first write). This is the fleet worker's
-     * checkpoint-before-done primitive; the file stays fragmented
-     * until the next flush()/saveNow() compacts it.
+     * the file cannot take an append (not v4, torn tail, first
+     * write). This is the fleet worker's checkpoint-before-done
+     * primitive; the file stays fragmented until the next
+     * flush()/saveNow() compacts it.
      */
     void checkpoint();
+
+    /** Delete the file and forget that anything was pending, so
+     *  neither flush() nor the destructor writes it again. The rows
+     *  stay in memory. A fleet worker's clean drain. */
+    void removeFile();
 
     /**
      * The current contents as an immutable snapshot: publishes any
@@ -324,14 +320,13 @@ class RunCache
     using FreshSection = std::map<Key, const RunMetrics *>;
 
     /** What the on-disk file currently is, as far as appends care:
-     *  only a clean file of our own write format takes appends;
-     *  everything else forces the next durable write to compact. */
+     *  only a clean v4 file takes appends; everything else forces
+     *  the next durable write to compact. */
     enum class FileState
     {
         absent,   ///< missing or empty
         cleanV4,  ///< v4, no damaged tail seen
-        cleanV3,  ///< v3 text
-        other,    ///< v2 / foreign / torn v4 tail
+        other,    ///< v3 / foreign / torn v4 tail
     };
 
     void load();
@@ -351,7 +346,7 @@ class RunCache
     MergeStats mergeFromFile(const std::string &path,
                              bool classify_collisions = true);
 
-    /** The v3/v2 text reader behind mergeFromFile(). */
+    /** The v3 text reader behind mergeFromFile(). */
     MergeStats mergeTextFile(const std::string &path,
                              bool classify_collisions);
 
@@ -377,9 +372,9 @@ class RunCache
      *  disk (or I/O is off). */
     bool save();
 
-    /** Append pendingAppend_ as one segment / section chunk at the
-     *  end of the file. @return false when the write failed (the
-     *  caller falls back to save()). */
+    /** Append pendingAppend_ as one segment at the end of the
+     *  file. @return false when the write failed (the caller falls
+     *  back to save()). */
     bool appendPending();
 
     /** Append @p m to the row log and index it in fresh_; the row
@@ -391,7 +386,6 @@ class RunCache
 
     std::string path_;
     std::size_t checkpointInterval_;
-    CacheFormat format_;
     std::size_t unsaved_ = 0;
     std::size_t parseErrors_ = 0;
 
@@ -445,8 +439,7 @@ class SweepEngine
     /**
      * Cache path from the environment, like the figure binaries:
      * MIGC_SWEEP_CACHE / MIGC_NO_CACHE select the cache. Fatal when
-     * the removed static-sharding variables are set
-     * (rejectStaticShardEnv).
+     * a removed variable is set (rejectRemovedEnv).
      */
     SweepEngine();
 
@@ -455,11 +448,11 @@ class SweepEngine
     explicit SweepEngine(std::string cache_path);
 
     /**
-     * Fleet-worker engine (see FleetWorkerSpec): fresh results go to
-     * the private shard cache of @p fleet.index, the canonical file
+     * Fleet-worker engine (see FleetWorkerSpec): results go to the
+     * private checkpoint file of @p fleet.index, the canonical file
      * is warm-imported into a read-only side store (served, never
-     * rewritten, so shard files stay small), and the engine
-     * simulates exactly what runFleet() leases.
+     * rewritten, so checkpoints and pushes stay small), and the
+     * engine simulates exactly what runFleet() leases.
      */
     SweepEngine(std::string cache_path, FleetWorkerSpec fleet);
 
@@ -498,12 +491,16 @@ class SweepEngine
      * Fleet-worker main loop: lease run-key ranges from @p client
      * until the coordinator reports the grid drained, simulating
      * each leased index of @p requests on up to @p jobs threads
-     * (0 = MIGC_JOBS / hardware default). Every completed run is
-     * checkpointed to the shard cache *before* it is reported done,
-     * so a worker killed at any instant leaves every reported key on
-     * disk - the crash-safety half of the lease protocol. Keys the
-     * coordinator stole (observed at renew) are skipped without
-     * simulating.
+     * (0 = MIGC_JOBS / hardware default). Every leased key's row -
+     * simulated, or promoted from the warm import - is checkpointed
+     * to the private file and that file pushed to the coordinator
+     * *before* the key is reported done, so a worker killed at any
+     * instant leaves every reported key in the coordinator's store -
+     * the crash-safety half of the lease protocol. Pushes are read
+     * and sent one at a time, so the stored copy only grows. Keys
+     * the coordinator stole (observed at renew) are skipped without
+     * simulating. After a clean drain the private file is deleted:
+     * the stored copy holds every row.
      */
     FleetRunStats runFleet(const std::vector<RunRequest> &requests,
                            FleetClient &client, unsigned jobs = 0);
@@ -530,8 +527,8 @@ class SweepEngine
     std::shared_ptr<const CacheSnapshot> snapshot();
 
     /** The writable cache's on-disk format at load ("v4", "v3",
-     *  "v2", "foreign", "none"); loads the cache if this engine has
-     *  not touched it yet. Operator-facing (migc_serve stats). */
+     *  "foreign", "none"); loads the cache if this engine has not
+     *  touched it yet. Operator-facing (migc_serve stats). */
     const char *cacheFileFormat() const;
 
     /** Simulations actually executed (cache misses). */
@@ -583,7 +580,7 @@ class SweepEngine
     mutable std::mutex mu_;
 
     /** Resolved path cache() opens (fleet workers: their private
-     *  shard file). */
+     *  checkpoint file). */
     std::string cachePath_;
 
     /** See cache(). */
@@ -596,8 +593,9 @@ class SweepEngine
      * Read-only results imported from the canonical cache when this
      * engine is a fleet worker (memory-only: constructed with an
      * empty path, so it never writes). Keeping these out of the
-     * writable cache keeps the shard file down to this worker's own
-     * fresh rows instead of a full copy of the canonical cache.
+     * writable cache keeps the checkpoint, and so the pushed shard,
+     * down to the keys this worker was leased instead of a full copy
+     * of the canonical cache.
      */
     RunCache warm_{std::string()};
     std::atomic<std::uint64_t> sims_{0};

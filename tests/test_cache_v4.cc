@@ -2,20 +2,23 @@
  * @file
  * The v4 binary columnar cache format: round-trip exactness, byte
  * determinism, O(fresh) checkpoint appends, torn-write rejection and
- * recovery, format migration (v3/v2 -> v4) with byte-identical CSV
+ * recovery, format migration (v3 -> v4) with byte-identical CSV
  * export, the zero-copy mapped snapshot's parity with the parsed
- * one, and the mixed-format shard merge fallback. See
- * src/core/cache_v4.hh and docs/SWEEPS.md.
+ * one, and a shard join that gives the same bytes for inputs of
+ * every shape. See src/core/cache_v4.hh and docs/SWEEPS.md.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/cache_snapshot.hh"
@@ -52,35 +55,6 @@ writeFile(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_;
-};
-
 /** A row with doubles no text format would round-trip exactly. */
 RunMetrics
 awkwardRow(const std::string &workload, const std::string &policy)
@@ -106,8 +80,8 @@ awkwardRow(const std::string &workload, const std::string &policy)
 }
 
 /** A plain deterministic row. Whole-number doubles only, so the
- *  row survives a v3 text round trip bit-exactly (the mixed-format
- *  merge test compares across serializations). */
+ *  row survives a v3 text round trip bit-exactly (the shard join
+ *  test compares across serializations). */
 RunMetrics
 simpleRow(const std::string &workload, const std::string &policy,
           double seedv)
@@ -352,72 +326,74 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 
 TEST(CacheV4, V3LoadSaveExportIsByteIdenticalToTheTextPipeline)
 {
-    // Build a reference v3 text cache, migrate it through v4, and
-    // export back to csv: the exported bytes must equal the
-    // original text file exactly.
+    // Write a v3 text cache by hand, the way a pre-v4 build laid it
+    // out (sections, then rows, in (sig, workload, policy) order),
+    // migrate it through v4, and export back to csv: the exported
+    // bytes must equal the original text file exactly.
     const std::string v3 = tempPath("migrate_v3");
     const std::string v4 = tempPath("migrate_v4");
     const std::string out = tempPath("migrate_out");
-    std::remove(v3.c_str());
     std::remove(v4.c_str());
     std::remove(out.c_str());
-    {
-        RunCache rc(v3, 100, CacheFormat::csv);
-        for (int i = 0; i < 12; ++i)
-            rc.insert(i % 2 ? "sig-a" : "sig-b",
-                      simpleRow("w" + std::to_string(i), "p", i));
-        rc.flush();
+    std::map<std::string, std::map<std::string, RunMetrics>> by_sig;
+    for (int i = 0; i < 12; ++i) {
+        std::string wl = "w";
+        wl += std::to_string(i);
+        by_sig[i % 2 ? "sig-a" : "sig-b"][wl] = simpleRow(wl, "p", i);
     }
-    const std::string v3_bytes = readFile(v3);
+    std::string v3_bytes = "# migc-sweep-v3\n";
+    for (const auto &[sig, rows] : by_sig) {
+        v3_bytes += "# config " + sig + "\n";
+        v3_bytes += RunMetrics::csvHeader() + "\n";
+        for (const auto &[wl, m] : rows)
+            v3_bytes += m.toCsv() + "\n";
+    }
+    writeFile(v3, v3_bytes);
 
     {
-        // Load the text file into a v4-writing cache and save: the
-        // file migrates to binary.
-        RunCache rc(v3, 100, CacheFormat::v4);
+        // Load the text file and save a binary copy.
+        RunCache rc(v3, 100);
         EXPECT_EQ(rc.size(), 12u);
+        EXPECT_STREQ(rc.loadedFormatName(), "v3");
         ASSERT_TRUE(rc.exportFile(v4, CacheFormat::v4));
     }
     {
-        RunCache rc(v4, 100, CacheFormat::v4);
+        RunCache rc(v4, 100);
         EXPECT_EQ(rc.size(), 12u);
         ASSERT_TRUE(rc.exportFile(out, CacheFormat::csv));
     }
     EXPECT_EQ(readFile(out), v3_bytes);
+
+    // The v3 file's own next write is v4.
+    {
+        RunCache rc(v3, 100);
+        ASSERT_TRUE(rc.saveNow());
+    }
+    EXPECT_EQ(readFile(v3), readFile(v4));
     std::remove(v3.c_str());
     std::remove(v4.c_str());
     std::remove(out.c_str());
 }
 
-TEST(CacheV4, LegacyV2RowsSurviveMigrationAsAForeignSection)
+TEST(CacheV4, V2FileLoadsAsUnrecognizedAndServesNothing)
 {
-    const std::string path = tempPath("migrate_v2");
-    std::remove(path.c_str());
+    // The single-config v2 caches of early builds keyed rows by a
+    // signature format that aliased structurally different configs.
+    // They are no longer read: such a file is ignored like any
+    // unrecognized one.
+    const std::string path = tempPath("legacy_v2");
     const std::string old_sig =
         "test:cus4:l2x4:64kB:ch4:scale0.125:seed1";
-    RunMetrics planted = simpleRow("FwSoft", "CacheRW", 5);
-    std::string row = planted.toCsv();
+    std::string row = simpleRow("FwSoft", "CacheRW", 5).toCsv();
     row = row.substr(0, row.rfind(',')); // no sim_events column
     writeFile(path, "# migc-sweep-v2 " + old_sig +
                         "\nworkload,policy,...legacy header...\n" +
                         row + "\n");
 
-    {
-        // Loading the v2 file and saving writes v4; the legacy rows
-        // ride along as a preserved (never served) section.
-        RunCache rc(path, 100, CacheFormat::v4);
-        rc.insert("sig-new", simpleRow("w0", "p0", 1));
-        ASSERT_TRUE(rc.saveNow());
-    }
-    std::string why;
-    EXPECT_NE(MappedCacheV4::map(path, &why), nullptr) << why;
-
-    RunCache rc(path, 100, CacheFormat::v4);
-    EXPECT_EQ(rc.size(), 2u);
-    // The legacy row kept its key and its data (sim_events
-    // defaulted to 0 by the v2 importer).
-    const RunMetrics *held = rc.find(old_sig, "FwSoft", "CacheRW");
-    ASSERT_NE(held, nullptr);
-    EXPECT_EQ(held->toCsv(), row + ",0");
+    RunCache rc(path, 100);
+    EXPECT_STREQ(rc.loadedFormatName(), "foreign");
+    EXPECT_EQ(rc.size(), 0u);
+    EXPECT_EQ(rc.find(old_sig, "FwSoft", "CacheRW"), nullptr);
     std::remove(path.c_str());
 }
 
@@ -484,58 +460,99 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
 }
 
 // ---------------------------------------------------------------
-// Shard merge across formats
+// Shard join over inputs of every shape
 // ---------------------------------------------------------------
 
-TEST(CacheV4, MixedFormatShardMergeMatchesTheAllV4Merge)
+TEST(CacheV4, ShardInputsOfEveryShapeJoinToTheSameBytes)
 {
-    // Shard 0 checkpointed v4, shard 1 wrote csv (e.g. an operator
-    // override mid-fleet): the coordinator join must still merge
-    // both, and the resulting row set must match an all-v4 fleet.
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", nullptr); // default: v4
-    const std::string mixed = tempPath("merge_mixed");
-    const std::string pure = tempPath("merge_pure");
-    for (const std::string &base : {mixed, pure}) {
+    // One row set split over four shards, stored two ways: as clean
+    // single-segment v4 files, and as the shapes a join can meet in
+    // practice - a clean file, a pushed checkpoint of appended
+    // segments, a torn tail, and v3 text from an older build. The
+    // join compacts the odd ones in place, so both must yield the
+    // same canonical bytes.
+    const std::string clean = tempPath("join_clean");
+    const std::string shapes = tempPath("join_shapes");
+    for (const std::string &base : {clean, shapes}) {
         std::remove(base.c_str());
-        for (unsigned i = 0; i < 2; ++i)
+        for (unsigned i = 0; i < 4; ++i)
             std::remove(shardCachePath(base, i).c_str());
     }
 
-    auto fill = [](RunCache &rc, unsigned shard) {
-        for (int i = 0; i < 6; ++i)
-            rc.insert("sig-a",
-                      simpleRow("w" + std::to_string(i * 2 + shard),
-                                "p0", i * 2.0 + shard));
-        rc.flush();
+    // Rows of shard k: every fourth of 16, over two signatures.
+    auto rowsOf = [](unsigned k) {
+        std::vector<std::pair<std::string, RunMetrics>> rows;
+        for (unsigned i = k; i < 16; i += 4) {
+            std::string wl = "w";
+            wl += std::to_string(i);
+            rows.emplace_back(i % 3 ? "sig-a" : "sig-b",
+                              simpleRow(wl, "p", i));
+        }
+        return rows;
     };
+    // One v4 segment holding @p rows (sorted, as the writer needs).
+    auto segment = [](std::vector<std::pair<std::string, RunMetrics>>
+                          rows) {
+        std::sort(rows.begin(), rows.end(),
+                  [](const auto &a, const auto &b) {
+                      return std::tie(a.first, a.second.workload) <
+                             std::tie(b.first, b.second.workload);
+                  });
+        std::vector<V4RowRef> refs;
+        for (const auto &[sig, m] : rows) {
+            refs.push_back(
+                V4RowRef{sig, m.workload, m.policy, packV4Row(m)});
+        }
+        return buildV4Segment(refs);
+    };
+
+    for (unsigned k = 0; k < 4; ++k)
+        writeFile(shardCachePath(clean, k), segment(rowsOf(k)));
+
+    writeFile(shardCachePath(shapes, 0), segment(rowsOf(0)));
     {
-        RunCache s0(shardCachePath(mixed, 0), 100, CacheFormat::v4);
-        fill(s0, 0);
-        RunCache s1(shardCachePath(mixed, 1), 100, CacheFormat::csv);
-        fill(s1, 1);
-        RunCache p0(shardCachePath(pure, 0), 100, CacheFormat::v4);
-        fill(p0, 0);
-        RunCache p1(shardCachePath(pure, 1), 100, CacheFormat::v4);
-        fill(p1, 1);
+        // Checkpoint appends: one segment per pushed row.
+        std::string appended;
+        for (const auto &row : rowsOf(1))
+            appended += segment({row});
+        writeFile(shardCachePath(shapes, 1), appended);
+    }
+    {
+        // A crash tore an append of a row the join never saw done.
+        const std::string lost =
+            segment({{"sig-a", simpleRow("w99", "p", 99)}});
+        writeFile(shardCachePath(shapes, 2),
+                  segment(rowsOf(2)) +
+                      lost.substr(0, lost.size() - 21));
+    }
+    {
+        // v3 text, as a pre-v4 worker left it.
+        RunCache text{std::string()};
+        for (const auto &[sig, m] : rowsOf(3))
+            text.insert(sig, m);
+        ASSERT_TRUE(text.exportFile(shardCachePath(shapes, 3),
+                                    CacheFormat::csv));
     }
 
-    const ShardMergeStats a = mergeShardCaches(mixed, 2);
-    const ShardMergeStats b = mergeShardCaches(pure, 2);
-    EXPECT_EQ(a.files, 2u);
-    EXPECT_EQ(a.rows, 12u);
-    EXPECT_EQ(b.rows, 12u);
+    const ShardMergeStats a = mergeShardCaches(clean, 4);
+    const ShardMergeStats b = mergeShardCaches(shapes, 4);
+    EXPECT_EQ(a.files, 4u);
+    EXPECT_EQ(b.files, 4u);
+    EXPECT_EQ(a.rows, 16u);
+    EXPECT_EQ(b.rows, 16u);
     EXPECT_EQ(a.parseErrors, 0u);
+    EXPECT_EQ(b.parseErrors, 1u); // the torn append
 
-    // Both canonical files are v4 (the configured write format) and
-    // hold identical row sets; the all-v4 join (zero-copy k-way)
-    // and the fallback (RunCache) must serialize identically.
-    EXPECT_EQ(readFile(mixed), readFile(pure));
-    const std::string probe = readFile(mixed);
-    ASSERT_GE(probe.size(), 8u);
-    EXPECT_EQ(probe.substr(0, 8), "MIGC4SEG");
+    const std::string want = readFile(clean);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(readFile(shapes), want);
+    std::string why;
+    EXPECT_NE(MappedCacheV4::map(shapes, &why), nullptr) << why;
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_FALSE(std::ifstream(shardCachePath(shapes, i)).good());
 
-    std::remove(mixed.c_str());
-    std::remove(pure.c_str());
+    std::remove(clean.c_str());
+    std::remove(shapes.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -96,12 +96,10 @@ writeCacheFile(const std::string &path, const SimConfig &cfg,
 TEST(ExperimentSweep, CacheRoundTripBySignature)
 {
     const std::string path = tempCachePath("roundtrip");
+    const std::string text = tempCachePath("roundtrip_text");
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
-    // This test asserts the v3 text layout line by line; run the
-    // engine in csv mode (the v4 binary path has its own tests).
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", "csv");
 
     SimConfig cfg = SimConfig::testConfig();
     RunMetrics first;
@@ -111,13 +109,22 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
         ASSERT_TRUE(fileExists(path));
     }
 
-    // The file leads with the format tag, then this config's section.
-    std::ifstream in(path);
+    // The file is v4 binary; its csv export leads with the v3 format
+    // tag, then this config's section.
+    {
+        std::ifstream bin(path, std::ios::binary);
+        std::string magic(8, '\0');
+        ASSERT_TRUE(bin.read(magic.data(), 8));
+        EXPECT_EQ(magic, "MIGC4SEG");
+    }
+    ASSERT_TRUE(RunCache(path).exportFile(text, CacheFormat::csv));
+    std::ifstream in(text);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, kCacheTagV3);
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, kSectionTag + cfg.signature());
+    std::remove(text.c_str());
 
     // A new sweep on the same config must load the saved result
     // rather than resimulate: doctor the cached row and confirm the
@@ -169,61 +176,6 @@ TEST(ExperimentSweep, NoCacheEnvBypassesDisk)
     } while (std::getline(in, line));
     // tag + section + header + planted row, untouched
     EXPECT_EQ(lines.size(), 4u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentSweep, LegacyV2CacheIsPreservedButNeverServed)
-{
-    const std::string path = tempCachePath("legacy_v2");
-    std::remove(path.c_str());
-    // The rewrite layout being asserted below is v3 text.
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", "csv");
-
-    // A real pre-multi-config cache: "# migc-sweep-v2 <sig>" header
-    // in the OLD signature format (no structure hash) and rows
-    // without the sim_events column. The old format aliased
-    // structurally different configs, so its rows must never be
-    // served - but they must survive as a foreign section instead
-    // of being silently discarded.
-    const std::string old_sig =
-        "test:cus4:l2x4:64kB:ch4:scale0.125:seed1";
-    RunMetrics planted = fakeMetrics("FwSoft", "CacheRW", 424242);
-    std::string row = planted.toCsv();
-    row = row.substr(0, row.rfind(',')); // drop sim_events column
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "# migc-sweep-v2 " << old_sig << "\n";
-        out << "workload,policy,...legacy header...\n";
-        out << row << "\n";
-    }
-
-    SimConfig cfg = SimConfig::testConfig();
-    {
-        SweepEngine engine(path);
-        // Old-format rows do not satisfy current-format lookups.
-        EXPECT_NE(engine.get(cfg, "FwSoft", "CacheRW").execTicks,
-                  Tick(424242));
-        EXPECT_EQ(engine.simulationsPerformed(), 1u);
-    }
-
-    // After the rewrite, both the legacy row (re-serialized with the
-    // sim_events column defaulted to 0) and the fresh result coexist
-    // in the v3 file.
-    std::ifstream in(path);
-    std::string line;
-    bool legacy_section = false;
-    bool legacy_row = false;
-    std::size_t sections = 0;
-    while (std::getline(in, line)) {
-        if (line.rfind("# config ", 0) == 0) {
-            ++sections;
-            legacy_section |= line == "# config " + old_sig;
-        }
-        legacy_row |= line == row + ",0";
-    }
-    EXPECT_TRUE(legacy_section);
-    EXPECT_TRUE(legacy_row);
-    EXPECT_EQ(sections, 2u);
     std::remove(path.c_str());
 }
 

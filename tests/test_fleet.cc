@@ -1,18 +1,22 @@
 /** @file Tests for the elastic shard fleet: the deterministic lease
  *  queue (grant order, expiry, stealing, late/stale completions),
  *  the wire protocol and coordinator dispatch, the resume-aware plan
- *  step, the static-vs-stealing makespan models, and two end-to-end
- *  invariants - a live two-worker socket fleet and a SIGKILLed
- *  worker plus takeover both merge byte-identical to a
+ *  step, the static-vs-stealing makespan models, and three end-to-end
+ *  invariants - a live two-worker socket fleet, a many-threaded fleet
+ *  whose private checkpoints are deleted before the join, and a
+ *  SIGKILLed worker plus takeover all merge byte-identical to a
  *  single-process sweep. */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -66,8 +70,10 @@ void
 removeCacheFamily(const std::string &base, unsigned shards)
 {
     std::remove(base.c_str());
-    for (unsigned i = 0; i < shards; ++i)
+    for (unsigned i = 0; i < shards; ++i) {
         std::remove(shardCachePath(base, i).c_str());
+        std::remove(workerCheckpointPath(base, i).c_str());
+    }
 }
 
 /** The small grid the end-to-end fleet tests sweep. */
@@ -83,6 +89,50 @@ smallGrid()
     return grid;
 }
 
+/**
+ * A worker stream that looks at the files behind each `push` it
+ * sends. From the second push on, the coordinator's stored copy
+ * exists and the worker's checkpoint is what is being uploaded;
+ * they must be two different files, or a worker append and a stored
+ * push could overwrite each other.
+ */
+class PushWatch : public Stream
+{
+  public:
+    PushWatch(std::unique_ptr<Stream> inner, std::string checkpoint,
+              std::string stored, std::atomic<int> &seen,
+              std::atomic<int> &aliased)
+        : inner_(std::move(inner)), checkpoint_(std::move(checkpoint)),
+          stored_(std::move(stored)), seen_(seen), aliased_(aliased)
+    {}
+
+    ssize_t read(void *buf, std::size_t n) override
+    {
+        return inner_->read(buf, n);
+    }
+
+    bool writeAll(const void *buf, std::size_t n) override
+    {
+        std::error_code ec;
+        if (n >= 5 && std::memcmp(buf, "push ", 5) == 0 &&
+            std::filesystem::exists(stored_, ec)) {
+            ++seen_;
+            if (std::filesystem::equivalent(checkpoint_, stored_, ec))
+                ++aliased_;
+        }
+        return inner_->writeAll(buf, n);
+    }
+
+    void shutdown() override { inner_->shutdown(); }
+
+  private:
+    std::unique_ptr<Stream> inner_;
+    std::string checkpoint_;
+    std::string stored_;
+    std::atomic<int> &seen_;
+    std::atomic<int> &aliased_;
+};
+
 std::vector<std::uint32_t>
 allPending(std::size_t n)
 {
@@ -93,15 +143,12 @@ allPending(std::size_t n)
 }
 
 /** Does the file hold at least one parseable result row yet?
- *  Loads through RunCache so the probe is format-agnostic (the
- *  worker may checkpoint v4 binary or csv text). */
+ *  Loads memory-only, so the probe never rewrites the file. */
 bool
 hasCheckpointedRow(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
-        return false;
-    RunCache probe(path, 8);
+    RunCache probe{std::string()};
+    probe.mergeFile(path);
     return probe.size() > 0;
 }
 
@@ -373,7 +420,8 @@ TEST(FleetServer, AnswersTheWireProtocolWithoutASocket)
 {
     FleetQueue q({10, 50, 30, 20, 40, 60}, allPending(6),
                  FleetConfig{2, 10000});
-    FleetServer srv(tempPath("dispatch.sock"), std::move(q), 777);
+    FleetServer srv(tempPath("dispatch.sock"), std::move(q), 777,
+                    tempPath("dispatch.csv"));
 
     // Blank lines and comments draw no response (replayable input).
     EXPECT_EQ(srv.handleLine(""), "");
@@ -446,9 +494,9 @@ TEST(FleetPlan, ResumeFoldsPartialShardFilesIn)
     removeCacheFamily(base, 2);
     std::remove(partial.c_str());
 
-    // A crashed worker 0 checkpointed two rows before dying: fake
-    // that by sweeping just those points into what becomes its shard
-    // cache (same v3 format).
+    // A crashed fleet's worker 0 had pushed two rows: fake that by
+    // sweeping just those points into what becomes its stored
+    // shard.
     const auto grid = smallGrid();
     {
         SweepEngine engine(partial);
@@ -514,7 +562,7 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 10000}),
-                       hash);
+                       hash, base);
     server.start();
 
     std::vector<std::thread> workers;
@@ -548,6 +596,85 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
     removeCacheFamily(base, 2);
 }
 
+TEST(FleetEndToEnd, JoinReadsOnlyTheStoredShards)
+{
+    // The join reads nothing but pushed bytes. Four engine threads
+    // per worker on four-key leases push concurrently; each push is
+    // read and sent in order, so a stored copy only grows and still
+    // holds every row reported done. Deleting the workers' private
+    // checkpoints before the join must therefore change nothing.
+    const std::string solo = tempPath("store_solo.csv");
+    const std::string base = tempPath("store_fleet.csv");
+    const std::string sock = tempPath("store.sock");
+    std::remove(solo.c_str());
+    removeCacheFamily(base, 2);
+
+    const SimConfig cfg = SimConfig::testConfig();
+    std::vector<RunRequest> grid;
+    for (const char *w : {"FwSoft", "FwBN", "FwAct"}) {
+        for (const char *p : {"Uncached", "CacheR", "CacheRW",
+                              "CacheRW-CR"})
+            grid.push_back(RunRequest{cfg, w, p});
+    }
+    {
+        SweepEngine engine(solo);
+        engine.run(grid);
+    }
+
+    const std::uint64_t hash = gridFingerprint(grid);
+    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    FleetServer server(sock,
+                       FleetQueue(plan.costs, plan.pending,
+                                  FleetConfig{4, 10000}),
+                       hash, base);
+    server.start();
+
+    std::atomic<int> seen{0};
+    std::atomic<int> aliased{0};
+    std::vector<std::thread> workers;
+    for (unsigned i = 0; i < 2; ++i) {
+        workers.emplace_back([&, i] {
+            FleetClientOptions opts;
+            opts.wrap = [&, i](std::unique_ptr<Stream> inner) {
+                return std::make_unique<PushWatch>(
+                    std::move(inner), workerCheckpointPath(base, i),
+                    shardCachePath(base, i), seen, aliased);
+            };
+            SweepEngine engine(base, FleetWorkerSpec{i});
+            FleetClient client(sock, i, hash, opts);
+            engine.runFleet(grid, client, 4);
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+    EXPECT_TRUE(server.drained());
+    server.stop();
+    // Twelve pushes over two workers: some worker pushed twice.
+    EXPECT_GT(seen.load(), 0);
+    EXPECT_EQ(aliased.load(), 0)
+        << "a worker checkpoint is the coordinator's stored copy";
+
+    for (unsigned i = 0; i < 2; ++i)
+        std::remove(workerCheckpointPath(base, i).c_str());
+    mergeShardCaches(base, 2);
+    const std::string solo_bytes = readFile(solo);
+    ASSERT_FALSE(solo_bytes.empty());
+    EXPECT_EQ(solo_bytes, readFile(base));
+
+    // A clean join leaves the canonical file and nothing else of its
+    // family: no stored shard, checkpoint or temporary file.
+    const std::filesystem::path canonical(base);
+    const std::string family = canonical.filename().string() + ".";
+    for (const auto &entry : std::filesystem::directory_iterator(
+             canonical.parent_path())) {
+        EXPECT_NE(entry.path().filename().string().rfind(family, 0), 0u)
+            << entry.path() << " survived the join";
+    }
+
+    std::remove(solo.c_str());
+    removeCacheFamily(base, 2);
+}
+
 TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
 {
 #ifdef MIGC_FLEET_TSAN
@@ -570,7 +697,7 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
-                       hash);
+                       hash, base);
 
     // Fork the victim worker *before* the server spawns any thread:
     // the child is single-threaded at fork and builds its own
@@ -589,9 +716,10 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
 
     server.start();
 
-    // Wait until worker 0 has checkpointed at least one row - the
-    // crash-safety contract says the row hit its shard cache before
-    // the matching `done` - then kill it dead mid-lease.
+    // Wait until worker 0 has pushed at least one row - the
+    // crash-safety contract says the row reached the coordinator's
+    // store before the matching `done` - then kill it dead
+    // mid-lease.
     bool checkpointed = false;
     for (int i = 0; i < 3000 && !checkpointed; ++i) {
         checkpointed = hasCheckpointedRow(shardCachePath(base, 0));
@@ -617,9 +745,9 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
     EXPECT_TRUE(server.drained());
     server.stop();
 
-    // The dead worker's partial shard cache plus the survivor's
+    // The dead worker's stored partial shard plus the survivor's
     // merge into exactly the single-process file: duplicated keys
-    // (checkpointed but never reported) dedupe byte-identically.
+    // (pushed but never reported) dedupe byte-identically.
     mergeShardCaches(base, 2);
     const std::string solo_bytes = readFile(solo);
     ASSERT_FALSE(solo_bytes.empty());

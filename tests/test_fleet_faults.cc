@@ -80,8 +80,10 @@ void
 removeCacheFamily(const std::string &base, unsigned shards)
 {
     std::remove(base.c_str());
-    for (unsigned i = 0; i < shards; ++i)
+    for (unsigned i = 0; i < shards; ++i) {
         std::remove(shardCachePath(base, i).c_str());
+        std::remove(workerCheckpointPath(base, i).c_str());
+    }
 }
 
 /** The small grid every end-to-end case sweeps (same points as
@@ -125,9 +127,9 @@ struct FleetResult
 };
 
 /**
- * One chaos run: a 2-worker push-mode fleet over tcp:127.0.0.1:0
- * with disjoint per-worker cache bases (nothing shares a shard
- * path - only `push` can move bytes to the coordinator), worker 0's
+ * One chaos run: a 2-worker fleet over tcp:127.0.0.1:0 with
+ * disjoint per-worker cache bases (nothing shares a file - only
+ * `push` can move bytes to the coordinator), worker 0's
  * connections wrapped in the fault shim with @p faults. Returns the
  * drain-time merge of the coordinator's *store* - exactly what a
  * no-shared-filesystem fleet would have.
@@ -150,8 +152,7 @@ runFaultedFleet(const std::string &tag,
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, renewMs}),
-                       hash);
-    server.setShardStore(coord);
+                       hash, coord);
     server.start();
     const std::string spec = server.boundEndpoint().spec();
 
@@ -168,7 +169,6 @@ runFaultedFleet(const std::string &tag,
                                                 : 0);
             FleetClientOptions opts;
             opts.gridSize = grid.size();
-            opts.push = true;
             if (i == 0) {
                 opts.wrap = [fplan](std::unique_ptr<Stream> s) {
                     return wrapFaulty(std::move(s), fplan);
@@ -334,8 +334,7 @@ TEST(FleetFaults, FetchRetriesThroughEveryFaultKind)
 
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue({1.0}, {0}, FleetConfig{1, 10000}),
-                       42);
-    server.setShardStore(store);
+                       42, store);
     server.start();
     const std::string spec = server.boundEndpoint().spec();
 
@@ -568,7 +567,7 @@ TEST(FleetFaults, CorruptFooterSegmentDropsLoudlyThenRepushRepairs)
     ASSERT_EQ(a.compare(0, sizeof(kV4SegMagic), kV4SegMagic,
                         sizeof(kV4SegMagic)),
               0)
-        << "expected a v4-format cache (MIGC_CACHE_FORMAT override?)";
+        << "expected a v4-format cache";
 
     // Two distinct-key single-row segments concatenate into one
     // valid two-segment shard file - the shape a worker's
@@ -675,8 +674,7 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
-                       hash);
-    server.setShardStore(coord);
+                       hash, coord);
 
     // Fork the victim *before* the server spawns any thread; the
     // kernel-chosen port is only known after start(), so it travels
@@ -696,7 +694,6 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
         engine.setInjectedRunDelayMs(200);
         FleetClientOptions opts;
         opts.gridSize = grid.size();
-        opts.push = true;
         FleetClient client(spec, 0, hash, opts);
         engine.runFleet(grid, client, 1);
         _exit(0);
@@ -732,7 +729,6 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
         SweepEngine engine(w1, FleetWorkerSpec{1});
         FleetClientOptions opts;
         opts.gridSize = grid.size();
-        opts.push = true;
         FleetClient client(server.boundEndpoint().spec(), 1, hash,
                            opts);
         engine.runFleet(grid, client, 1);

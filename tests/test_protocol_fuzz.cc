@@ -328,8 +328,7 @@ TEST(ProtocolFuzz, LiveCoordinatorSurvivesGarbageAndHostilePushes)
 
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue({1.0}, {0}, FleetConfig{1, 10000}),
-                       42);
-    server.setShardStore(store);
+                       42, store);
     server.start();
 
     std::string error;

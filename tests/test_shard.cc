@@ -1,7 +1,7 @@
 /** @file Tests for the file side of multi-process sweeps: the run-key
- *  hash, the fatal check on the removed static-sharding variables, a
- *  fleet worker's shard file holding only its own fresh rows, and
- *  the coordinator merge (deduplicating, loud on conflicts). */
+ *  hash, the fatal check on removed environment variables, a fleet
+ *  worker's stored shard holding exactly its leased keys, and the
+ *  coordinator merge (deduplicating, loud on conflicts). */
 
 #include <gtest/gtest.h>
 
@@ -67,8 +67,10 @@ void
 removeCacheFamily(const std::string &base, unsigned shards)
 {
     std::remove(base.c_str());
-    for (unsigned i = 0; i < shards; ++i)
+    for (unsigned i = 0; i < shards; ++i) {
         std::remove(shardCachePath(base, i).c_str());
+        std::remove(workerCheckpointPath(base, i).c_str());
+    }
 }
 
 /** The small grid the engine tests run: 2 workloads x 3 policies on
@@ -124,13 +126,15 @@ TEST(ShardPartition, HashDependsOnlyOnKeyText)
 
 TEST(ShardedSweep, EnvHookDrivesTheDefaultEngine)
 {
-    // Static sharding is gone. A script that still exports its
-    // variables must die before anything simulates instead of
-    // running the full grid once per "shard"; the default-
+    // Static sharding and the csv write format are gone. A script
+    // that still exports their variables must die before anything
+    // simulates instead of running the full grid once per "shard" or
+    // getting binary caches where it asked for text; the default-
     // constructed engine every figure binary uses is where that
     // check has to fire.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ScopedEnv no_cache("MIGC_NO_CACHE", "1");
+    ScopedEnv format("MIGC_CACHE_FORMAT", nullptr);
     const auto grid = smallGrid();
     {
         ScopedEnv shards("MIGC_SHARDS", "2");
@@ -155,27 +159,49 @@ TEST(ShardedSweep, EnvHookDrivesTheDefaultEngine)
             ::testing::ExitedWithCode(1),
             "MIGC_SHARD_INDEX is no longer supported");
     }
+    {
+        // Any value is fatal, even the one that used to be the
+        // default.
+        ScopedEnv shards("MIGC_SHARDS", nullptr);
+        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
+        ScopedEnv v4("MIGC_CACHE_FORMAT", "v4");
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_CACHE_FORMAT is no longer supported.*"
+            "migc_sweep --export PATH --cache-format csv");
+    }
 }
 
 TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
 {
-    // A fleet worker must serve the canonical cache read-only and
-    // write only its own new rows to the shard file - otherwise
-    // every shard file grows into a full copy of the canonical
-    // cache.
+    // The coordinator sees nothing but pushed bytes, so a fleet
+    // worker's stored shard must hold exactly the keys it was leased
+    // - simulated or promoted from the canonical warm import - and
+    // nothing else of the canonical cache; otherwise every push
+    // grows into a full copy of it.
     const std::string base = tempCachePath("freshonly");
     const std::string sock = ::testing::TempDir() + "migc_shard.sock";
     removeCacheFamily(base, 1);
 
     const auto grid = smallGrid();
+    const SimConfig cfg = SimConfig::testConfig();
     {
         SweepEngine solo(base);
         solo.run(grid); // canonical cache now holds the small grid
+        // Canonical rows outside the leased grid: one more point of
+        // the same config, and a section of another config.
+        SimConfig other = cfg;
+        other.seed = cfg.seed + 1;
+        solo.run({RunRequest{cfg, "FwSoft", "CacheRW-CR"},
+                  RunRequest{other, "FwSoft", "Uncached"}});
     }
 
     auto extended = grid;
-    extended.push_back(
-        RunRequest{SimConfig::testConfig(), "FwSoft", "CacheRW-AB"});
+    extended.push_back(RunRequest{cfg, "FwSoft", "CacheRW-AB"});
     // Lease every key, cached or not, so the worker also answers
     // canonical rows from its warm store.
     std::vector<std::uint32_t> all(extended.size());
@@ -186,7 +212,7 @@ TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
         sock,
         FleetQueue(std::vector<double>(extended.size(), 1.0), all,
                    FleetConfig{2, 10000}),
-        hash);
+        hash, base);
     server.start();
     {
         SweepEngine engine(base, FleetWorkerSpec{0});
@@ -202,13 +228,19 @@ TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
     EXPECT_TRUE(server.drained());
     server.stop();
 
-    // Count rows through RunCache so the check is format-agnostic
-    // (the shard file is v4 binary by default, csv under
-    // MIGC_CACHE_FORMAT=csv).
-    std::ifstream in(shardCachePath(base, 0), std::ios::binary);
-    ASSERT_TRUE(in);
-    RunCache shard_rows(shardCachePath(base, 0), 8);
-    EXPECT_EQ(shard_rows.size(), 1u);
+    // The stored copy holds the leased keys and only those.
+    RunCache stored{std::string()};
+    ASSERT_TRUE(fileExists(shardCachePath(base, 0)));
+    stored.mergeFile(shardCachePath(base, 0));
+    EXPECT_EQ(stored.size(), extended.size());
+    for (const RunRequest &req : extended) {
+        EXPECT_NE(stored.find(cfg.signature(), req.workload,
+                              req.policy),
+                  nullptr)
+            << req.workload << "/" << req.policy;
+    }
+    // A clean drain leaves no private checkpoint behind.
+    EXPECT_FALSE(fileExists(workerCheckpointPath(base, 0)));
     removeCacheFamily(base, 1);
 }
 
