@@ -21,6 +21,7 @@ GpuCache::GpuCache(const GpuCacheConfig &cfg, EventQueue &eq,
       memPort_(cfg.name + ".mem_side", *this),
       respQueue_(eq, cpuPort_, cfg.name + ".respq"),
       memQueue_(eq, memPort_, cfg.name + ".memq", cfg.memQueueDepth),
+      bypassPending_(cfg.bypassEntries),
       wbDrainEvent_([this] { drainWritebacks(); }, cfg.name + ".wbdrain",
                     Event::defaultPriority, EventCategory::cache),
       retryEvent_(
@@ -35,6 +36,8 @@ GpuCache::GpuCache(const GpuCacheConfig &cfg, EventQueue &eq,
 {
     fatal_if(cfg.rinsing && addr_map == nullptr,
              "cache rinsing requires a DRAM address map for row ids");
+    fatal_if(cfg.lineSize > UINT16_MAX, "line size %u does not fit a packet",
+             cfg.lineSize);
     // The DBI is always built (it is tiny) and only consulted when
     // cfg_.rinsing is set, so reset() can flip rinsing on or off
     // without allocating or invalidating registered stats.
@@ -223,7 +226,7 @@ GpuCache::cachedRead(PacketPtr pkt)
         if (!mshrs_.canCoalesce(*mshr))
             return reject(RejectReason::targetsFull, true);
         ++statMshrCoalesced_;
-        mshr->targets.push_back(pkt);
+        mshr->addTarget(pkt);
         return true;
     }
 
@@ -279,7 +282,7 @@ GpuCache::cachedRead(PacketPtr pkt)
     fill->cuId = pkt->cuId;
 
     Mshr &mshr = mshrs_.allocate(pkt->addr, victim, fill->id);
-    mshr.targets.push_back(pkt);
+    mshr.addTarget(pkt);
 
     memQueue_.push(fill, clockEdge(cfg_.lookupLatency));
     return true;
@@ -325,7 +328,7 @@ GpuCache::cachedWrite(PacketPtr pkt)
             return reject(RejectReason::targetsFull, true);
         ++statMshrCoalesced_;
         mshr->hasStoreTarget = true;
-        mshr->targets.push_back(pkt);
+        mshr->addTarget(pkt);
         return true;
     }
 
@@ -405,18 +408,17 @@ GpuCache::bypassRead(PacketPtr pkt)
         }
     }
 
-    auto it = bypassPending_.find(pkt->addr);
-    if (it != bypassPending_.end()) {
+    if (BypassEntry *pending = bypassPending_.find(pkt->addr)) {
         // Coalesce onto the in-flight bypass request (Section III).
         ++statBypassCoalesced_;
-        it->second.targets.push_back(pkt);
+        pending->targets.push_back(pkt);
         return true;
     }
 
     // A bypass request never queries the cache arrays, so waiting for
     // a coalescer slot or queue space is memory back-pressure, not a
     // cache stall in the paper's Section VI.C.1 sense.
-    if (bypassPending_.size() >= cfg_.bypassEntries)
+    if (bypassPending_.full())
         return reject(RejectReason::bypassFull, false);
     if (memQueue_.full())
         return reject(RejectReason::memQueueFull, false);
@@ -429,10 +431,9 @@ GpuCache::bypassRead(PacketPtr pkt)
     fwd->flags = pkt->flags;
     fwd->setFlag(pktFlagBypass);
 
-    BypassEntry entry;
+    BypassEntry &entry = bypassPending_.insert(pkt->addr);
     entry.fwdPktId = fwd->id;
     entry.targets.push_back(pkt);
-    bypassPending_.emplace(pkt->addr, std::move(entry));
 
     memQueue_.push(fwd, clockEdge(cfg_.bypassLatency));
     return true;
@@ -580,9 +581,8 @@ GpuCache::handleResponse(PacketPtr pkt)
             completeFill(pkt);
             return;
         }
-        auto it = bypassPending_.find(pkt->addr);
-        if (it != bypassPending_.end() &&
-            it->second.fwdPktId == pkt->id) {
+        BypassEntry *pending = bypassPending_.find(pkt->addr);
+        if (pending && pending->fwdPktId == pkt->id) {
             completeBypassRead(pkt);
             return;
         }
@@ -609,7 +609,8 @@ GpuCache::completeFill(PacketPtr fill_pkt)
     Mshr *mshr = mshrs_.find(line);
     panic_if(mshr == nullptr, "fill without MSHR");
     debug_log("%s: fill %s (%zu targets)", name().c_str(),
-              fill_pkt->print().c_str(), mshr->targets.size());
+              fill_pkt->print().c_str(),
+              static_cast<std::size_t>(mshr->numTargets));
     CacheBlk *blk = mshr->blk;
     panic_if(!blk->isBusy(), "fill into a non-busy block");
 
@@ -627,14 +628,15 @@ GpuCache::completeFill(PacketPtr fill_pkt)
     }
 
     // Coalesced targets beyond the first observed reuse of the line.
-    if (mshr->targets.size() > 1 && !blk->reused) {
+    if (mshr->numTargets > 1 && !blk->reused) {
         blk->reused = true;
         if (predictor_)
             predictor_->trainReuse(blk->insertPc);
     }
 
     Tick ready = clockEdge(cfg_.responseLatency);
-    for (PacketPtr target : mshr->targets) {
+    while (!mshr->targets.empty()) {
+        PacketPtr target = mshr->targets.pop_front();
         if (target->cmd == MemCmd::WriteReq)
             ++statStoresAbsorbed_;
         target->makeResponse();
@@ -649,15 +651,16 @@ GpuCache::completeFill(PacketPtr fill_pkt)
 void
 GpuCache::completeBypassRead(PacketPtr fwd_pkt)
 {
-    auto it = bypassPending_.find(fwd_pkt->addr);
-    panic_if(it == bypassPending_.end(), "bypass completion w/o entry");
+    BypassEntry *pending = bypassPending_.find(fwd_pkt->addr);
+    panic_if(pending == nullptr, "bypass completion w/o entry");
 
     Tick ready = clockEdge(cfg_.bypassLatency);
-    for (PacketPtr target : it->second.targets) {
+    while (!pending->targets.empty()) {
+        PacketPtr target = pending->targets.pop_front();
         target->makeResponse();
         respQueue_.push(target, ready);
     }
-    bypassPending_.erase(it);
+    bypassPending_.erase(fwd_pkt->addr);
     pktPool_.release(fwd_pkt);
     maybeSendRetry();
 }

@@ -23,10 +23,8 @@
 #ifndef MIGC_CACHE_GPU_CACHE_HH
 #define MIGC_CACHE_GPU_CACHE_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/dbi.hh"
@@ -38,7 +36,9 @@
 #include "mem/port.hh"
 #include "policy/policy_engine.hh"
 #include "policy/reuse_predictor.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace migc
@@ -140,10 +140,10 @@ class GpuCache : public SimObject
     /**
      * Return the cache to its just-constructed state under a new
      * policy/seed combination while keeping every allocation (tag
-     * array, DBI, MSHR buckets, queue storage) warm - reset performs
-     * zero heap allocations. The geometry is fixed at construction;
-     * only @p pv and the predictor binding change. The cache must be
-     * quiescent. Part of System::reset().
+     * array, DBI, MSHR and bypass slots, queue rings) warm - reset
+     * performs zero heap allocations. The geometry is fixed at
+     * construction; only @p pv and the predictor binding change. The
+     * cache must be quiescent. Part of System::reset().
      */
     void reset(const PolicyView &pv, ReusePredictor *predictor);
 
@@ -291,13 +291,17 @@ class GpuCache : public SimObject
     RespPacketQueue respQueue_;
     ReqPacketQueue memQueue_;
 
-    /** In-flight bypass reads: line addr -> waiting targets. */
+    /**
+     * In-flight bypass reads: line addr -> waiting targets. Reads
+     * coalesce here without a cap; the targets chain through the
+     * packets, so any number of them costs no storage.
+     */
     struct BypassEntry
     {
         std::uint64_t fwdPktId = 0;
-        std::vector<PacketPtr> targets;
+        PacketList targets;
     };
-    std::unordered_map<Addr, BypassEntry> bypassPending_;
+    SlotTable<BypassEntry> bypassPending_;
 
     /** Writebacks awaiting downstream queue space. */
     struct PendingWb
@@ -305,7 +309,7 @@ class GpuCache : public SimObject
         Addr lineAddr;
         std::uint32_t flags;
     };
-    std::deque<PendingWb> wbQueue_;
+    Ring<PendingWb> wbQueue_;
     std::size_t outstandingWbs_ = 0;
     EventFunctionWrapper wbDrainEvent_;
 

@@ -6,31 +6,18 @@ namespace migc
 {
 
 MshrFile::MshrFile(std::size_t capacity, std::size_t max_targets)
-    : capacity_(capacity), maxTargets_(max_targets)
+    : maxTargets_(max_targets), entries_(capacity)
 {
     fatal_if(capacity == 0, "MSHR file needs at least one entry");
     fatal_if(max_targets == 0, "MSHRs need at least one target slot");
-    entries_.reserve(capacity);
-}
-
-Mshr *
-MshrFile::find(Addr line_addr)
-{
-    auto it = entries_.find(line_addr);
-    return it == entries_.end() ? nullptr : &it->second;
 }
 
 Mshr &
 MshrFile::allocate(Addr line_addr, CacheBlk *blk,
                    std::uint64_t fill_pkt_id)
 {
-    panic_if(full(), "allocating in a full MSHR file");
-    panic_if(entries_.contains(line_addr),
-             "duplicate MSHR for line %#llx",
-             static_cast<unsigned long long>(line_addr));
-    auto [it, ok] = entries_.emplace(line_addr, Mshr{});
-    (void)ok;
-    Mshr &m = it->second;
+    // insert() panics on a full file or a duplicate line.
+    Mshr &m = entries_.insert(line_addr);
     m.lineAddr = line_addr;
     m.blk = blk;
     m.fillPktId = fill_pkt_id;
@@ -40,8 +27,8 @@ MshrFile::allocate(Addr line_addr, CacheBlk *blk,
 void
 MshrFile::deallocate(Addr line_addr)
 {
-    auto erased = entries_.erase(line_addr);
-    panic_if(erased == 0, "deallocating unknown MSHR for line %#llx",
+    panic_if(!entries_.erase(line_addr),
+             "deallocating unknown MSHR for line %#llx",
              static_cast<unsigned long long>(line_addr));
 }
 

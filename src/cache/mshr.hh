@@ -8,10 +8,9 @@
 #define MIGC_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "mem/packet.hh"
+#include "sim/slot_table.hh"
 #include "sim/types.hh"
 
 namespace migc
@@ -30,27 +29,44 @@ struct Mshr
     /** The downstream fill packet's id (owned by the cache). */
     std::uint64_t fillPktId = 0;
 
-    /** Requests to complete when the fill returns. */
-    std::vector<PacketPtr> targets;
+    /** Requests to complete when the fill returns, oldest first. */
+    PacketList targets;
+
+    /** Length of @c targets. */
+    std::uint32_t numTargets = 0;
 
     /** True once any coalesced target is a store (fill -> dirty). */
     bool hasStoreTarget = false;
+
+    void
+    addTarget(PacketPtr pkt)
+    {
+        targets.push_back(pkt);
+        ++numTargets;
+    }
 };
 
-/** Fixed-capacity MSHR file keyed by line address. */
+/**
+ * Fixed-capacity MSHR file keyed by line address. Its entries are
+ * recycled slots (SlotTable) and their targets are chained through
+ * the packets, so a warm file never allocates.
+ */
 class MshrFile
 {
   public:
     MshrFile(std::size_t capacity, std::size_t max_targets);
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return entries_.full(); }
 
     std::size_t size() const { return entries_.size(); }
 
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return entries_.capacity(); }
 
-    /** Find the MSHR covering @p line_addr, or nullptr. */
-    Mshr *find(Addr line_addr);
+    /**
+     * Find the MSHR covering @p line_addr, or nullptr. The pointer
+     * is good until the next allocate().
+     */
+    Mshr *find(Addr line_addr) { return entries_.find(line_addr); }
 
     /**
      * Allocate an MSHR for @p line_addr (must not exist; file must
@@ -63,7 +79,7 @@ class MshrFile
     bool
     canCoalesce(const Mshr &mshr) const
     {
-        return mshr.targets.size() < maxTargets_;
+        return mshr.numTargets < maxTargets_;
     }
 
     /** Release @p line_addr's MSHR. */
@@ -73,9 +89,8 @@ class MshrFile
     void clear() { entries_.clear(); }
 
   private:
-    std::size_t capacity_;
     std::size_t maxTargets_;
-    std::unordered_map<Addr, Mshr> entries_;
+    SlotTable<Mshr> entries_;
 };
 
 } // namespace migc

@@ -13,6 +13,7 @@ Channel::Channel(std::string name, EventQueue &eq, const DramConfig &cfg,
     : SimObject(std::move(name), eq, ClockDomain(cfg.tBurst)),
       cfg_(cfg), map_(map), index_(index), respond_(std::move(respond)),
       spaceFreed_(std::move(space_freed)), banks_(cfg.banksPerChannel),
+      readQ_(cfg.readQDepth), writeQ_(cfg.writeQDepth),
       serviceEvent_([this] { serviceQueues(); }, this->name() + ".service",
                     Event::defaultPriority, EventCategory::dram)
 {}
@@ -56,7 +57,7 @@ Channel::scheduleNext(Tick when)
 }
 
 std::size_t
-Channel::pickFrFcfs(const std::deque<QueueEntry> &q) const
+Channel::pickFrFcfs(const Ring<QueueEntry> &q) const
 {
     std::size_t window = std::min<std::size_t>(q.size(),
                                                cfg_.schedulerWindow);
@@ -165,7 +166,7 @@ Channel::serviceQueues()
 
     std::size_t idx = pickFrFcfs(q);
     QueueEntry entry = q[idx];
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
+    q.erase(idx);
 
     Tick done = issue(entry, service_write);
 

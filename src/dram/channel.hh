@@ -12,7 +12,6 @@
 #ifndef MIGC_DRAM_CHANNEL_HH
 #define MIGC_DRAM_CHANNEL_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "dram/bank.hh"
 #include "dram/dram_config.hh"
 #include "mem/packet.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -87,7 +87,7 @@ class Channel : public SimObject
      * Pick the FR-FCFS winner in @p q: the oldest row-hit within the
      * scheduler window, else the oldest entry. @return index into q.
      */
-    std::size_t pickFrFcfs(const std::deque<QueueEntry> &q) const;
+    std::size_t pickFrFcfs(const Ring<QueueEntry> &q) const;
 
     /** Issue one entry to its bank; @return tick the burst completes. */
     Tick issue(QueueEntry &entry, bool is_write);
@@ -99,8 +99,9 @@ class Channel : public SimObject
     SpaceFn spaceFreed_;
 
     std::vector<Bank> banks_;
-    std::deque<QueueEntry> readQ_;
-    std::deque<QueueEntry> writeQ_;
+    /** Arrival order; FR-FCFS erases from inside the window. */
+    Ring<QueueEntry> readQ_;
+    Ring<QueueEntry> writeQ_;
 
     bool writeMode_ = false;
     Tick busFreeAt_ = 0;

@@ -12,6 +12,9 @@ DramCtrl::DramCtrl(std::string name, EventQueue &eq, const DramConfig &cfg,
     : SimObject(std::move(name), eq), cfg_(cfg), map_(cfg)
 {
     fatal_if(num_clients == 0, "memory controller needs a client");
+    fatal_if(num_clients >= Packet::noRoute,
+             "memory controller has more clients than a packet route "
+             "can name");
 
     for (unsigned i = 0; i < num_clients; ++i) {
         ports_.push_back(std::make_unique<ClientPort>(
@@ -26,15 +29,7 @@ DramCtrl::DramCtrl(std::string name, EventQueue &eq, const DramConfig &cfg,
         channels_.push_back(std::make_unique<Channel>(
             this->name() + csprintf(".ch%u", c), eventQueue(), cfg_, map_,
             c,
-            [this](PacketPtr pkt, Tick ready) {
-                auto it = routeBack_.find(pkt->id);
-                panic_if(it == routeBack_.end(),
-                         "DRAM response for unknown packet %s",
-                         pkt->print().c_str());
-                unsigned dst = it->second;
-                routeBack_.erase(it);
-                respQueues_[dst]->push(pkt, ready);
-            },
+            [this](PacketPtr pkt, Tick ready) { respond(pkt, ready); },
             [this] { handleChannelSpaceFreed(); }));
     }
 }
@@ -52,14 +47,26 @@ DramCtrl::handleRequest(unsigned src, PacketPtr pkt)
     DramCoord coord = map_.decode(pkt->addr);
     // Record the return route before enqueueing: writes are acked
     // from inside enqueue().
-    routeBack_[pkt->id] = src;
+    pkt->dramClient = static_cast<std::uint16_t>(src);
+    ++inFlight_;
     if (!channels_[coord.channel]->enqueue(pkt)) {
-        routeBack_.erase(pkt->id);
+        --inFlight_;
         ++statRejects_;
         clientWaiting_[src] = true;
         return false;
     }
     return true;
+}
+
+void
+DramCtrl::respond(PacketPtr pkt, Tick ready)
+{
+    unsigned dst = pkt->dramClient;
+    panic_if(inFlight_ == 0 || dst >= respQueues_.size(),
+             "DRAM response for unknown packet %s", pkt->print().c_str());
+    --inFlight_;
+    pkt->dramClient = Packet::noRoute;
+    respQueues_[dst]->push(pkt, ready);
 }
 
 void
@@ -76,8 +83,7 @@ DramCtrl::handleChannelSpaceFreed()
 void
 DramCtrl::reset()
 {
-    panic_if(!routeBack_.empty(),
-             "resetting DRAM with unanswered requests");
+    panic_if(inFlight_ != 0, "resetting DRAM with unanswered requests");
     for (auto &ch : channels_)
         ch->reset();
     for (auto &rq : respQueues_)

@@ -4,14 +4,14 @@
  *
  * Exposes one response port per client (L2 bank); requests are
  * routed to channels by the address map and responses are routed
- * back to the originating client.
+ * back to the originating client, which the request carries in
+ * Packet::dramClient.
  */
 
 #ifndef MIGC_DRAM_DRAM_CTRL_HH
 #define MIGC_DRAM_DRAM_CTRL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -64,6 +64,7 @@ class DramCtrl : public SimObject
 
   private:
     bool handleRequest(unsigned src, PacketPtr pkt);
+    void respond(PacketPtr pkt, Tick ready);
     void handleChannelSpaceFreed();
 
     class ClientPort : public ResponsePort
@@ -91,8 +92,8 @@ class DramCtrl : public SimObject
     std::vector<std::unique_ptr<RespPacketQueue>> respQueues_;
     std::vector<std::unique_ptr<Channel>> channels_;
 
-    /** Request id -> client index for response routing. */
-    std::unordered_map<std::uint64_t, unsigned> routeBack_;
+    /** Requests accepted whose response has not been queued. */
+    std::size_t inFlight_ = 0;
 
     /** Clients waiting on a full channel queue. */
     std::vector<bool> clientWaiting_;

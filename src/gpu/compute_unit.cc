@@ -18,11 +18,17 @@ ComputeUnit::ComputeUnit(std::string name, EventQueue &eq,
       simdBusyUntil_(cfg.simdsPerCu, 0),
       simdRoundRobin_(cfg.simdsPerCu, 0),
       simdReady_(cfg.simdsPerCu, 0),
-      simdNeedLines_(cfg.simdsPerCu, 0),
+      simdNeedLines_(cfg.simdsPerCu, 0), memQueue_(cfg.memQueueDepth),
       memPort_(this->name() + ".mem", *this),
       tickEvent_([this] { tick(); }, this->name() + ".tick",
                  Event::cpuTickPriority, EventCategory::gpu)
-{}
+{
+    fatal_if(slots_.size() >= Packet::noRoute,
+             "more wavefront slots than a packet route can name");
+    fatal_if(cu_id > INT16_MAX, "CU id %u does not fit a packet", cu_id);
+    fatal_if(cfg.lineSize > UINT16_MAX, "line size %u does not fit a packet",
+             cfg.lineSize);
+}
 
 unsigned
 ComputeUnit::freeWfSlots() const
@@ -41,10 +47,8 @@ ComputeUnit::startWorkgroup(std::uint32_t wg_id,
 {
     panic_if(programs.size() > freeWfSlots(),
              "workgroup dispatched to a full CU");
-    panic_if(wgLiveWaves_.contains(wg_id),
+    panic_if(workgroupLive(wg_id),
              "workgroup %u already live on %s", wg_id, name().c_str());
-
-    wgLiveWaves_[wg_id] = static_cast<unsigned>(programs.size());
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
         // Place each wavefront on the SIMD with the most free slots
@@ -89,7 +93,17 @@ bool
 ComputeUnit::idle() const
 {
     return liveWavefronts_ == 0 && memQueue_.empty() &&
-           loadCtx_.empty() && outstandingStores_ == 0;
+           outstandingLoads_ == 0 && outstandingStores_ == 0;
+}
+
+bool
+ComputeUnit::workgroupLive(std::uint32_t wg) const
+{
+    for (const auto &wf : slots_) {
+        if (wf.active && wf.wgId == wg)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -104,10 +118,9 @@ ComputeUnit::reset()
     std::fill(simdNeedLines_.begin(), simdNeedLines_.end(), 0);
     memQueue_.clear();
     portBlocked_ = false;
-    loadCtx_.clear();
+    outstandingLoads_ = 0;
     outstandingStores_ = 0;
     liveWavefronts_ = 0;
-    wgLiveWaves_.clear();
 
     statVops_.reset();
     statLoadReqs_.reset();
@@ -250,13 +263,15 @@ ComputeUnit::issueMemory()
                                                : MemCmd::WriteReq,
                                      pl.addr, cfg_.lineSize, curTick());
         pkt->pc = pl.pc;
-        pkt->cuId = static_cast<int>(cuId_);
-        if (pl.isLoad)
-            loadCtx_[pkt->id] = pl.slot;
+        pkt->cuId = static_cast<std::int16_t>(cuId_);
+        if (pl.isLoad) {
+            pkt->loadSlot = static_cast<std::uint16_t>(pl.slot);
+            ++outstandingLoads_;
+        }
 
         if (!memPort_.sendTimingReq(pkt)) {
             if (pl.isLoad)
-                loadCtx_.erase(pkt->id);
+                --outstandingLoads_;
             pktPool_.release(pkt);
             portBlocked_ = true;
             return;
@@ -271,11 +286,11 @@ ComputeUnit::handleResponse(PacketPtr pkt)
 {
     switch (pkt->cmd) {
       case MemCmd::ReadResp: {
-        auto it = loadCtx_.find(pkt->id);
-        panic_if(it == loadCtx_.end(), "load response for unknown %s",
-                 pkt->print().c_str());
-        int slot = it->second;
-        loadCtx_.erase(it);
+        int slot = pkt->loadSlot;
+        panic_if(outstandingLoads_ == 0 ||
+                     static_cast<std::size_t>(slot) >= slots_.size(),
+                 "load response for unknown %s", pkt->print().c_str());
+        --outstandingLoads_;
         Wavefront &wf = slots_[static_cast<std::size_t>(slot)];
         panic_if(wf.outstandingLoads == 0, "spurious load response");
         --wf.outstandingLoads;
@@ -312,13 +327,9 @@ ComputeUnit::wavefrontFinished(int slot_index)
     panic_if(liveWavefronts_ == 0, "wavefront underflow");
     --liveWavefronts_;
 
-    auto it = wgLiveWaves_.find(wg);
-    panic_if(it == wgLiveWaves_.end(), "finish for unknown workgroup");
-    if (--it->second == 0) {
-        wgLiveWaves_.erase(it);
-        if (wgCompleteCb_)
-            wgCompleteCb_(cuId_);
-    }
+    // The workgroup retires with its last wavefront.
+    if (!workgroupLive(wg) && wgCompleteCb_)
+        wgCompleteCb_(cuId_);
 }
 
 void

@@ -21,15 +21,14 @@
 #ifndef MIGC_GPU_COMPUTE_UNIT_HH
 #define MIGC_GPU_COMPUTE_UNIT_HH
 
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
 #include "gpu/wavefront.hh"
 #include "mem/packet_pool.hh"
 #include "mem/port.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -67,7 +66,7 @@ class ComputeUnit : public SimObject
 
     /**
      * Return to the just-constructed state, keeping all storage
-     * (wavefront slots, queue buffers, hash-map buckets) allocated.
+     * (wavefront slots and the memory-queue ring) allocated.
      * The CU must be idle. Part of System::reset().
      */
     void reset();
@@ -152,17 +151,18 @@ class ComputeUnit : public SimObject
      */
     std::vector<std::size_t> simdNeedLines_;
 
-    std::deque<PendingLine> memQueue_;
+    Ring<PendingLine> memQueue_;
     bool portBlocked_ = false;
 
-    /** Load packet id -> wavefront slot. */
-    std::unordered_map<std::uint64_t, int> loadCtx_;
+    /** Loads sent and not yet answered; each load packet carries its
+     *  wavefront slot in Packet::loadSlot. */
+    std::uint64_t outstandingLoads_ = 0;
 
     std::uint64_t outstandingStores_ = 0;
     unsigned liveWavefronts_ = 0;
 
-    /** Live wavefronts remaining per workgroup id. */
-    std::unordered_map<std::uint32_t, unsigned> wgLiveWaves_;
+    /** True while any wavefront of workgroup @p wg holds a slot. */
+    bool workgroupLive(std::uint32_t wg) const;
 
     std::function<void(unsigned)> wgCompleteCb_;
 

@@ -27,7 +27,8 @@ Packet::print() const
 {
     return csprintf("[pkt %llu %s addr=%#llx size=%u pc=%#llx flags=%#x]",
                     static_cast<unsigned long long>(id), cmdName(cmd),
-                    static_cast<unsigned long long>(addr), size,
+                    static_cast<unsigned long long>(addr),
+                    static_cast<unsigned>(size),
                     static_cast<unsigned long long>(pc), flags);
 }
 

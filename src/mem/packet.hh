@@ -67,7 +67,8 @@ class Packet
 {
   public:
     Packet(MemCmd cmd, Addr addr, unsigned size, Tick creation_tick)
-        : id(nextId()), cmd(cmd), addr(addr), size(size),
+        : id(nextId()), cmd(cmd), addr(addr),
+          size(static_cast<std::uint16_t>(size)),
           creationTick(creation_tick)
     {}
 
@@ -76,11 +77,23 @@ class Packet
 
     MemCmd cmd;
 
+    /** A return-route field no hop has written. */
+    static constexpr std::uint16_t noRoute = 0xffff;
+
+    /**
+     * Return routes, one field per hop that fans responses back out
+     * (gem5's SenderState idea): a hop writes its field when it
+     * accepts the request and reads it when the response passes back,
+     * so no hop keeps a table keyed by packet id. A packet crosses
+     * each kind of hop at most once on its way down (CU -> L1 ->
+     * crossbar -> L2 -> DRAM), so one field per kind suffices.
+     */
+    std::uint16_t xbarInput = noRoute;  ///< crossbar input it entered
+    std::uint16_t dramClient = noRoute; ///< DRAM controller client port
+    std::uint16_t loadSlot = noRoute;   ///< issuing CU's wavefront slot
+
     /** Line-aligned physical address. */
     Addr addr;
-
-    /** Access size in bytes (normally one cache line). */
-    unsigned size;
 
     /**
      * Program counter of the static instruction that generated the
@@ -89,13 +102,19 @@ class Packet
      */
     Addr pc = 0;
 
+    /** Access size in bytes (one cache line). */
+    std::uint16_t size;
+
     /** Issuing compute unit, or -1 for non-GPU traffic. */
-    int cuId = -1;
+    std::int16_t cuId = -1;
 
     std::uint32_t flags = pktFlagNone;
 
     /** Tick at which the original requester created the packet. */
     Tick creationTick;
+
+    /** Link in the PacketList the packet waits on, if any. */
+    Packet *nextTarget = nullptr;
 
     bool isRead() const { return cmd == MemCmd::ReadReq ||
                                  cmd == MemCmd::ReadResp; }
@@ -142,16 +161,60 @@ class Packet
         // concurrently, and a shared counter would both race and
         // ping-pong its cache line across every worker on the
         // hottest allocation path. Ids only need to be unique
-        // within one run (the id-keyed MSHR / xbar route-back / CU
-        // load-context maps are all per-System, and a run is
-        // confined to one thread), which a per-thread counter
-        // provides contention-free.
+        // within one run (a cache matches a returning fill or bypass
+        // read to its MSHR or bypass entry by id, both per-System,
+        // and a run is confined to one thread), which a per-thread
+        // counter provides contention-free.
         static thread_local std::uint64_t counter = 0;
         return ++counter;
     }
 };
 
+// The pool holds a packet per request in flight, thousands at once:
+// keep the return routes and the list link inside 56 bytes.
+static_assert(sizeof(Packet) <= 56, "Packet grew");
+
 using PacketPtr = Packet *;
+
+/**
+ * A FIFO of packets chained through Packet::nextTarget: the requests
+ * waiting on one MSHR fill or one bypass read. A packet waits on at
+ * most one list at a time, so a list needs no storage of its own and
+ * coalescing never allocates, however many requests a line gathers.
+ */
+class PacketList
+{
+  public:
+    bool empty() const { return head_ == nullptr; }
+
+    void
+    push_back(PacketPtr pkt)
+    {
+        panic_if(pkt->nextTarget != nullptr || pkt == tail_,
+                 "packet %s already waits on a list", pkt->print().c_str());
+        if (tail_ == nullptr)
+            head_ = pkt;
+        else
+            tail_->nextTarget = pkt;
+        tail_ = pkt;
+    }
+
+    /** Unlink and return the oldest packet (the list is not empty). */
+    PacketPtr
+    pop_front()
+    {
+        PacketPtr pkt = head_;
+        head_ = pkt->nextTarget;
+        pkt->nextTarget = nullptr;
+        if (head_ == nullptr)
+            tail_ = nullptr;
+        return pkt;
+    }
+
+  private:
+    PacketPtr head_ = nullptr;
+    PacketPtr tail_ = nullptr;
+};
 
 } // namespace migc
 

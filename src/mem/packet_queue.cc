@@ -20,10 +20,10 @@ RespPacketQueue::push(PacketPtr pkt, Tick ready)
     panic_if(ready < eventq_.curTick(), "response scheduled in the past");
     // Insertion sort from the back keeps the queue ordered; queues are
     // short and latencies near-constant, so this is effectively O(1).
-    auto it = queue_.end();
-    while (it != queue_.begin() && std::prev(it)->ready > ready)
-        --it;
-    queue_.insert(it, Entry{ready, pkt});
+    std::size_t pos = queue_.size();
+    while (pos > 0 && queue_[pos - 1].ready > ready)
+        --pos;
+    queue_.insert(pos, Entry{ready, pkt});
     if (!drainEvent_.scheduled())
         eventq_.schedule(&drainEvent_, queue_.front().ready);
     else if (drainEvent_.when() > queue_.front().ready)
@@ -45,7 +45,7 @@ RespPacketQueue::drain()
 
 ReqPacketQueue::ReqPacketQueue(EventQueue &eq, RequestPort &port,
                                std::string name, std::size_t max_size)
-    : eventq_(eq), port_(port), maxSize_(max_size),
+    : eventq_(eq), port_(port), maxSize_(max_size), queue_(max_size),
       sendEvent_([this] { trySend(); }, name + ".send",
                  Event::defaultPriority, EventCategory::mem)
 {}
@@ -54,10 +54,10 @@ void
 ReqPacketQueue::push(PacketPtr pkt, Tick ready)
 {
     panic_if(full(), "push to full request queue");
-    auto it = queue_.end();
-    while (it != queue_.begin() && std::prev(it)->ready > ready)
-        --it;
-    queue_.insert(it, Entry{ready, pkt});
+    std::size_t pos = queue_.size();
+    while (pos > 0 && queue_[pos - 1].ready > ready)
+        --pos;
+    queue_.insert(pos, Entry{ready, pkt});
     if (!waitingRetry_ && !sendEvent_.scheduled())
         eventq_.schedule(&sendEvent_, std::max(ready, eventq_.curTick()));
 }

@@ -8,19 +8,23 @@
  * ReqPacketQueue delays requests, sends them in order, and handles
  * the busy/retry dance with the downstream port. It is bounded so
  * back-pressure propagates to the owner via full().
+ *
+ * Both keep their entries in a Ring sorted by ready tick: a push
+ * walks back from the tail past later entries, so entries with equal
+ * ready ticks leave in push order.
  */
 
 #ifndef MIGC_MEM_PACKET_QUEUE_HH
 #define MIGC_MEM_PACKET_QUEUE_HH
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "mem/packet.hh"
 #include "mem/port.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace migc
@@ -53,7 +57,7 @@ class RespPacketQueue
 
     EventQueue &eventq_;
     ResponsePort &port_;
-    std::deque<Entry> queue_; ///< sorted by ready tick (insertion sort)
+    Ring<Entry> queue_; ///< sorted by ready tick (insertion sort)
     EventFunctionWrapper drainEvent_;
 };
 
@@ -107,7 +111,7 @@ class ReqPacketQueue
     EventQueue &eventq_;
     RequestPort &port_;
     std::size_t maxSize_;
-    std::deque<Entry> queue_;
+    Ring<Entry> queue_; ///< sorted by ready tick (insertion sort)
     bool waitingRetry_ = false;
     std::function<void()> spaceFreed_;
     EventFunctionWrapper sendEvent_;

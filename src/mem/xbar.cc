@@ -14,6 +14,8 @@ XBar::XBar(std::string name, EventQueue &eq, ClockDomain clock,
 {
     fatal_if(cfg_.numInputs == 0 || cfg_.numOutputs == 0,
              "crossbar needs at least one input and one output");
+    fatal_if(cfg_.numInputs >= Packet::noRoute,
+             "crossbar has more inputs than a packet route can name");
 
     for (unsigned i = 0; i < cfg_.numInputs; ++i) {
         inputPorts_.push_back(std::make_unique<InputPort>(
@@ -73,7 +75,8 @@ XBar::handleRequest(unsigned src, PacketPtr pkt)
     ++statReqPackets_;
     Tick ready = std::max(clockEdge(cfg_.latency), outputNextFree_[out]);
     outputNextFree_[out] = ready + cyclesToTicks(cfg_.outputGap);
-    routeBack_[pkt->id] = src;
+    pkt->xbarInput = static_cast<std::uint16_t>(src);
+    ++inFlight_;
     reqQueues_[out]->push(pkt, ready);
     return true;
 }
@@ -82,11 +85,11 @@ void
 XBar::handleResponse(unsigned dst_output, PacketPtr pkt)
 {
     (void)dst_output;
-    auto it = routeBack_.find(pkt->id);
-    panic_if(it == routeBack_.end(), "xbar response for unknown packet %s",
-             pkt->print().c_str());
-    unsigned src = it->second;
-    routeBack_.erase(it);
+    unsigned src = pkt->xbarInput;
+    panic_if(inFlight_ == 0 || src >= cfg_.numInputs,
+             "xbar response for unknown packet %s", pkt->print().c_str());
+    --inFlight_;
+    pkt->xbarInput = Packet::noRoute;
 
     ++statRespPackets_;
     Tick ready = std::max(clockEdge(cfg_.latency), inputNextFree_[src]);
@@ -115,7 +118,7 @@ XBar::handleOutputSpaceFreed(unsigned output)
 void
 XBar::reset()
 {
-    panic_if(!routeBack_.empty(),
+    panic_if(inFlight_ != 0,
              "resetting crossbar with requests in flight");
     for (auto &q : reqQueues_)
         q->reset();

@@ -7,7 +7,8 @@
  * each output has a bounded queue with a fixed traversal latency and
  * a minimum inter-packet gap (one packet per cycle), so over-driven
  * banks push back on the L1s via retries. Responses are routed back
- * to the originating input port.
+ * to the originating input port, which the request carries in
+ * Packet::xbarInput.
  */
 
 #ifndef MIGC_MEM_XBAR_HH
@@ -15,7 +16,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/packet_queue.hh"
@@ -115,8 +115,8 @@ class XBar : public SimObject
     /** Earliest tick the next response may use each input. */
     std::vector<Tick> inputNextFree_;
 
-    /** Request id -> originating input index, for response routing. */
-    std::unordered_map<std::uint64_t, unsigned> routeBack_;
+    /** Requests routed whose response has not come back. */
+    std::size_t inFlight_ = 0;
 
     /** Inputs waiting for a retry, per output. */
     std::vector<std::vector<unsigned>> waitingInputs_;

@@ -183,12 +183,45 @@ TEST(Mshr, FullAtCapacity)
 TEST(Mshr, TargetCoalescingLimit)
 {
     MshrFile file(2, 2);
+    Packet a(MemCmd::ReadReq, 0x0, 64, 0);
+    Packet b(MemCmd::ReadReq, 0x0, 64, 0);
     Mshr &m = file.allocate(0x0, nullptr, 1);
     EXPECT_TRUE(file.canCoalesce(m));
-    m.targets.push_back(nullptr);
+    m.addTarget(&a);
     EXPECT_TRUE(file.canCoalesce(m));
-    m.targets.push_back(nullptr);
+    m.addTarget(&b);
     EXPECT_FALSE(file.canCoalesce(m));
+}
+
+TEST(Mshr, RecycledEntryStartsEmptyAndTargetsLeaveInOrder)
+{
+    MshrFile file(1, 4);
+    Packet p0(MemCmd::ReadReq, 0x40, 64, 0);
+    Packet p1(MemCmd::WriteReq, 0x40, 64, 0);
+    Packet p2(MemCmd::ReadReq, 0x40, 64, 0);
+    Mshr &m = file.allocate(0x40, nullptr, 7);
+    m.addTarget(&p0);
+    m.addTarget(&p1);
+    m.addTarget(&p2);
+    m.hasStoreTarget = true;
+    EXPECT_EQ(m.numTargets, 3u);
+    EXPECT_EQ(m.targets.pop_front(), &p0);
+    EXPECT_EQ(m.targets.pop_front(), &p1);
+    EXPECT_EQ(m.targets.pop_front(), &p2);
+    EXPECT_TRUE(m.targets.empty());
+    EXPECT_EQ(p1.nextTarget, nullptr);
+    file.deallocate(0x40);
+    EXPECT_EQ(file.find(0x40), nullptr);
+
+    // The one slot is reused for the next line with no state carried
+    // over from its last miss.
+    Mshr &n = file.allocate(0x80, nullptr, 8);
+    EXPECT_EQ(n.lineAddr, 0x80u);
+    EXPECT_EQ(n.fillPktId, 8u);
+    EXPECT_FALSE(n.hasStoreTarget);
+    EXPECT_EQ(n.numTargets, 0u);
+    EXPECT_TRUE(n.targets.empty());
+    EXPECT_EQ(file.find(0x80), &n);
 }
 
 TEST(Dbi, AddRemoveTakeRow)

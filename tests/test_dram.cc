@@ -211,6 +211,58 @@ TEST_F(DramCtrlTest, MixedTrafficDrainsCompletely)
     EXPECT_EQ(ctrl->totalAccesses(), 128.0);
 }
 
+// The controller keeps no table of accepted packets: each request
+// carries its client in Packet::dramClient, and an in-flight count
+// backs the controller's checks. Its own channels produce
+// every response, so the reachable forgery is a route rewritten while
+// the request waits in a channel queue.
+
+namespace
+{
+
+/** Sends one packet it owns and keeps a handle on it in flight. */
+class HeldRequester : public RequestPort
+{
+  public:
+    HeldRequester() : RequestPort("held"), pkt(MemCmd::ReadReq, 0x40, 64, 0)
+    {}
+
+    void recvTimingResp(PacketPtr) override { ++responses; }
+
+    void recvReqRetry() override {}
+
+    Packet pkt;
+    int responses = 0;
+};
+
+} // namespace
+
+TEST(DramCtrlDeath, ResponseWithOutOfRangeRoutePanics)
+{
+    EventQueue eq;
+    DramCtrl ctrl("dram", eq, smallDram(), 2);
+    HeldRequester req;
+    req.bind(ctrl.clientPort(0));
+    ASSERT_TRUE(req.sendTimingReq(&req.pkt));
+    EXPECT_EQ(req.pkt.dramClient, 0u);
+    req.pkt.dramClient = 2; // the controller has clients 0 and 1
+    EXPECT_DEATH(eq.run(), "DRAM response for unknown packet");
+}
+
+TEST(DramCtrlDeath, ResetWithRequestsInFlightPanics)
+{
+    EventQueue eq;
+    DramCtrl ctrl("dram", eq, smallDram(), 2);
+    HeldRequester req;
+    req.bind(ctrl.clientPort(0));
+    ASSERT_TRUE(req.sendTimingReq(&req.pkt));
+    EXPECT_DEATH(ctrl.reset(), "resetting DRAM with unanswered requests");
+    eq.run();
+    EXPECT_EQ(req.responses, 1);
+    EXPECT_EQ(req.pkt.dramClient, Packet::noRoute);
+    ctrl.reset(); // answered: nothing is in flight any more
+}
+
 /** Property sweep: every geometry decodes losslessly. */
 class AddressMapSweep
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned,

@@ -161,6 +161,53 @@ TEST(ComputeUnit, TracksFreeSlots)
     EXPECT_EQ(cu.freeWfSlots(), 8u);
 }
 
+// The CU keeps no table of loads in flight: each load packet carries
+// its wavefront slot in Packet::loadSlot, and an in-flight count backs
+// the CU's checks.
+
+TEST(ComputeUnit, LoadResponseWithNothingInFlightPanics)
+{
+    EventQueue eq;
+    GpuConfig cfg = tinyGpu();
+    PacketPool pool;
+    ComputeUnit cu("cu", eq, pool, cfg, 0);
+    MockMem mem(eq, 100);
+    cu.memPort().bind(mem);
+
+    Packet stray(MemCmd::ReadReq, 0x1000, 64, 0);
+    stray.loadSlot = 0;
+    stray.makeResponse();
+    EXPECT_DEATH(mem.sendTimingResp(&stray), "load response for unknown");
+}
+
+TEST(ComputeUnit, LoadResponseWithOutOfRangeSlotPanics)
+{
+    EventQueue eq;
+    GpuConfig cfg = tinyGpu(); // 8 wavefront slots
+    PacketPool pool;
+    ComputeUnit cu("cu", eq, pool, cfg, 0);
+    MockMem mem(eq, 0, SIZE_MAX, /*manual=*/true);
+    cu.memPort().bind(mem);
+    cu.onWorkgroupComplete([](unsigned) {});
+
+    ProgramBuilder b(0x100);
+    b.load(0, 0x1000).waitLoads();
+    std::vector<WavefrontProgram> programs;
+    programs.push_back(b.take());
+    cu.startWorkgroup(0, std::move(programs));
+    eq.run();
+    ASSERT_EQ(mem.held(), 4u); // four loads in flight
+
+    Packet stray(MemCmd::ReadReq, 0x1000, 64, 0);
+    stray.loadSlot = 8;
+    stray.makeResponse();
+    EXPECT_DEATH(mem.sendTimingResp(&stray), "load response for unknown");
+    EXPECT_DEATH(cu.reset(), "resetting CU 0 with work in flight");
+    mem.releaseAll();
+    eq.run();
+    EXPECT_TRUE(cu.idle());
+}
+
 TEST(ComputeUnit, QueueBlockedIssueOrderAndTimingArePinned)
 {
     // One SIMD, a 4-line memory queue drained one line per cycle into

@@ -3,8 +3,10 @@
  * Proves the simulation hot path performs zero heap allocations at
  * the default log level: event scheduling/servicing/rescheduling
  * never allocates (intrusive heap, no name-string construction),
- * pooled packet alloc/release recycles storage, and a contended
- * crossbar's reject/retry cycles reuse their waiter lists.
+ * pooled packet alloc/release recycles storage, a contended
+ * crossbar's reject/retry cycles reuse their waiter lists and its
+ * accepted sends carry their return route in the packet, and a warm
+ * system run allocates almost nothing per memory request.
  *
  * The whole test binary overrides global operator new/delete with a
  * counting wrapper; counting is only armed inside measurement
@@ -16,7 +18,9 @@
 #include <cstdlib>
 #include <deque>
 #include <new>
+#include <string>
 
+#include "core/metrics.hh"
 #include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "core/system.hh"
@@ -35,7 +39,10 @@ std::uint64_t allocCount = 0;
 
 } // namespace
 
-void *
+// Out of line: when GCC inlines these replacements into a caller it
+// can pair the caller's new-expression with the wrong one of them and
+// warn (-Wmismatched-new-delete), though malloc and free match here.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     if (countingArmed)
@@ -46,7 +53,7 @@ operator new(std::size_t size)
     return p;
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     if (countingArmed)
@@ -57,10 +64,18 @@ operator new[](std::size_t size)
     return p;
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -136,9 +151,10 @@ TEST(HotPathAlloc, SystemResetKeepsAllocationsWarm)
     // allocation steady state (consecutive reset+run cycles allocate
     // exactly the same amount - nothing accumulates or regrows);
     // (3) a warm re-run allocates far less than building a fresh
-    // System, which is the point of reuse. Remaining steady-state
-    // allocations come from per-run workload program generation, not
-    // from the simulation infrastructure.
+    // System, which is the point of reuse. What a warm run still
+    // allocates is the wavefront programs Dispatcher::tryDispatch
+    // builds for each workgroup; the memory system allocates nothing
+    // (WarmRunAllocatesAlmostNothingPerMemoryRequest bounds it).
     SimConfig cfg = SimConfig::testConfig();
     const CachePolicy policy = CachePolicy::fromName("CacheRW");
     const std::uint64_t seed = runSeedFor(cfg, "BwSoft", "CacheRW");
@@ -186,6 +202,45 @@ TEST(HotPathAlloc, SystemResetKeepsAllocationsWarm)
     EXPECT_LT(warm_second, fresh);
 }
 
+TEST(HotPathAlloc, WarmRunAllocatesAlmostNothingPerMemoryRequest)
+{
+    // Return routes ride in the packets, the MSHR files and bypass
+    // tables recycle their slots, and every queue on the packet path
+    // is a ring, so a warm reset+run allocates only the wavefront
+    // programs of each dispatched workgroup: a small fraction of an
+    // allocation per GPU memory request.
+    struct Point
+    {
+        const char *workload;
+        const char *policy;
+    };
+    for (const Point &pt : {Point{"FwPool", "CacheRW"},
+                            Point{"FwAct", "Uncached"}}) {
+        SCOPED_TRACE(std::string(pt.workload) + "/" + pt.policy);
+        SimConfig cfg = SimConfig::testConfig();
+        const CachePolicy policy = CachePolicy::fromName(pt.policy);
+        cfg.seed = runSeedFor(cfg, pt.workload, pt.policy);
+        System sys(cfg, policy);
+        auto wl = makeWorkload(pt.workload);
+        runWorkloadOn(sys, *wl); // warm every lazily-grown structure
+        sys.reset(policy, cfg.seed);
+        runWorkloadOn(sys, *wl);
+
+        RunMetrics m;
+        std::uint64_t allocs = 0;
+        {
+            CountingScope scope;
+            sys.reset(policy, cfg.seed);
+            m = runWorkloadOn(sys, *wl);
+            allocs = scope.stop();
+        }
+        ASSERT_GT(m.gpuMemRequests, 10'000.0);
+        EXPECT_LT(static_cast<double>(allocs) / m.gpuMemRequests, 0.1)
+            << allocs << " allocations for " << m.gpuMemRequests
+            << " memory requests";
+    }
+}
+
 TEST(HotPathAlloc, DynamicPolicyResetIsAllocationFree)
 {
     // The dynamic policies (PR 4) add run-time state - the duel's
@@ -209,10 +264,10 @@ TEST(HotPathAlloc, DynamicPolicyResetIsAllocationFree)
 /**
  * A requester that keeps one read outstanding through a crossbar,
  * re-issuing its packet as soon as the response returns, and counts
- * the allocations made inside the sends the crossbar rejects: a
- * rejected send only registers the requester as a waiter, so in a
- * warm run it must allocate nothing. (Accepted sends may allocate in
- * the crossbar's response routing, which is not reject/retry work.)
+ * the allocations made inside its sends. A rejected send only
+ * registers the requester as a waiter, and an accepted one writes
+ * the return route into the packet and queues it in a warm ring, so
+ * in a warm run neither may allocate.
  */
 class ContendingRequester : public RequestPort
 {
@@ -234,14 +289,19 @@ class ContendingRequester : public RequestPort
 
     std::uint64_t rejects = 0;
     std::uint64_t rejectAllocs = 0;
+    std::uint64_t accepts = 0;
+    std::uint64_t acceptAllocs = 0;
 
   private:
     void
     trySend()
     {
         const std::uint64_t before = allocCount;
-        if (sendTimingReq(&packet_))
+        if (sendTimingReq(&packet_)) {
+            ++accepts;
+            acceptAllocs += allocCount - before;
             return;
+        }
         ++rejects;
         rejectAllocs += allocCount - before;
     }
@@ -314,20 +374,28 @@ TEST(HotPathAlloc, ContendedCrossbarRejectRetryIsAllocationFree)
 
     std::uint64_t rejects = 0;
     std::uint64_t reject_allocs = 0;
+    std::uint64_t accepts = 0;
+    std::uint64_t accept_allocs = 0;
     {
         CountingScope scope;
         for (auto &r : reqs) {
             r->rejects = 0;
             r->rejectAllocs = 0;
+            r->accepts = 0;
+            r->acceptAllocs = 0;
         }
         eq.run(20'000);
         for (const auto &r : reqs) {
             rejects += r->rejects;
             reject_allocs += r->rejectAllocs;
+            accepts += r->accepts;
+            accept_allocs += r->acceptAllocs;
         }
     }
     EXPECT_GT(rejects, 1000u);
     EXPECT_EQ(reject_allocs, 0u);
+    EXPECT_GT(accepts, 1000u);
+    EXPECT_EQ(accept_allocs, 0u);
 }
 
 TEST(HotPathAlloc, PooledPacketTrafficIsAllocationFree)

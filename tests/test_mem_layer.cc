@@ -202,3 +202,44 @@ TEST_F(XBarTest, ManyRequestsAllComplete)
     EXPECT_EQ(cpus[0]->responses.size(), 32u);
     EXPECT_EQ(cpus[1]->responses.size(), 32u);
 }
+
+// The crossbar keeps no table of routed packets: each request carries
+// its input in Packet::xbarInput, and an in-flight count backs the
+// crossbar's checks.
+
+TEST_F(XBarTest, ResponseWithNothingInFlightPanics)
+{
+    Packet stray(MemCmd::ReadReq, 0x40, 64, 0);
+    stray.xbarInput = 0; // a valid route: only the in-flight count is off
+    stray.makeResponse();
+    EXPECT_DEATH(mems[1]->sendTimingResp(&stray),
+                 "xbar response for unknown packet");
+}
+
+TEST_F(XBarTest, ResponseWithOutOfRangeRoutePanics)
+{
+    cpus[0]->send(MemCmd::ReadReq, 0x040); // one request in flight
+    Packet stray(MemCmd::ReadReq, 0x40, 64, 0);
+    stray.makeResponse();
+    stray.xbarInput = 2; // the crossbar has inputs 0 and 1
+    EXPECT_DEATH(mems[1]->sendTimingResp(&stray),
+                 "xbar response for unknown packet");
+    eq.run();
+    EXPECT_EQ(cpus[0]->responses.size(), 1u);
+}
+
+TEST_F(XBarTest, ResetWithRequestsInFlightPanics)
+{
+    cpus[0]->send(MemCmd::ReadReq, 0x040);
+    EXPECT_DEATH(xbar->reset(), "resetting crossbar with requests in flight");
+    eq.run();
+    xbar->reset(); // answered: the crossbar is idle again
+}
+
+TEST_F(XBarTest, RouteIsClearedOnTheWayBack)
+{
+    cpus[1]->send(MemCmd::ReadReq, 0x0c0);
+    eq.run();
+    ASSERT_EQ(cpus[1]->responses.size(), 1u);
+    EXPECT_EQ(cpus[1]->responses[0].xbarInput, Packet::noRoute);
+}
