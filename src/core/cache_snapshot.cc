@@ -1,5 +1,7 @@
 #include "core/cache_snapshot.hh"
 
+#include <algorithm>
+
 #include "core/cache_v4.hh"
 #include "sim/logging.hh"
 
@@ -69,8 +71,9 @@ CacheSnapshot::find(const std::string &sig, const std::string &workload,
     auto sit = sections_.find(sig);
     if (sit == sections_.end())
         return nullptr;
-    auto rit = sit->second.find(Key{workload, policy});
-    return rit == sit->second.end() ? nullptr : rit->second;
+    const Section &section = *sit->second;
+    auto rit = section.find(Key{workload, policy});
+    return rit == section.end() ? nullptr : rit->second;
 }
 
 std::vector<const RunMetrics *>
@@ -82,7 +85,7 @@ CacheSnapshot::match(const std::string &sig_pattern,
     for (const auto &[sig, section] : sections_) {
         if (!globMatch(sig_pattern, sig))
             continue;
-        for (const auto &[key, row] : section) {
+        for (const auto &[key, row] : *section) {
             if (globMatch(workload_pattern, key.first) &&
                 globMatch(policy_pattern, key.second)) {
                 out.push_back(row);
@@ -103,14 +106,14 @@ CacheSnapshot::findCsv(const std::string &sig,
             mapped_->findRow(sig, workload, policy);
         if (idx < 0)
             return false;
-        out += mapped_->materialize(static_cast<std::size_t>(idx))
-                   .toCsv();
+        mapped_->materialize(static_cast<std::size_t>(idx))
+            .appendCsv(out);
         return true;
     }
     const RunMetrics *row = find(sig, workload, policy);
     if (row == nullptr)
         return false;
-    out += row->toCsv();
+    row->appendCsv(out);
     return true;
 }
 
@@ -125,10 +128,10 @@ CacheSnapshot::matchCsv(const std::string &sig_pattern,
         for (const auto &[sig, section] : sections_) {
             if (!globMatch(sig_pattern, sig))
                 continue;
-            for (const auto &[key, row] : section) {
+            for (const auto &[key, row] : *section) {
                 if (globMatch(workload_pattern, key.first) &&
                     globMatch(policy_pattern, key.second)) {
-                    out += row->toCsv();
+                    row->appendCsv(out);
                     out += '\n';
                     ++n;
                 }
@@ -162,7 +165,7 @@ CacheSnapshot::matchCsv(const std::string &sig_pattern,
             const V4Key &k = seg.keys[i];
             if (!wl_ok[k.workload] || !pol_ok[k.policy])
                 continue;
-            out += mapped_->materialize(i).toCsv();
+            mapped_->materialize(i).appendCsv(out);
             out += '\n';
             ++n;
         }
@@ -199,8 +202,8 @@ CacheSnapshot::estimateEvents(const std::string &workload,
     }
     double best = 0.0;
     for (const auto &[sig, section] : sections_) {
-        auto it = section.find(Key{workload, policy});
-        if (it != section.end() && it->second->simEvents > best)
+        auto it = section->find(Key{workload, policy});
+        if (it != section->end() && it->second->simEvents > best)
             best = it->second->simEvents;
     }
     return best;
@@ -210,18 +213,50 @@ CacheSnapshot::estimateEvents(const std::string &workload,
 // Builder
 // ---------------------------------------------------------------------
 
+CacheSnapshot::Builder::Builder(const CacheSnapshot &base)
+    : shared_(base.sections_), rows_(base.rows_),
+      keepAlive_(base.keepAlive_)
+{
+    panic_if(base.mapped(),
+             "a Builder cannot start from a mapped snapshot: it has "
+             "no sections to share");
+}
+
+CacheSnapshot::Section *
+CacheSnapshot::Builder::writable(const std::string &sig, const Key &key)
+{
+    auto oit = own_.lower_bound(sig);
+    if (oit != own_.end() && oit->first == sig)
+        return oit->second.get();
+    std::shared_ptr<Section> section;
+    auto sit = shared_.find(sig);
+    if (sit == shared_.end()) {
+        section = std::make_shared<Section>();
+    } else {
+        if (sit->second->count(key) != 0)
+            return nullptr; // first add wins; the section stays shared
+        // Copy on first write: the base and every snapshot sharing
+        // this section keep the original.
+        section = std::make_shared<Section>(*sit->second);
+        shared_.erase(sit);
+    }
+    return own_.emplace_hint(oit, sig, std::move(section))
+        ->second.get();
+}
+
 bool
 CacheSnapshot::Builder::add(const std::string &sig,
                             const RunMetrics *row)
 {
     if (row == nullptr)
         return false;
-    auto [it, fresh] = sections_[sig].emplace(
-        Key{row->workload, row->policy}, row);
-    (void)it;
-    if (fresh)
-        ++rows_;
-    return fresh;
+    Key key{row->workload, row->policy};
+    Section *section = writable(sig, key);
+    if (section == nullptr ||
+        !section->emplace(std::move(key), row).second)
+        return false;
+    ++rows_;
+    return true;
 }
 
 bool
@@ -230,19 +265,20 @@ CacheSnapshot::Builder::addSorted(const std::string &sig,
 {
     if (row == nullptr)
         return false;
-    if (!haveHint_ || hintSection_->first != sig) {
-        // New (or first) section: hint at the end of the section
-        // map - correct whenever sections arrive in ascending order,
-        // and emplace_hint stays correct (just slower) when not.
-        hintSection_ =
-            sections_.emplace_hint(sections_.end(), sig, Section{});
-        haveHint_ = true;
+    if (hintSection_ == nullptr || hintSig_ != sig) {
+        // New (or first) section of the run: one lookup, then every
+        // row of the section appends at its end.
+        Section *section =
+            writable(sig, Key{row->workload, row->policy});
+        if (section == nullptr)
+            return false;
+        hintSection_ = section;
+        hintSig_ = sig;
     }
-    Section &section = hintSection_->second;
-    const std::size_t before = section.size();
-    section.emplace_hint(section.end(),
-                         Key{row->workload, row->policy}, row);
-    if (section.size() == before)
+    const std::size_t before = hintSection_->size();
+    hintSection_->emplace_hint(hintSection_->end(),
+                               Key{row->workload, row->policy}, row);
+    if (hintSection_->size() == before)
         return false; // key already present: first add wins
     ++rows_;
     return true;
@@ -251,7 +287,8 @@ CacheSnapshot::Builder::addSorted(const std::string &sig,
 void
 CacheSnapshot::Builder::retain(std::shared_ptr<const void> owner)
 {
-    if (owner)
+    if (owner && std::find(keepAlive_.begin(), keepAlive_.end(),
+                           owner) == keepAlive_.end())
         keepAlive_.push_back(std::move(owner));
 }
 
@@ -268,7 +305,7 @@ CacheSnapshot::Builder::addAll(
              "RunCache first",
              snap->rows());
     for (const auto &[sig, section] : snap->sections()) {
-        for (const auto &[key, row] : section)
+        for (const auto &[key, row] : *section)
             add(sig, row);
     }
     retain(snap);
@@ -277,21 +314,18 @@ CacheSnapshot::Builder::addAll(
 std::shared_ptr<const CacheSnapshot>
 CacheSnapshot::Builder::build()
 {
-    // Drop sections that ended up empty (a section key learned from
-    // a "# config" line with no parseable rows) so serialization and
-    // match() never see hollow sections.
-    for (auto it = sections_.begin(); it != sections_.end();) {
-        if (it->second.empty())
-            it = sections_.erase(it);
-        else
-            ++it;
-    }
+    // Sections are only ever created for a row that lands in them,
+    // so none is empty.
+    SectionMap sections = std::move(shared_);
+    for (auto &[sig, section] : own_)
+        sections.emplace(sig, std::move(section));
     auto snap = std::shared_ptr<const CacheSnapshot>(new CacheSnapshot(
-        std::move(sections_), rows_, std::move(keepAlive_)));
-    sections_ = {};
+        std::move(sections), rows_, std::move(keepAlive_)));
+    shared_ = {};
+    own_ = {};
     rows_ = 0;
     keepAlive_ = {};
-    haveHint_ = false;
+    hintSection_ = nullptr;
     return snap;
 }
 

@@ -8,9 +8,13 @@
  * freshly simulated rows. The classic split: results live in an
  * append-only row store (rows are written once, then never move -
  * the "append log"), and a CacheSnapshot is an immutable index of
- * `const RunMetrics *` over some prefix of that log. Publishing new
- * results builds a *new* snapshot (cheap: the index holds pointers,
- * not rows) and swaps one shared_ptr; readers keep using whatever
+ * `const RunMetrics *` over some prefix of that log. The index is one
+ * immutable Section per config signature, held by shared_ptr.
+ * Publishing new results builds a *new* snapshot from the old one's
+ * sections (Builder(const CacheSnapshot &)): every section the new
+ * rows miss is shared, and a section they land in is copied once,
+ * so a publish costs O(sections + rows of the touched sections), not
+ * O(rows). Then one shared_ptr swaps; readers keep using whatever
  * snapshot they loaded, lock-free, for as long as they hold it.
  *
  * A snapshot has a second, zero-copy representation: fromMappedFile()
@@ -70,8 +74,11 @@ class CacheSnapshot
     /** One config section: sorted rows, pointers into a row store. */
     using Section = std::map<Key, const RunMetrics *>;
 
-    /** Sections keyed by config signature, sorted. */
-    using SectionMap = std::map<std::string, Section>;
+    /** Sections keyed by config signature, sorted. A section is
+     *  immutable once built, so snapshots share the ones a publish
+     *  leaves untouched. */
+    using SectionMap =
+        std::map<std::string, std::shared_ptr<const Section>>;
 
     /** The shared empty snapshot. */
     static std::shared_ptr<const CacheSnapshot> empty();
@@ -150,10 +157,23 @@ class CacheSnapshot
     class Builder
     {
       public:
+        Builder() = default;
+
+        /**
+         * Start from @p base's rows and keep-alives. Its sections are
+         * shared, not copied: a section is copied on the first add()
+         * that lands in it, and the built snapshot shares every
+         * section no add() touched. @p base itself never changes.
+         * Mapped snapshots are refused (panic): they have no
+         * sections to share.
+         */
+        explicit Builder(const CacheSnapshot &base);
+
         /**
          * Index @p row under (@p sig, row->workload, row->policy).
          * First add wins: returns false (and changes nothing) when
-         * the key is already present or @p row is null.
+         * the key is already present - in a section shared from the
+         * base too - or @p row is null.
          * The caller guarantees @p row outlives the built snapshot
          * or registers its owner via retain().
          */
@@ -168,7 +188,8 @@ class CacheSnapshot
          */
         bool addSorted(const std::string &sig, const RunMetrics *row);
 
-        /** Keep @p owner alive as long as the built snapshot. */
+        /** Keep @p owner alive as long as the built snapshot (once:
+         *  an owner already retained is not added again). */
         void retain(std::shared_ptr<const void> owner);
 
         /** add() every row of @p snap (existing keys win) and retain
@@ -182,14 +203,24 @@ class CacheSnapshot
         std::shared_ptr<const CacheSnapshot> build();
 
       private:
-        SectionMap sections_;
+        /** The section add() may write for (@p sig, @p key): the
+         *  one this builder owns, else a copy of the base's, else a
+         *  new one - or nullptr when the base's section already
+         *  holds @p key, which then stays shared. */
+        Section *writable(const std::string &sig, const Key &key);
+
+        /** Sections shared from the base and not yet written. */
+        SectionMap shared_;
+
+        /** Sections this builder created or copied. */
+        std::map<std::string, std::shared_ptr<Section>> own_;
+
         std::size_t rows_ = 0;
         std::vector<std::shared_ptr<const void>> keepAlive_;
 
-        /** addSorted() hint state: the section and row positions of
-         *  the previous add. */
-        SectionMap::iterator hintSection_;
-        bool haveHint_ = false;
+        /** addSorted() hint state: the section of the previous add. */
+        std::string hintSig_;
+        Section *hintSection_ = nullptr;
     };
 
   private:

@@ -1,10 +1,8 @@
 #include "core/metrics.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <sstream>
 #include <vector>
-
-#include "sim/logging.hh"
 
 namespace migc
 {
@@ -20,19 +18,70 @@ RunMetrics::csvHeader()
            "sim_events";
 }
 
+namespace
+{
+
+/** Room for any one field: "%.9f" of -DBL_MAX is a sign, 309
+ *  integer digits, a point and nine decimals. */
+constexpr std::size_t kFieldChars = 384;
+
+/** ',' then @p v as printf's "%.<precision>f" or "%.<precision>e". */
+void
+appendDouble(std::string &out, double v, std::chars_format format,
+             int precision)
+{
+    char buf[kFieldChars];
+    buf[0] = ',';
+    const std::to_chars_result r =
+        std::to_chars(buf + 1, buf + sizeof(buf), v, format, precision);
+    out.append(buf, r.ptr);
+}
+
+void
+appendFixed(std::string &out, double v, int precision)
+{
+    appendDouble(out, v, std::chars_format::fixed, precision);
+}
+
+} // namespace
+
 std::string
 RunMetrics::toCsv() const
 {
-    return csprintf(
-        "%s,%s,%llu,%.9e,%.0f,%.0f,%.0f,%.0f,%.9f,%.0f,%.9f,%.0f,%.6f,"
-        "%.6f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f",
-        workload.c_str(), policy.c_str(),
-        static_cast<unsigned long long>(execTicks), execSeconds,
-        gpuMemRequests, dramReads, dramWrites, dramAccesses,
-        dramRowHitRate, cacheStallCycles, stallsPerRequest, vops, gvops,
-        gmrps, l1Hits, l1Misses, l2Hits, l2Misses, l2Writebacks,
-        rinseWritebacks, allocBypassed, predictorBypasses, kernels,
-        simEvents);
+    std::string out;
+    out.reserve(256);
+    appendCsv(out);
+    return out;
+}
+
+void
+RunMetrics::appendCsv(std::string &out) const
+{
+    // c_str(): a name ends at its first NUL, as under "%s".
+    out += workload.c_str();
+    out += ',';
+    out += policy.c_str();
+    char buf[24];
+    buf[0] = ',';
+    const std::to_chars_result r = std::to_chars(
+        buf + 1, buf + sizeof(buf),
+        static_cast<unsigned long long>(execTicks));
+    out.append(buf, r.ptr);
+    appendDouble(out, execSeconds, std::chars_format::scientific, 9);
+    appendFixed(out, gpuMemRequests, 0);
+    appendFixed(out, dramReads, 0);
+    appendFixed(out, dramWrites, 0);
+    appendFixed(out, dramAccesses, 0);
+    appendFixed(out, dramRowHitRate, 9);
+    appendFixed(out, cacheStallCycles, 0);
+    appendFixed(out, stallsPerRequest, 9);
+    appendFixed(out, vops, 0);
+    appendFixed(out, gvops, 6);
+    appendFixed(out, gmrps, 6);
+    for (double v : {l1Hits, l1Misses, l2Hits, l2Misses, l2Writebacks,
+                     rinseWritebacks, allocBypassed, predictorBypasses,
+                     kernels, simEvents})
+        appendFixed(out, v, 0);
 }
 
 bool

@@ -68,6 +68,16 @@ struct RunMetrics
     /** Serialize to CSV (schema in csvHeader()). */
     std::string toCsv() const;
 
+    /**
+     * Append the toCsv() line (no newline) to @p out: the one row
+     * formatter, for callers that already hold an output buffer.
+     * Each field is std::to_chars at a fixed precision, which the
+     * standard defines as printf in the C locale, so the bytes are
+     * those of "%s,%s,%llu,%.9e,%.0f,%.0f,%.0f,%.0f,%.9f,%.0f,%.9f,
+     * %.0f,%.6f,%.6f" followed by ten "%.0f" fields.
+     */
+    void appendCsv(std::string &out) const;
+
     static std::string csvHeader();
 
     /** Parse a line produced by toCsv(); returns false on mismatch. */

@@ -58,8 +58,8 @@ writeCsvCache(std::string &out, const CacheSnapshot &snap)
         out += '\n';
         out += RunMetrics::csvHeader();
         out += '\n';
-        for (const auto &[key, m] : section) {
-            out += m->toCsv();
+        for (const auto &[key, m] : *section) {
+            m->appendCsv(out);
             out += '\n';
         }
     }
@@ -74,7 +74,7 @@ v4RowsOf(const CacheSnapshot &snap)
     std::vector<V4RowRef> rows;
     rows.reserve(snap.rows());
     for (const auto &[sig, section] : snap.sections()) {
-        for (const auto &[key, m] : section) {
+        for (const auto &[key, m] : *section) {
             rows.push_back(
                 V4RowRef{sig, m->workload, m->policy, packV4Row(*m)});
         }
@@ -355,10 +355,12 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
         // Loading into an empty cache (the overwhelmingly common
         // case: a compacted file's one big segment) skips the
         // per-row find(): the segment is already sorted-unique in
-        // canonical order, so the index builds with end-of-map hints
-        // and publishes directly as the base snapshot.
-        CacheSnapshot::Builder b;
-        std::string sig;
+        // canonical order (parseV4Segment checked), so the index
+        // builds with end-of-map hints and publishes directly as the
+        // base snapshot. Every row lands in the log before the index
+        // is built, so the index nodes sit together in memory rather
+        // than between the log's chunks; publishes share these
+        // sections, and glob scans walk them node by node.
         for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
             const V4Key &k = seg.keys[i];
             RunMetrics m;
@@ -368,19 +370,18 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
             m.policy.assign(pol.data(), pol.size());
             unpackV4Row(seg.rows[i], m);
             log_->push_back(std::move(m));
-            const RunMetrics *row = &log_->back();
-            const std::string_view sv = seg.str(k.sig);
+        }
+        CacheSnapshot::Builder b;
+        std::string sig;
+        for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
+            const std::string_view sv = seg.str(seg.keys[i].sig);
             sig.assign(sv.data(), sv.size());
-            if (b.addSorted(sig, row)) {
-                ++stats.rows;
-                if (!durable && enabled())
-                    pendingAppend_.emplace_back(sig, row);
-            } else {
-                // Duplicate key inside one segment: impossible in a
-                // file parseV4Segment accepted, but never index a
-                // row we are about to drop.
-                log_->pop_back();
-            }
+            const RunMetrics *row = &(*log_)[i];
+            if (!b.addSorted(sig, row))
+                continue; // a duplicate key: parseV4Segment refuses those
+            ++stats.rows;
+            if (!durable && enabled())
+                pendingAppend_.emplace_back(sig, row);
         }
         b.retain(log_);
         base_ = b.build();
@@ -618,15 +619,12 @@ std::shared_ptr<const CacheSnapshot>
 RunCache::snapshot()
 {
     if (!fresh_.empty()) {
-        // Rebuild the index from scratch rather than addAll(base_):
-        // every row lives in log_, so retaining the log alone keeps
-        // the new snapshot self-contained and lets superseded
-        // snapshots die with their last reader instead of chaining.
-        CacheSnapshot::Builder b;
-        for (const auto &[sig, section] : base_->sections()) {
-            for (const auto &[key, row] : section)
-                b.add(sig, row);
-        }
+        // Start from base_'s sections: the ones no fresh row lands
+        // in are shared, and each touched one is copied once. Every
+        // row lives in log_, so retaining the log alone keeps the
+        // new snapshot self-contained and lets superseded snapshots
+        // die with their last reader instead of chaining.
+        CacheSnapshot::Builder b(*base_);
         for (const auto &[sig, section] : fresh_) {
             for (const auto &[key, row] : section)
                 b.add(sig, row);

@@ -95,10 +95,12 @@ FdStream::read(void *buf, std::size_t n)
 bool
 FdStream::writeAll(const void *buf, std::size_t n)
 {
+    // send(MSG_NOSIGNAL), not write(): a peer that has gone must
+    // fail this call (EPIPE), not kill the process with SIGPIPE.
     const char *p = static_cast<const char *>(buf);
     std::size_t off = 0;
     while (off < n) {
-        ssize_t w = ::write(fd_, p + off, n - off);
+        ssize_t w = ::send(fd_, p + off, n - off, MSG_NOSIGNAL);
         if (w < 0 && errno == EINTR)
             continue;
         if (w <= 0)

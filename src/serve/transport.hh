@@ -104,7 +104,9 @@ class Stream
     virtual void shutdown() {}
 };
 
-/** Stream over a connected socket fd (owned; closed on destroy). */
+/** Stream over a connected socket fd (owned; closed on destroy).
+ *  Writes send with MSG_NOSIGNAL, so a peer that has gone fails
+ *  writeAll() instead of raising SIGPIPE. */
 class FdStream : public Stream
 {
   public:

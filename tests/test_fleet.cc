@@ -51,10 +51,16 @@ using namespace migc;
 namespace
 {
 
+/** This process's id, fixed before any test forks: forked children
+ *  must name the same files as their parent. */
+const std::string kRunTag = std::to_string(::getpid());
+
+/** A file or socket path private to this test process, so two runs
+ *  of this suite at once never share a cache or a socket. */
 std::string
 tempPath(const std::string &leaf)
 {
-    return ::testing::TempDir() + "migc_fleet_" + leaf;
+    return ::testing::TempDir() + "migc_fleet_" + kRunTag + "_" + leaf;
 }
 
 std::string

@@ -52,10 +52,15 @@ using namespace migc;
 namespace
 {
 
+/** This process's id, fixed before any test forks (see
+ *  tests/test_fleet.cc). */
+const std::string kRunTag = std::to_string(::getpid());
+
+/** A file or socket path private to this test process. */
 std::string
 tempPath(const std::string &leaf)
 {
-    return ::testing::TempDir() + "migc_faults_" + leaf;
+    return ::testing::TempDir() + "migc_faults_" + kRunTag + "_" + leaf;
 }
 
 std::string
@@ -648,6 +653,56 @@ TEST(FleetFaultsDeathTest, ConnectFailureNamesTheOsError)
             FleetClient c(target, 0, 1, opts);
         },
         ::testing::ExitedWithCode(1), "Connection refused");
+}
+
+// ---------------------------------------------------------------------
+// A vanished peer fails the write, not the process
+// ---------------------------------------------------------------------
+
+TEST(FleetFaults, VanishedPeerFailsTheWriteNotTheProcess)
+{
+    // A client that sends `match default * *` and closes before
+    // reading, or a worker SIGKILLed before its reply: the replying
+    // side's writes must fail, not raise SIGPIPE (whose default
+    // action would kill this whole test binary), and its listener
+    // must go on accepting.
+    const std::string sock = tempPath("vanish.sock");
+    for (const std::string &spec :
+         {"unix:" + sock, std::string("tcp:127.0.0.1:0")}) {
+        SCOPED_TRACE(spec);
+        Listener listener;
+        listener.bind(parseEndpoint(spec));
+        std::string error;
+        std::unique_ptr<Stream> client =
+            connectTo(listener.bound(), &error);
+        ASSERT_NE(client, nullptr) << error;
+        std::unique_ptr<Stream> served = listener.accept();
+        ASSERT_NE(served, nullptr);
+        client.reset(); // gone before reading a byte
+
+        // TCP may buffer the first write before the peer's reset
+        // arrives; a later one must fail.
+        const std::string reply(64 * 1024, 'r');
+        bool wrote = true;
+        for (int i = 0; i < 64 && wrote; ++i)
+            wrote = served->writeAll(reply);
+        EXPECT_FALSE(wrote) << "writes to a closed peer kept succeeding";
+
+        std::unique_ptr<Stream> next = connectTo(listener.bound(), &error);
+        ASSERT_NE(next, nullptr) << error;
+        std::unique_ptr<Stream> accepted = listener.accept();
+        ASSERT_NE(accepted, nullptr);
+        ASSERT_TRUE(accepted->writeAll(std::string("# alive\n")));
+        std::string got;
+        char buf[16];
+        while (got.size() < 8) {
+            const ssize_t n = next->read(buf, sizeof(buf));
+            ASSERT_GT(n, 0);
+            got.append(buf, static_cast<std::size_t>(n));
+        }
+        EXPECT_EQ(got, "# alive\n");
+        listener.stop();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -11,8 +11,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,6 +204,89 @@ TEST(Snapshot, RunCachePublishesImmutableViews)
     EXPECT_EQ(second->rows(), 2u);
     EXPECT_EQ(first->find("sig", "FwBN", "Uncached"), nullptr);
     ASSERT_NE(second->find("sig", "FwBN", "Uncached"), nullptr);
+}
+
+TEST(Snapshot, PublishSharesUntouchedSectionsAndCopiesTouchedOnes)
+{
+    const std::vector<std::pair<std::string, RunMetrics>> rows = {
+        {"sigA", fakeMetrics("FwBN", "CacheR", 1)},
+        {"sigA", fakeMetrics("FwBN", "Uncached", 2)},
+        {"sigB", fakeMetrics("BwBN", "CacheR", 3)},
+        {"sigC", fakeMetrics("FwAct", "CacheRW", 4)},
+        {"sigB", fakeMetrics("FwSoft", "CacheR", 5)}, // the fresh row
+    };
+    RunCache cache{std::string()};
+    for (std::size_t i = 0; i + 1 < rows.size(); ++i)
+        cache.insert(rows[i].first, rows[i].second);
+    const auto before = cache.snapshot();
+    std::string before_csv;
+    before->matchCsv("*", "*", "*", before_csv);
+
+    cache.insert(rows.back().first, rows.back().second);
+    const auto after = cache.snapshot();
+
+    const auto &old_sections = before->sections();
+    const auto &new_sections = after->sections();
+    EXPECT_EQ(new_sections.at("sigA").get(), old_sections.at("sigA").get())
+        << "a section no fresh row lands in must be shared";
+    EXPECT_EQ(new_sections.at("sigC").get(), old_sections.at("sigC").get());
+    EXPECT_NE(new_sections.at("sigB").get(), old_sections.at("sigB").get())
+        << "the touched section must be a copy";
+    EXPECT_EQ(old_sections.at("sigB")->size(), 1u);
+    EXPECT_EQ(new_sections.at("sigB")->size(), 2u);
+
+    // The old snapshot answers exactly as it did before the publish.
+    EXPECT_EQ(before->rows(), 4u);
+    EXPECT_EQ(before->find("sigB", "FwSoft", "CacheR"), nullptr);
+    std::string before_again;
+    before->matchCsv("*", "*", "*", before_again);
+    EXPECT_EQ(before_again, before_csv);
+    ASSERT_NE(after->find("sigB", "FwSoft", "CacheR"), nullptr);
+    EXPECT_EQ(after->rows(), 5u);
+
+    // Same bytes as an index built from scratch over the same rows.
+    CacheSnapshot::Builder scratch;
+    for (const auto &[sig, m] : rows)
+        scratch.add(sig, &m);
+    const auto whole = scratch.build();
+    for (const char *sig : {"*", "sigA", "sigB", "sigC"}) {
+        std::string got, want;
+        EXPECT_EQ(after->matchCsv(sig, "*", "*", got),
+                  whole->matchCsv(sig, "*", "*", want));
+        EXPECT_EQ(got, want) << sig;
+    }
+    // The v3 export (writeCsvCache) matches a cache that indexed
+    // every row in one publish.
+    RunCache unpublished{std::string()};
+    for (const auto &[sig, m] : rows)
+        unpublished.insert(sig, m);
+    const std::string shared_path = tempCachePath("publish_shared");
+    const std::string whole_path = tempCachePath("publish_whole");
+    ASSERT_TRUE(cache.exportFile(shared_path, CacheFormat::csv));
+    ASSERT_TRUE(unpublished.exportFile(whole_path, CacheFormat::csv));
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const std::string exported = slurp(shared_path);
+    EXPECT_NE(exported.find("FwSoft,CacheR,5,"), std::string::npos);
+    EXPECT_EQ(exported, slurp(whole_path));
+    std::remove(shared_path.c_str());
+    std::remove(whole_path.c_str());
+
+    // First write wins against a shared section too, and a refused
+    // row leaves the section shared.
+    const RunMetrics dup = fakeMetrics("FwBN", "CacheR", 999);
+    CacheSnapshot::Builder next(*after);
+    EXPECT_FALSE(next.add("sigA", &dup));
+    EXPECT_FALSE(next.addSorted("sigA", &dup));
+    const auto refused = next.build();
+    EXPECT_EQ(refused->rows(), after->rows());
+    EXPECT_EQ(refused->sections().at("sigA").get(),
+              new_sections.at("sigA").get());
+    EXPECT_EQ(refused->find("sigA", "FwBN", "CacheR")->execTicks, 1u);
 }
 
 TEST(Snapshot, RowsOutliveTheOwningCache)
