@@ -561,11 +561,11 @@ benchSweepWarmReplay()
 }
 
 // ---------------------------------------------------------------
-// Zero-copy data plane (cache v4): load, replay, and shard merge
-// over a 100k-row synthetic grid. No simulation runs here - these
-// scenarios time the cache serialization layer alone, at a scale
-// (10 configs x 100 workloads x 100 policies) where the O(rows)
-// costs dominate and a parse-vs-mmap difference is unmistakable.
+// Zero-copy data plane (cache v4): load and replay over a 100k-row
+// synthetic grid. No simulation runs here - these scenarios time the
+// cache serialization layer alone, at a scale (10 configs x 100
+// workloads x 100 policies) where the O(rows) costs dominate and a
+// parse-vs-mmap difference is unmistakable.
 // ---------------------------------------------------------------
 
 /** Keys of the synthetic 100k-row grid. */
@@ -709,72 +709,6 @@ benchWarmReplayV4(const std::string &path, const SyntheticGrid &g)
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
     if (hits != r.items)
         std::fprintf(stderr, "warm_replay_v4: cache miss on replay\n");
-    return r;
-}
-
-/**
- * Coordinator join over 4 x 25k-row compacted shard files (plus no
- * canonical cache): the zero-copy k-way merge. Only the merge itself
- * is timed - re-seeding the consumed input files between reps is
- * setup.
- */
-BenchResult
-benchShardMerge100k(const std::string &base, const SyntheticGrid &g)
-{
-    BenchResult r;
-    r.name = "shard_merge_100k";
-    r.eventScenario = false;
-    constexpr unsigned kShards = 4;
-
-    // Build each shard's bytes once (round-robin key partition, so
-    // shard files are key-disjoint and individually sorted), then
-    // re-seed the files from memory before every timed merge.
-    std::vector<std::string> blobs(kShards);
-    {
-        std::vector<std::unique_ptr<RunCache>> shards;
-        for (unsigned i = 0; i < kShards; ++i) {
-            const std::string path = shardCachePath(base, i);
-            std::remove(path.c_str());
-            shards.push_back(
-                std::make_unique<RunCache>(path, 1u << 30));
-        }
-        std::uint64_t salt = 0;
-        std::size_t at = 0;
-        for (const auto &sig : g.sigs)
-            for (const auto &w : g.workloads)
-                for (const auto &p : g.policies)
-                    shards[at++ % kShards]->insert(
-                        sig, syntheticRow(w, p, ++salt));
-        for (unsigned i = 0; i < kShards; ++i) {
-            shards[i]->flush();
-            std::ifstream in(shardCachePath(base, i),
-                             std::ios::binary);
-            std::stringstream ss;
-            ss << in.rdbuf();
-            blobs[i] = ss.str();
-        }
-    }
-
-    const int reps = 5;
-    r.seconds = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        std::remove(base.c_str());
-        for (unsigned i = 0; i < kShards; ++i) {
-            std::ofstream out(shardCachePath(base, i),
-                              std::ios::binary | std::ios::trunc);
-            out.write(blobs[i].data(),
-                      static_cast<std::streamsize>(blobs[i].size()));
-        }
-        auto t0 = BenchClock::now();
-        ShardMergeStats stats = mergeShardCaches(base, kShards);
-        r.seconds += secondsSince(t0);
-        if (stats.rows != g.rows() || stats.files != kShards)
-            std::fprintf(stderr, "%s: bad merge (%zu rows, %zu "
-                         "files)\n", r.name.c_str(), stats.rows,
-                         stats.files);
-    }
-    r.items = static_cast<std::uint64_t>(reps) * g.rows();
-    std::remove(base.c_str());
     return r;
 }
 
@@ -934,8 +868,6 @@ main(int argc, char **argv)
         results.push_back(benchCacheV4Load(v4_path, grid100k));
         results.push_back(benchCacheV3Parse(v3_path, grid100k));
         results.push_back(benchWarmReplayV4(v4_path, grid100k));
-        results.push_back(
-            benchShardMerge100k("BENCH_merge_v4.tmp.bin", grid100k));
         std::remove(v4_path.c_str());
         std::remove(v3_path.c_str());
     }
@@ -1040,7 +972,6 @@ main(int argc, char **argv)
                 r.name.rfind("tags_", 0) != 0 &&
                 r.name.rfind("cache_", 0) != 0 &&
                 r.name.rfind("warm_", 0) != 0 &&
-                r.name.rfind("shard_", 0) != 0 &&
                 r.name != "busy_bitmap_popcount" &&
                 r.name != "eq_dary_depth" &&
                 r.name != "policy_decision_overhead")

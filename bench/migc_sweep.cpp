@@ -6,23 +6,24 @@
  *
  *  - single-process: run the grid through the SweepEngine, exactly
  *    like a figure binary (`migc_sweep --grid dynamic`).
- *  - fleet coordinator: `--shards N` builds the grid, plans the
- *    pending run-key list (longest-estimated-job-first, costs from
- *    prior RunCache rows), serves it as leases over an AF_UNIX
- *    socket (core/fleet.hh), and fork/execs N local workers that
- *    lease, simulate, checkpoint, push, and report until the queue
- *    drains; then merges the pushed shards - byte-identical to the
- *    single-process file for any worker count, steal schedule, or
- *    crash history. `--resume` folds the stored shards into the plan
- *    first, so only never-pushed keys are re-enqueued; when nothing
- *    is left pending, that rerun is just the join.
+ *  - fleet coordinator: `--shards N` opens the canonical cache,
+ *    plans the pending run-key list from it (longest-estimated-job-
+ *    first, costs from prior rows), serves it as leases over an
+ *    AF_UNIX socket (core/fleet.hh), and fork/execs N local workers
+ *    that lease, simulate, push, and report until the queue drains.
+ *    Every push is appended to the canonical cache before it is
+ *    acknowledged, and the join at drain compacts that file -
+ *    byte-identical to the single-process file for any worker count,
+ *    steal schedule, or crash history. A rerun of the same command
+ *    after a crash plans from that file, so only never-pushed keys
+ *    are re-enqueued; with nothing left pending, it is just the
+ *    join. (`--resume` is accepted and ignored.)
  *  - fleet worker: `--fleet SOCK --shard-index i` leases ranges from
- *    the coordinator at SOCK, checkpoints to `<cache>.worker<i>` and
- *    pushes that file, which the coordinator stores as
- *    `<cache>.shard<i>`.
+ *    the coordinator at SOCK and pushes each finished row to it; it
+ *    keeps its rows in memory and reads or writes no cache file.
  *  - listening coordinator: `--listen SOCK --shards N` is the
  *    coordinator without the forking - workers are started by hand
- *    or a launcher (what `--manifest` prints); it merges at drain.
+ *    or a launcher (what `--manifest` prints); it joins at drain.
  *
  * The grid is workloads x policies on one configuration; results
  * land in the same RunCache namespaces the figure binaries read, so
@@ -40,7 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -82,7 +82,6 @@ struct Options
     // specs: unix:<path>, tcp:<host>:<port>, or a bare AF_UNIX path.
     std::string fleetSocket;  // worker: coordinator socket to join
     std::string listenSocket; // coordinator: serve leases, don't fork
-    bool resume = false;      // fold stored shards into the plan
     unsigned leaseSize = 2;   // keys per lease
     unsigned renewMs = 10000; // lease renew deadline
     int slowWorkerIndex = -1; // straggler injection (coordinator)
@@ -105,26 +104,27 @@ usage(const char *argv0)
         "                         MIGC_SWEEP_CACHE or mi_sweep_cache.csv)\n"
         "  --shards N             run an N-worker elastic fleet (fork\n"
         "                         local workers, lease run-key ranges,\n"
-        "                         steal from stragglers, merge at join)\n"
+        "                         steal from stragglers, store every\n"
+        "                         pushed row in <cache>)\n"
         "  --shard-index I        this fleet worker's index (with\n"
-        "                         --fleet); names <cache>.worker<I>\n"
-        "                         and the stored <cache>.shard<I>\n"
+        "                         --fleet); a worker keeps its rows in\n"
+        "                         memory, pushes them to the\n"
+        "                         coordinator, and ignores --cache\n"
         "  --fleet SPEC           lease work from the coordinator at\n"
         "                         SPEC: unix:<path>, tcp:<host>:<port>,\n"
         "                         or a bare AF_UNIX path\n"
         "  --listen SPEC          coordinate on SPEC without forking\n"
         "                         workers (start them by hand; see\n"
-        "                         --manifest); merges when drained.\n"
+        "                         --manifest); joins when drained.\n"
         "                         tcp:<host>:0 binds an ephemeral port\n"
         "                         and prints the real one\n"
         "  --push                 accepted and ignored: every fleet\n"
-        "                         worker pushes its shard to the\n"
-        "                         coordinator before each done\n"
-        "  --resume               re-enqueue only keys absent from the\n"
-        "                         canonical cache and the stored\n"
-        "                         <cache>.shard* files of a crashed or\n"
-        "                         interrupted fleet (with nothing left\n"
-        "                         pending, it only merges them)\n"
+        "                         worker pushes each row to the\n"
+        "                         coordinator before its done\n"
+        "  --resume               accepted and ignored: a rerun always\n"
+        "                         re-enqueues only the keys absent from\n"
+        "                         <cache>, which holds every row pushed\n"
+        "                         before a crash\n"
         "  --lease-size K         run keys per lease (default 2)\n"
         "  --renew-ms MS          lease renew deadline (default 10000);\n"
         "                         a worker silent this long forfeits\n"
@@ -210,11 +210,9 @@ parseArgs(int argc, char **argv)
             opt.fleetSocket = need(i++);
         } else if (arg == "--listen") {
             opt.listenSocket = need(i++);
-        } else if (arg == "--push") {
+        } else if (arg == "--push" || arg == "--resume") {
             // Accepted and ignored so existing scripts still parse:
-            // every fleet worker pushes.
-        } else if (arg == "--resume") {
-            opt.resume = true;
+            // every fleet worker pushes, and every rerun resumes.
         } else if (arg == "--lease-size") {
             opt.leaseSize =
                 parseCount("--lease-size", need(i++), 1, 4096);
@@ -258,8 +256,8 @@ parseArgs(int argc, char **argv)
              "--shard-index %d out of range for --shards %u",
              opt.shardIndex, opt.shards);
     fatal_if(!opt.fleetSocket.empty() && opt.shardIndex < 0,
-             "--fleet needs --shard-index (it names the worker's "
-             "private shard cache file)");
+             "--fleet needs --shard-index (it names the worker in the "
+             "coordinator's accounting)");
     fatal_if(!opt.fleetSocket.empty() && !opt.listenSocket.empty(),
              "--fleet (worker) and --listen (coordinator) are "
              "mutually exclusive");
@@ -268,9 +266,6 @@ parseArgs(int argc, char **argv)
     // (a manifest describes a whole fleet, not one worker).
     fatal_if(opt.manifest && !opt.fleetSocket.empty(),
              "--manifest cannot be combined with --fleet");
-    fatal_if(opt.resume && !opt.fleetSocket.empty(),
-             "--resume is a coordinator option (workers just lease "
-             "whatever the resumed plan still needs)");
     fatal_if(opt.slowWorkerIndex >= 0 && !opt.listenSocket.empty(),
              "--slow-worker injects at fork; with --listen, start "
              "the straggler yourself with --slow-ms");
@@ -329,10 +324,10 @@ buildGrid(const Options &opt, const SimConfig &cfg)
     return requests;
 }
 
-/** The fleet-worker command line for worker @p index. */
+/** The fleet-worker command line for worker @p index (no --cache:
+ *  a worker keeps its rows in memory). */
 std::vector<std::string>
-workerArgs(const std::string &argv0, const Options &opt,
-           const std::string &cache, unsigned index,
+workerArgs(const std::string &argv0, const Options &opt, unsigned index,
            const std::string &sock)
 {
     std::vector<std::string> args{argv0,
@@ -340,8 +335,6 @@ workerArgs(const std::string &argv0, const Options &opt,
                                   opt.grid,
                                   "--config",
                                   opt.config,
-                                  "--cache",
-                                  cache,
                                   "--fleet",
                                   sock,
                                   "--shard-index",
@@ -396,13 +389,27 @@ shellJoin(const std::vector<std::string> &args)
     return joinStrings(quoted, " ");
 }
 
+/**
+ * The join: compact @p canonical to its one canonical segment - the
+ * bytes a single-process sweep writes - and print the summary.
+ */
 void
-printMergeSummary(const std::string &cache, const ShardMergeStats &stats)
+joinFleet(RunCache &canonical, const std::string &cache,
+          const FleetServer::PushTotals &pushed)
 {
-    std::printf("merged %zu shard cache%s into %s: +%zu rows, "
-                "%zu duplicates deduped, %zu parse errors\n",
-                stats.files, stats.files == 1 ? "" : "s", cache.c_str(),
-                stats.rows, stats.duplicates, stats.parseErrors);
+    // saveNow, not flush: a rerun that loaded a multi-segment file
+    // and had nothing to lease must still leave the canonical bytes.
+    fatal_if(!canonical.saveNow(),
+             "could not compact %s; every acknowledged push is already "
+             "in it, so rerunning the same command finishes the join",
+             cache.c_str());
+    std::printf("merged %llu push%s into %s: +%llu rows, %llu "
+                "duplicates deduped, %zu parse errors\n",
+                static_cast<unsigned long long>(pushed.pushes),
+                pushed.pushes == 1 ? "" : "es", cache.c_str(),
+                static_cast<unsigned long long>(pushed.rows),
+                static_cast<unsigned long long>(pushed.duplicates),
+                canonical.parseErrors());
 }
 
 /** This binary's path for re-exec; /proc/self/exe survives PATH
@@ -455,9 +462,11 @@ runSweep(const Options &opt, const std::string &cache)
     return 0;
 }
 
-/** Fleet worker: lease run-key ranges until the grid drains. */
+/** Fleet worker: lease run-key ranges until the grid drains. It
+ *  keeps its rows in memory and pushes each one to the coordinator,
+ *  so it reads and writes no cache file. */
 int
-runFleetWorker(const Options &opt, const std::string &cache)
+runFleetWorker(const Options &opt)
 {
     SimConfig cfg = makeConfig(opt);
     std::vector<RunRequest> requests = buildGrid(opt, cfg);
@@ -465,22 +474,9 @@ runFleetWorker(const Options &opt, const std::string &cache)
 
     FleetClientOptions copts;
     copts.gridSize = requests.size();
-
-    // The client connects before the engine opens its checkpoint so
-    // a restarted worker without one can fetch its stored shard back
-    // from the coordinator first: its pushes then start from that
-    // copy and never shrink it.
     FleetClient client(opt.fleetSocket, index,
                        gridFingerprint(requests), copts);
-    const std::string checkpoint = workerCheckpointPath(cache, index);
-    if (!std::ifstream(checkpoint) &&
-        client.fetchShard(index, checkpoint)) {
-        inform("worker %u: fetched its stored shard back from the "
-               "coordinator",
-               index);
-    }
-
-    SweepEngine engine(cache, FleetWorkerSpec{index});
+    SweepEngine engine{std::string()};
     if (opt.slowMs > 0)
         engine.setInjectedRunDelayMs(opt.slowMs);
     SweepEngine::FleetRunStats st =
@@ -513,8 +509,9 @@ printFleetSummary(const FleetServer &server)
 }
 
 /**
- * Fleet coordinator: plan the pending keys, serve leases, run the
- * workers (forked locally unless @p listen_only), merge at drain.
+ * Fleet coordinator: plan the pending keys from the canonical cache,
+ * serve leases, store every push in that cache, run the workers
+ * (forked locally unless @p listen_only), and join at drain.
  */
 int
 coordinateFleet(const Options &opt, const std::string &cache,
@@ -523,19 +520,18 @@ coordinateFleet(const Options &opt, const std::string &cache,
     const std::string self = selfExePath(argv0);
     SimConfig cfg = makeConfig(opt);
     std::vector<RunRequest> requests = buildGrid(opt, cfg);
-    FleetPlan plan =
-        planFleetSweep(requests, cache, opt.shards, opt.resume);
-    inform("fleet plan: %zu of %zu grid points pending (%zu cached, "
-           "%zu rows recovered from partial shard caches)",
-           plan.pending.size(), requests.size(), plan.cached,
-           plan.resumedRows);
+    // The fleet's one store: the plan reads it, the server appends
+    // every push to its file, and the join compacts it.
+    RunCache canonical(cache);
+    FleetPlan plan = planFleetSweep(requests, canonical);
+    inform("fleet plan: %zu of %zu grid points pending (%zu cached)",
+           plan.pending.size(), requests.size(), plan.cached);
 
     if (plan.pending.empty()) {
-        // Nothing to lease; fold in whatever partial shard files a
-        // previous fleet left behind and call it done. A `--resume`
-        // rerun after a fleet that finished but never merged lands
-        // here: this is the join on its own.
-        printMergeSummary(cache, mergeShardCaches(cache, opt.shards));
+        // Nothing to lease. A rerun after a fleet that stored every
+        // row but died before its join lands here: this is the join
+        // on its own.
+        joinFleet(canonical, cache, FleetServer::PushTotals());
         return 0;
     }
 
@@ -547,7 +543,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
                                  : opt.listenSocket;
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending, fcfg),
-                       gridFingerprint(requests), cache);
+                       gridFingerprint(requests), canonical);
     server.start();
 
     if (listen_only) {
@@ -556,10 +552,11 @@ coordinateFleet(const Options &opt, const std::string &cache,
         const std::string bound = server.boundEndpoint().spec();
         inform("fleet coordinator on %s: %zu keys to lease; start "
                "workers with --fleet %s --shard-index I (I < %u), "
-               "merging when drained",
+               "joining when drained",
                bound.c_str(), plan.pending.size(), bound.c_str(),
                opt.shards);
         while (!server.drained()) {
+            server.exitOnConflict();
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(200));
         }
@@ -567,7 +564,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
         // replies (each closes its connection on exit): stopping the
         // instant the last key retires would turn every worker's
         // final lease request into a connection error. Bounded so a
-        // wedged worker cannot stall the merge.
+        // wedged worker cannot stall the join.
         for (int i = 0; i < 50 && server.liveConnections() > 0; ++i) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(100));
@@ -585,7 +582,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
         children.reserve(opt.shards);
         for (unsigned i = 0; i < opt.shards; ++i) {
             std::vector<std::string> args =
-                workerArgs(self, worker_opt, cache, i, sock);
+                workerArgs(self, worker_opt, i, sock);
             pid_t pid = ::fork();
             fatal_if(pid < 0, "fork failed for worker %u: %s", i,
                      std::strerror(errno));
@@ -606,31 +603,41 @@ coordinateFleet(const Options &opt, const std::string &cache,
         // A dead worker is no longer fatal by itself: its lease
         // expires and the surviving workers absorb the keys. Only an
         // undrained queue after every worker exited means real loss.
+        // Workers are reaped in exit order, so one refused for a
+        // conflicting push (it exits at once) fails the sweep now.
         unsigned failed = 0;
-        for (unsigned i = 0; i < children.size(); ++i) {
+        for (std::size_t left = children.size(); left > 0; --left) {
             int status = 0;
-            if (::waitpid(children[i], &status, 0) < 0 ||
-                !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-                warn("fleet worker %u (pid %d) died (status %d); "
-                     "its unfinished leases return to the queue", i,
-                     static_cast<int>(children[i]), status);
+            const pid_t pid = ::waitpid(-1, &status, 0);
+            if (pid < 0)
+                break;
+            server.exitOnConflict();
+            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+                const auto idx =
+                    std::find(children.begin(), children.end(), pid) -
+                    children.begin();
+                warn("fleet worker %d (pid %d) died (status %d); "
+                     "its unfinished leases return to the queue",
+                     static_cast<int>(idx), static_cast<int>(pid),
+                     status);
                 ++failed;
             }
         }
         if (failed > 0 && !server.drained()) {
             server.stop();
             fatal("%u fleet worker%s died with %zu key%s still "
-                  "unfinished; completed runs are stored in the "
-                  "shard caches - re-run with --resume to finish "
-                  "the rest",
+                  "unfinished; every row pushed so far is in %s - "
+                  "rerun the same command to finish the rest",
                   failed, failed == 1 ? "" : "s",
                   server.pendingCount(),
-                  server.pendingCount() == 1 ? "" : "s");
+                  server.pendingCount() == 1 ? "" : "s",
+                  cache.c_str());
         }
     }
 
+    server.exitOnConflict();
     fatal_if(!server.drained(),
-             "fleet queue not drained; re-run with --resume");
+             "fleet queue not drained; rerun the same command");
     server.stop();
     printFleetSummary(server);
     if (server.expiredLeases() > 0) {
@@ -639,7 +646,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
                    server.expiredLeases()),
                server.expiredLeases() == 1 ? "" : "s");
     }
-    printMergeSummary(cache, mergeShardCaches(cache, opt.shards));
+    joinFleet(canonical, cache, server.pushTotals());
     return 0;
 }
 
@@ -654,13 +661,17 @@ main(int argc, char **argv)
     fatal_if(opt.manifest && opt.shards == 0,
              "--manifest needs --shards");
     fatal_if(!opt.listenSocket.empty() && opt.shards == 0,
-             "--listen needs --shards (the merge scans shard files "
-             "0..N-1, and workers must use indices below N)");
+             "--listen needs --shards (workers must use indices "
+             "below N)");
+
+    // Fleet workers keep their rows in memory: the cache path only
+    // matters to the other roles.
+    if (!opt.fleetSocket.empty())
+        return runFleetWorker(opt);
 
     const std::string cache = resolveCachePath(opt);
-    fatal_if(cache.empty() &&
-                 (opt.shards > 0 || !opt.fleetSocket.empty()),
-             "fleet sweeps need a cache file to merge "
+    fatal_if(cache.empty() && opt.shards > 0,
+             "a fleet needs a cache file to store its results in "
              "(unset MIGC_NO_CACHE or pass --cache)");
 
     if (opt.convert || !opt.exportPath.empty()) {
@@ -696,8 +707,9 @@ main(int argc, char **argv)
         std::printf(
             "# elastic fleet: start the coordinator first (it owns "
             "the lease queue\n"
-            "# and merges at drain), then one worker per index%s\n"
-            "# (workers push their shards over the socket):\n",
+            "# and the cache), then one worker per index%s\n"
+            "# (workers push their rows over the socket and need no "
+            "cache file):\n",
             tcp ? " on any host that can reach it" : " on the same host");
         std::vector<std::string> coord{
             self,           "--grid",  opt.grid,
@@ -712,25 +724,18 @@ main(int argc, char **argv)
             coord.push_back("--policies");
             coord.push_back(joinStrings(opt.policies, ","));
         }
-        if (opt.resume)
-            coord.push_back("--resume");
         std::printf("%s\n", shellJoin(coord).c_str());
         for (unsigned i = 0; i < opt.shards; ++i)
             std::printf(
                 "%s\n",
-                shellJoin(workerArgs(self, opt, cache, i, sock))
-                    .c_str());
+                shellJoin(workerArgs(self, opt, i, sock)).c_str());
         std::printf(
-            "# after a crash, rerun the coordinator line with "
-            "--resume: only keys\n"
-            "# absent from the canonical cache and the stored "
-            "<cache>.shard* files\n"
-            "# are re-enqueued\n");
+            "# after a crash, rerun the coordinator line: every "
+            "acknowledged push is\n"
+            "# in the cache, so only the keys it lacks are "
+            "re-enqueued\n");
         return 0;
     }
-
-    if (!opt.fleetSocket.empty())
-        return runFleetWorker(opt, cache);
 
     if (!opt.listenSocket.empty())
         return coordinateFleet(opt, cache, argv[0],

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 
 #include "core/cache_v4.hh"
-#include "core/shard.hh"
+#include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "sim/logging.hh"
 
@@ -208,8 +206,8 @@ FleetQueue::done(unsigned worker, std::uint64_t id, std::uint32_t key,
     }
 
     // The lease is gone (expired) or the key was stolen out of it,
-    // but the worker really did finish the run and its row is
-    // checkpointed in its shard cache. The result is as good as any
+    // but the worker really did finish the run and pushed its row
+    // before this done. The result is as good as any
     // other - re-execution is byte-identical - so retire the key
     // wherever it currently lives: still pending, or inside another
     // lease (whose holder will learn at its next renew, and at worst
@@ -312,45 +310,12 @@ parseU64Strict(const std::string &tok, std::uint64_t &out)
     return true;
 }
 
-/** Write @p bytes at @p path via tmp+rename (the shard-cache
- *  discipline: readers never observe a half-written file). */
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes,
-                std::string *error)
-{
-    const std::string tmp = path + ".pushtmp";
-    {
-        std::ofstream out(tmp,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            *error = csprintf("cannot open %s for writing",
-                              tmp.c_str());
-            return false;
-        }
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            *error = csprintf("short write to %s", tmp.c_str());
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        *error = csprintf("rename %s -> %s failed", tmp.c_str(),
-                          path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 FleetServer::FleetServer(std::string endpoint_spec, FleetQueue queue,
-                         std::uint64_t grid_hash, std::string cache_base)
+                         std::uint64_t grid_hash, RunCache &store)
     : path_(std::move(endpoint_spec)), queue_(std::move(queue)),
-      gridHash_(grid_hash), storeBase_(std::move(cache_base))
+      gridHash_(grid_hash), store_(store)
 {}
 
 FleetServer::~FleetServer()
@@ -419,16 +384,14 @@ FleetServer::serveConnection(std::shared_ptr<Stream> stream)
         while ((nl = buf.find('\n')) != std::string::npos) {
             const std::string line = buf.substr(0, nl);
             buf.erase(0, nl + 1);
-            // push and fetch carry a raw payload on the connection,
-            // so they dispatch here where the stream is in hand;
-            // every pure-line verb goes through handleLine.
+            // push carries a raw payload on the connection, so it
+            // dispatches here where the stream is in hand; every
+            // pure-line verb goes through handleLine.
             ServeRequest req = parseServeRequest(line);
             std::string reply;
             if (req.kind == ServeRequest::Kind::push) {
                 if (!handlePush(req, buf, *stream, reply))
                     return;
-            } else if (req.kind == ServeRequest::Kind::fetch) {
-                reply = handleFetch(req);
             } else {
                 reply = handleLine(line);
             }
@@ -474,44 +437,78 @@ FleetServer::handlePush(const ServeRequest &req, std::string &buf,
         return true;
     }
 
-    std::lock_guard<std::mutex> lk(storeMu_);
-    const std::string dest = shardCachePath(storeBase_, req.worker);
-    std::string error;
-    if (!writeFileAtomic(dest, payload, &error)) {
-        reply = csprintf("# error: push store failed: %s\n",
-                         error.c_str());
+    // Only one v4 segment may reach the store: another format,
+    // several segments or trailing bytes are refused whole.
+    // parseV4Segment reads typed columns, so it parses an 8-byte
+    // aligned copy.
+    std::vector<std::uint64_t> words((payload.size() + 7) / 8);
+    if (!payload.empty())
+        std::memcpy(words.data(), payload.data(), payload.size());
+    V4SegmentView seg;
+    std::string why;
+    if (!parseV4Segment(reinterpret_cast<const char *>(words.data()),
+                        payload.size(), seg, &why) ||
+        seg.bytes != payload.size()) {
+        if (why.empty()) {
+            why = csprintf("%zu bytes follow the segment",
+                           payload.size() - seg.bytes);
+        }
+        reply = csprintf("# error: push payload is not one v4 "
+                         "segment (%s); %llu bytes dropped\n",
+                         why.c_str(),
+                         static_cast<unsigned long long>(req.bytes));
         return true;
     }
-    ++pushesStored_;
+
+    std::lock_guard<std::mutex> lk(storeMu_);
+    const RunCache::MergeStats merged = store_.mergeSegment(seg);
+    if (merged.conflicts > 0) {
+        // Rows are a pure function of their key, so a second,
+        // different row for one key means mismatched builds or a
+        // nondeterministic simulator: nothing of this push is kept,
+        // and the coordinator fails (exitOnConflict).
+        const std::string what = csprintf(
+            "push from worker %u: the row for %s differs from the "
+            "stored row for the same (config, workload, policy) - "
+            "the workers did not run the same deterministic sweep; "
+            "refused the whole push",
+            req.worker, merged.firstConflict.c_str());
+        if (conflict_.empty())
+            conflict_ = what;
+        reply = "# error: push conflict: " + what + "\n";
+        return true;
+    }
+    // `# pushed` promises the rows are in the file: append them (the
+    // first write, or one after a torn tail, compacts instead).
+    if (!store_.checkpoint()) {
+        reply = "# error: push store failed: the canonical cache "
+                "could not be written\n";
+        return true;
+    }
+    pushTotals_.pushes += 1;
+    pushTotals_.rows += merged.rows;
+    pushTotals_.duplicates += merged.duplicates;
     reply = csprintf("# pushed %llu\n",
                      static_cast<unsigned long long>(req.bytes));
     return true;
 }
 
-std::string
-FleetServer::handleFetch(const ServeRequest &req)
+FleetServer::PushTotals
+FleetServer::pushTotals() const
 {
     std::lock_guard<std::mutex> lk(storeMu_);
-    const std::string path = shardCachePath(storeBase_, req.worker);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "# none\n";
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string bytes = ss.str();
-    std::string reply = csprintf(
-        "# shard %zu %llu\n", bytes.size(),
-        static_cast<unsigned long long>(
-            v4Checksum(bytes.data(), bytes.size())));
-    reply += bytes;
-    return reply;
+    return pushTotals_;
 }
 
-std::uint64_t
-FleetServer::pushesStored() const
+void
+FleetServer::exitOnConflict() const
 {
-    std::lock_guard<std::mutex> lk(storeMu_);
-    return pushesStored_;
+    std::string what;
+    {
+        std::lock_guard<std::mutex> lk(storeMu_);
+        what = conflict_;
+    }
+    fatal_if(!what.empty(), "%s", what.c_str());
 }
 
 std::string
@@ -576,11 +573,10 @@ FleetServer::handleLine(const std::string &line)
       case ServeRequest::Kind::error:
         return csprintf("# error: %s\n", req.error.c_str());
       case ServeRequest::Kind::push:
-      case ServeRequest::Kind::fetch:
-        // Their payload framing needs the connection stream;
-        // serveConnection dispatches them before reaching here.
-        return "# error: push/fetch need a socket connection (their "
-               "payload follows the request line)\n";
+        // Its payload framing needs the connection stream;
+        // serveConnection dispatches it before reaching here.
+        return "# error: push needs a socket connection (its payload "
+               "follows the request line)\n";
       default:
         // get/match/wait/help are serve-layer verbs; a fleet
         // coordinator has no cache to answer them from.
@@ -709,24 +705,6 @@ FleetClient::readLineLocked(std::string &line)
     }
     line = rxBuf_.substr(0, nl);
     rxBuf_.erase(0, nl + 1);
-    return true;
-}
-
-bool
-FleetClient::readExactLocked(std::string &out, std::size_t n)
-{
-    const std::size_t from_buf = std::min(rxBuf_.size(), n);
-    out.assign(rxBuf_, 0, from_buf);
-    rxBuf_.erase(0, from_buf);
-    char chunk[65536];
-    while (out.size() < n) {
-        const std::size_t want =
-            std::min(sizeof(chunk), n - out.size());
-        ssize_t r = stream_->read(chunk, want);
-        if (r <= 0)
-            return false;
-        out.append(chunk, static_cast<std::size_t>(r));
-    }
     return true;
 }
 
@@ -905,10 +883,10 @@ FleetClient::done(std::uint64_t id, std::uint32_t key)
 }
 
 void
-FleetClient::pushShard(std::uint64_t id, const std::string &bytes)
+FleetClient::pushSegment(std::uint64_t id, const std::string &bytes)
 {
     fatal_if(bytes.size() > kServeMaxPushBytes,
-             "shard cache is %zu bytes; the push protocol caps "
+             "push segment is %zu bytes; the push protocol caps "
              "uploads at %llu",
              bytes.size(),
              static_cast<unsigned long long>(kServeMaxPushBytes));
@@ -943,76 +921,18 @@ FleetClient::pushShard(std::uint64_t id, const std::string &bytes)
         }
         if (reply == want)
             return;
-        // Checksum mismatch, a refusal, or a desynced reply: the
+        // A conflict is a verdict on the rows, not on the frame: a
+        // retransmit would be refused the same way.
+        fatal_if(reply.rfind("# error: push conflict", 0) == 0,
+                 "fleet push refused: %s", reply.c_str());
+        // Checksum mismatch, a failed store, or a desynced reply: the
         // frame did not land as sent; retransmit whole.
         error = reply;
         dropConnectionLocked();
     }
-    fatal("shard push (%zu bytes) to %s failed after %u attempts: "
-          "%s",
+    fatal("push (%zu bytes) to %s failed after %u attempts: %s",
           bytes.size(), ep_.spec().c_str(), opts_.maxRetries + 1,
           error.c_str());
-}
-
-bool
-FleetClient::fetchShard(unsigned shard, const std::string &dest)
-{
-    const std::string request = csprintf("fetch %u\n", shard);
-    std::lock_guard<std::mutex> lk(txnMu_);
-    std::string error = "not connected";
-    for (unsigned attempt = 0; attempt <= opts_.maxRetries;
-         ++attempt) {
-        if (attempt > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-        }
-        if (stream_ == nullptr && !reconnectLocked(&error))
-            continue;
-        if (!stream_->writeAll(request)) {
-            error = "connection lost mid-request";
-            dropConnectionLocked();
-            continue;
-        }
-        std::string reply;
-        if (!readLineLocked(reply)) {
-            error = "connection lost before the fetch reply";
-            dropConnectionLocked();
-            continue;
-        }
-        if (reply == "# none")
-            return false;
-        std::vector<std::string> tok = serveTokens(reply);
-        std::uint64_t nbytes = 0, cksum = 0;
-        if (tok.size() != 4 || tok[0] != "#" || tok[1] != "shard" ||
-            !parseU64Strict(tok[2], nbytes) ||
-            nbytes > kServeMaxPushBytes ||
-            !parseU64Strict(tok[3], cksum)) {
-            error = reply;
-            dropConnectionLocked();
-            continue;
-        }
-        std::string payload;
-        if (!readExactLocked(payload,
-                             static_cast<std::size_t>(nbytes))) {
-            error = "connection lost mid-download";
-            dropConnectionLocked();
-            continue;
-        }
-        if (v4Checksum(payload.data(), payload.size()) != cksum) {
-            error = "fetched payload failed its checksum";
-            dropConnectionLocked();
-            continue;
-        }
-        std::string write_error;
-        fatal_if(!writeFileAtomic(dest, payload, &write_error),
-                 "cannot store fetched shard %u at %s: %s", shard,
-                 dest.c_str(), write_error.c_str());
-        return true;
-    }
-    fatal("shard %u fetch from %s failed after %u attempts: %s",
-          shard, ep_.spec().c_str(), opts_.maxRetries + 1,
-          error.c_str());
-    return false;
 }
 
 bool

@@ -1,13 +1,11 @@
 /**
  * @file
- * The elastic shard fleet: a lease-based work queue that replaces the
- * static run-key partition for coordinated multi-process sweeps.
+ * The elastic fleet: a lease-based work queue for coordinated
+ * multi-process sweeps.
  *
- * PR 5's sharding split a grid by a stable key hash - correct and
- * coordinator-free, but static: one slow or crashed worker owns its
- * slice forever, so the sweep makespan is the straggler's wall
- * clock. The fleet keeps the same workers, cache files, and merge
- * join, and replaces only the *assignment*: a coordinator owns the
+ * A static split of the grid by key hash would let one slow or
+ * crashed worker own its slice forever, so the sweep makespan would
+ * be the straggler's wall clock. Instead a coordinator owns the
  * ordered run-key list (longest-estimated-job-first) and workers
  * lease small ranges of it over a socket (AF_UNIX or TCP, see
  * serve/transport.hh), so assignment follows measured progress
@@ -29,38 +27,41 @@
  *  - Crash-safe expiry. A worker that misses its renew deadline
  *    (SIGKILL, hang, dropped socket) has its remaining keys silently
  *    requeued. Its finished rows are already in the coordinator's
- *    store (see push below), and re-execution of an unreported key
- *    is byte-identical (the run-identity contract), so the
- *    coordinator merge dedupes any overlap - a killed worker costs
- *    only its unleased tail.
+ *    file (see push below), and re-execution of an unreported key is
+ *    byte-identical (the run-identity contract), so the coordinator
+ *    dedupes any overlap - a killed worker costs only its unleased
+ *    tail.
  *
  * FleetQueue is the deterministic core: no clock, no socket, no
  * thread - every call takes `now` in milliseconds, so unit tests
  * replay lease/steal/expiry schedules exactly. FleetServer wraps it
  * in a socket front end (serve_protocol verbs `lease`/`done`/
- * `renew`/`stats`/`push`/`fetch`); FleetClient is the worker side
- * used by SweepEngine::runFleet.
+ * `renew`/`stats`/`push`); FleetClient is the worker side used by
+ * SweepEngine::runFleet.
  *
- * Shard bytes travel one way, the same for a local fleet and a
+ * Result rows travel one way, the same for a local fleet and a
  * multi-host one (a `tcp:<host>:<port>` endpoint instead of a socket
  * path - both sides parse the spec through serve/transport.hh). A
- * worker checkpoints to a private file (workerCheckpointPath) and
- * the `push` verb uploads that whole file to the coordinator
- * (cache_v4-checksummed), which stores it tmp+rename as the worker's
- * shard (shardCachePath) - the only shard file the drain-time merge
- * and `--resume` read, and one no worker ever writes. Workers push
- * *before* each `done`, one push at a time, so a reported key is
- * always in the store and the stored copy only grows. `fetch`
- * streams a stored copy back, so a restarted worker resumes from its
- * own pre-crash shard instead of pushing a smaller one over it.
+ * worker keeps its rows in memory and writes no file; for each key
+ * it finishes, it `push`es one v4 segment holding that key's row
+ * (cache_v4-checksummed) *before* its `done`. The coordinator checks
+ * the checksum and that the payload is exactly one v4 segment,
+ * merges it into the one RunCache it opened on the canonical cache,
+ * and appends it to that file before replying `# pushed` - so a
+ * reported key is always in the canonical file, a coordinator crash
+ * loses nothing it acknowledged (a rerun plans from that file), and
+ * the join at drain is the cache's ordinary compaction. A pushed row
+ * that differs from the stored row for its key is refused whole,
+ * named in the reply, and fails the coordinator: the workers did
+ * not run the same deterministic sweep.
  *
  * FleetClient treats the connection as disposable: any transport
  * error, torn frame, or reply that fails validation drops the
  * socket, reconnects, and retransmits (bounded; then fatal with the
  * last error). Every verb is idempotent under retry - a duplicated
- * `done` is counted stale, a re-pushed file overwrites byte-identical
- * content, an orphaned lease expires - which is what the
- * fault-injection suite (tests/test_fleet_faults.cc) leans on.
+ * `done` is counted stale, a re-pushed segment merges as duplicates,
+ * an orphaned lease expires - which is what the fault-injection
+ * suite (tests/test_fleet_faults.cc) leans on.
  *
  * The pure makespan-model functions at the bottom replay measured
  * per-run costs through static-vs-stealing fleets;
@@ -89,6 +90,7 @@ namespace migc
 {
 
 struct ServeRequest; // serve/serve_protocol.hh
+class RunCache;      // core/sweep_engine.hh
 
 /** Tuning for a fleet sweep; the coordinator's flags land here. */
 struct FleetConfig
@@ -169,11 +171,10 @@ class FleetQueue
     /**
      * Worker @p worker finished grid index @p key under lease @p id.
      * A completion is accepted even when the lease has expired or
-     * the key was stolen and re-leased elsewhere - the row is
-     * already checkpointed in the worker's shard cache and
-     * re-execution is byte-identical, so the first completion wins
-     * and later ones are counted stale. @return true when this call
-     * retired the key.
+     * the key was stolen and re-leased elsewhere - the row was
+     * pushed before the `done` and re-execution is byte-identical,
+     * so the first completion wins and later ones are counted
+     * stale. @return true when this call retired the key.
      */
     bool done(unsigned worker, std::uint64_t id, std::uint32_t key,
               std::uint64_t now);
@@ -268,10 +269,10 @@ std::uint64_t fleetNowMs();
  * serve/transport.hh), accepts any number of workers, and answers
  * the `lease`/`done`/`renew`/`stats` verbs of the serve protocol
  * (serve_protocol.hh), one request line per response, plus `push`
- * (store a checksummed shard upload at shardCachePath) and `fetch`
- * (stream a stored shard back). All queue access is serialized on
- * one mutex; `handleLine` is also public so tests can drive the line
- * protocol without a socket.
+ * (merge a checksummed one-segment upload into the store and append
+ * it to the store's file). All queue access is serialized on one
+ * mutex and all store access on another; `handleLine` is also
+ * public so tests can drive the line protocol without a socket.
  */
 class FleetServer
 {
@@ -279,12 +280,13 @@ class FleetServer
     /** @p grid_hash fingerprints the coordinator's request grid
      *  (gridFingerprint in sweep_engine.hh); a worker whose `lease`
      *  carries a different hash built a different grid and is
-     *  refused rather than handed meaningless indices. Pushed shards
-     *  are stored at shardCachePath(@p cache_base, worker) with
-     *  tmp+rename, where the drain-time merge and a later `--resume`
-     *  read them. */
+     *  refused rather than handed meaningless indices. Pushes merge
+     *  into @p store - the cache the coordinator opened on the
+     *  canonical file and planned from - and are appended to its
+     *  file before they are acknowledged. The caller must not touch
+     *  @p store until stop() returns. */
     FleetServer(std::string endpoint_spec, FleetQueue queue,
-                std::uint64_t grid_hash, std::string cache_base);
+                std::uint64_t grid_hash, RunCache &store);
 
     ~FleetServer();
 
@@ -300,8 +302,8 @@ class FleetServer
      *  Idempotent; the destructor calls it. */
     void stop();
 
-    /** Answer one protocol line (thread-safe). push/fetch are
-     *  refused here - their framing needs the connection stream. */
+    /** Answer one protocol line (thread-safe). push is refused
+     *  here - its framing needs the connection stream. */
     std::string handleLine(const std::string &line);
 
     bool drained() const;
@@ -315,8 +317,21 @@ class FleetServer
      *  after start(). */
     const Endpoint &boundEndpoint() const { return listener_.bound(); }
 
-    /** Shard files stored via `push` (accounting for the join). */
-    std::uint64_t pushesStored() const;
+    /** What `push` stored (accounting for the join summary). */
+    struct PushTotals
+    {
+        std::uint64_t pushes = 0;     ///< pushes acknowledged
+        std::uint64_t rows = 0;       ///< rows they added
+        std::uint64_t duplicates = 0; ///< rows already stored
+    };
+
+    PushTotals pushTotals() const;
+
+    /** Exit non-zero, naming the key, once a push was refused for
+     *  conflicting with a stored row; otherwise return. The
+     *  coordinator calls it while it waits, so a conflict fails the
+     *  sweep at its first conflicting push. */
+    void exitOnConflict() const;
 
     /** Connections currently being served. A drained coordinator
      *  lingers until this hits zero (bounded) so every worker's
@@ -335,16 +350,16 @@ class FleetServer
      *  store. False when the connection died mid-payload. */
     bool handlePush(const ServeRequest &req, std::string &buf,
                     Stream &stream, std::string &reply);
-    std::string handleFetch(const ServeRequest &req);
 
     std::string path_;
     mutable std::mutex mu_;
     FleetQueue queue_;
     std::uint64_t gridHash_;
 
-    std::string storeBase_; ///< canonical cache the store belongs to
-    mutable std::mutex storeMu_;
-    std::uint64_t pushesStored_ = 0;
+    mutable std::mutex storeMu_; ///< guards store_ and what follows
+    RunCache &store_;
+    PushTotals pushTotals_;
+    std::string conflict_; ///< first refused conflict (exitOnConflict)
 
     Listener listener_;
     std::atomic<std::size_t> liveConns_{0};
@@ -412,16 +427,12 @@ class FleetClient
      *  already counted the key (stale). */
     bool done(std::uint64_t id, std::uint32_t key);
 
-    /** Upload @p bytes (the worker's current checkpoint file) under
-     *  lease @p id; the coordinator stores it at shardCachePath.
-     *  Retries like every other verb; fatal when the coordinator
-     *  repeatedly refuses the frame. */
-    void pushShard(std::uint64_t id, const std::string &bytes);
-
-    /** Download the coordinator's stored copy of shard @p shard into
-     *  @p dest (tmp+rename). @return false when the coordinator has
-     *  no stored file for that shard. */
-    bool fetchShard(unsigned shard, const std::string &dest);
+    /** Upload @p segment (one v4 segment holding the rows of keys
+     *  just finished) under lease @p id; once it returns, the rows
+     *  are in the coordinator's file. Retries like every other verb;
+     *  fatal at once when the coordinator refuses the segment as a
+     *  conflict, and when it keeps refusing the frame. */
+    void pushSegment(std::uint64_t id, const std::string &segment);
 
     /** Is @p key still this worker's to run under lease @p id? False
      *  once the key was completed, stolen, or the lease went stale. */
@@ -452,10 +463,6 @@ class FleetClient
     /** Read one '\n'-terminated line from stream_ into rxBuf_;
      *  empty on connection loss. txnMu_ held. */
     bool readLineLocked(std::string &line);
-
-    /** Read exactly @p n payload bytes (rxBuf_ first). txnMu_
-     *  held. */
-    bool readExactLocked(std::string &out, std::size_t n);
 
     void dropConnectionLocked();
     bool reconnectLocked(std::string *error);

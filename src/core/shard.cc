@@ -1,18 +1,11 @@
 #include "core/shard.hh"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
-#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "core/cache_v4.hh"
 #include "core/sweep_engine.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -20,50 +13,6 @@
 
 namespace migc
 {
-
-namespace
-{
-
-long
-fileSize(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return -1;
-    std::fseek(f, 0, SEEK_END);
-    const long n = std::ftell(f);
-    std::fclose(f);
-    return n;
-}
-
-/**
- * Map @p path as one clean v4 segment. Anything else - v3 text,
- * checkpoint appends (every pushed shard has them), a torn tail - is
- * first compacted in place through RunCache: the load keeps every
- * parseable row and counts the rest into @p stats, and saveNow()
- * rewrites the file as the one canonical segment of that row set.
- */
-std::shared_ptr<const MappedCacheV4>
-mapCompacted(const std::string &path, ShardMergeStats &stats)
-{
-    std::string why;
-    if (auto file = MappedCacheV4::map(path, &why))
-        return file;
-    {
-        RunCache rc(path);
-        stats.parseErrors += rc.parseErrors();
-        fatal_if(!rc.saveNow(),
-                 "could not compact %s for the merge; shard inputs "
-                 "left on disk",
-                 path.c_str());
-    }
-    auto file = MappedCacheV4::map(path, &why);
-    panic_if(file == nullptr, "compacted cache %s does not map: %s",
-             path.c_str(), why.c_str());
-    return file;
-}
-
-} // namespace
 
 std::uint64_t
 runKeyHash(const std::string &sig, const std::string &workload,
@@ -102,187 +51,19 @@ rejectRemovedEnv()
     }
 }
 
-std::string
-shardCachePath(const std::string &base, unsigned index)
-{
-    return csprintf("%s.shard%u", base.c_str(), index);
-}
-
-std::string
-workerCheckpointPath(const std::string &base, unsigned index)
-{
-    return csprintf("%s.worker%u", base.c_str(), index);
-}
-
-ShardMergeStats
-mergeShardCaches(const std::string &base, unsigned shards)
-{
-    fatal_if(base.empty(),
-             "cannot merge shard caches without a cache path "
-             "(MIGC_NO_CACHE sweeps leave nothing to merge)");
-    fatal_if(shards < 1, "cannot merge zero shards");
-
-    struct Input
-    {
-        std::string path;
-        std::shared_ptr<const MappedCacheV4> file;
-        std::size_t next = 0;
-        bool shard = false; ///< counts toward stats.rows
-    };
-    using MergeKey = std::tuple<std::string_view, std::string_view,
-                                std::string_view>;
-
-    ShardMergeStats stats;
-    std::vector<Input> inputs;
-    std::vector<std::string> consumed;
-    if (fileSize(base) > 0)
-        inputs.push_back(Input{base, mapCompacted(base, stats), 0, false});
-    for (unsigned i = 0; i < shards; ++i) {
-        const std::string path = shardCachePath(base, i);
-        const long bytes = fileSize(path);
-        if (bytes < 0)
-            continue;
-        stats.files += 1;
-        consumed.push_back(path);
-        // A zero-length file is a legitimate empty cache: merged as
-        // zero rows and consumed like any other shard input.
-        if (bytes > 0)
-            inputs.push_back(
-                Input{path, mapCompacted(path, stats), 0, true});
-    }
-
-    // One k-way walk over the mapped, sorted key columns - no
-    // RunCache, no per-row map inserts, no materialized RunMetrics.
-    // Earlier inputs win ties (canonical first, then shard 0..N-1),
-    // identical losing rows count as duplicates, and a differing row
-    // for the same key is fatal before anything is written or
-    // removed.
-    auto keyOf = [](const Input &in, std::size_t idx) {
-        const V4SegmentView &seg = in.file->segment();
-        const V4Key &k = seg.keys[idx];
-        return MergeKey{seg.str(k.sig), seg.str(k.workload),
-                        seg.str(k.policy)};
-    };
-
-    std::vector<V4RowRef> out;
-    {
-        std::size_t total = 0;
-        for (const Input &in : inputs)
-            total += in.file->rows();
-        out.reserve(total);
-    }
-    for (;;) {
-        // Smallest live key across the input heads; the earliest
-        // input breaks ties, so canonical rows take priority over
-        // shard rows.
-        int winner = -1;
-        MergeKey best;
-        for (std::size_t j = 0; j < inputs.size(); ++j) {
-            const Input &in = inputs[j];
-            if (in.next >= in.file->rows())
-                continue;
-            MergeKey key = keyOf(in, in.next);
-            if (winner < 0 || key < best) {
-                winner = static_cast<int>(j);
-                best = key;
-            }
-        }
-        if (winner < 0)
-            break;
-        Input &win = inputs[winner];
-        const V4Row &wrow = win.file->segment().rows[win.next];
-        out.push_back(V4RowRef{std::get<0>(best), std::get<1>(best),
-                               std::get<2>(best), wrow});
-        if (win.shard)
-            stats.rows += 1;
-        ++win.next;
-        // Retire every other input's copy of this key.
-        for (std::size_t j = 0; j < inputs.size(); ++j) {
-            Input &in = inputs[j];
-            if (static_cast<int>(j) == winner ||
-                in.next >= in.file->rows() ||
-                keyOf(in, in.next) != best)
-                continue;
-            const V4Row &lrow = in.file->segment().rows[in.next];
-            // Bitwise equality is the common deterministic case; on
-            // a mismatch, compare the serialized rows, so a bit
-            // pattern that formats identically (e.g. -0.0 vs 0.0)
-            // still counts as a duplicate rather than aborting the
-            // join.
-            if (std::memcmp(&lrow, &wrow, sizeof(V4Row)) == 0 ||
-                in.file->materialize(in.next).toCsv() ==
-                    win.file->materialize(win.next - 1).toCsv()) {
-                stats.duplicates += 1;
-            } else {
-                fatal("shard cache %s: row for %s/%s conflicts with "
-                      "%s for the same (config, workload, policy) - "
-                      "the shards did not run the same deterministic "
-                      "sweep; refusing to merge (inputs left on "
-                      "disk)",
-                      in.path.c_str(),
-                      std::string(std::get<1>(best)).c_str(),
-                      std::string(std::get<2>(best)).c_str(),
-                      win.path.c_str());
-            }
-            ++in.next;
-        }
-    }
-
-    // The shard inputs are only consumed once the canonical file is
-    // safely on disk; a failed write (full disk, unwritable
-    // directory) must not cost the workers their results.
-    const std::string merged = buildV4Segment(out);
-    const std::string tmp = csprintf("%s.%d.tmp", base.c_str(),
-                                     static_cast<int>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    bool ok = f != nullptr;
-    if (ok) {
-        ok = std::fwrite(merged.data(), 1, merged.size(), f) ==
-             merged.size();
-        ok = (std::fclose(f) == 0) && ok;
-    }
-    if (ok && std::rename(tmp.c_str(), base.c_str()) != 0)
-        ok = false;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        fatal("could not write merged cache %s; shard inputs left "
-              "on disk",
-              base.c_str());
-    }
-    for (const std::string &path : consumed)
-        std::remove(path.c_str());
-    return stats;
-}
-
 FleetPlan
 planFleetSweep(const std::vector<RunRequest> &requests,
-               const std::string &cache, unsigned shards, bool resume)
+               const RunCache &canonical)
 {
-    fatal_if(shards < 1, "cannot plan a fleet of zero workers");
-
-    // Memory-only probe cache: union the canonical file (and, on
-    // resume, the stored shards) without ever writing - the shard
-    // files must stay on disk untouched until the join merge
-    // consumes them.
-    RunCache probe{std::string()};
-    if (!cache.empty())
-        probe.mergeFile(cache);
-
     FleetPlan plan;
     plan.costs.assign(requests.size(), 0.0);
-    if (!cache.empty() && resume) {
-        std::size_t before = probe.size();
-        for (unsigned i = 0; i < shards; ++i)
-            probe.mergeFile(shardCachePath(cache, i));
-        plan.resumedRows = probe.size() - before;
-    }
 
     std::map<std::tuple<std::string, std::string, std::string>, bool>
         seen;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const RunRequest &req = requests[i];
         const std::string sig = req.cfg.signature();
-        if (probe.find(sig, req.workload, req.policy) != nullptr) {
+        if (canonical.find(sig, req.workload, req.policy) != nullptr) {
             ++plan.cached;
             continue;
         }
@@ -293,7 +74,7 @@ planFleetSweep(const std::vector<RunRequest> &requests,
                           true)
                  .second)
             continue;
-        double est = probe.estimateEvents(req.workload, req.policy);
+        double est = canonical.estimateEvents(req.workload, req.policy);
         if (est <= 0.0) {
             est = static_cast<double>(
                 makeWorkload(req.workload)

@@ -208,11 +208,10 @@ RunCache::mergeTextFile(const std::string &path,
     }
     std::string line;
     // Scan past blank lines for the format tag; running out of lines
-    // first means the file is empty. A zero-length shard file is a
-    // legitimate empty cache, not a corrupt one - a fleet worker
-    // SIGKILL'd before its first checkpoint can leave one behind,
-    // and its slice must merge as zero rows: no parse error, no
-    // format warning, nothing for the coordinator join to trip on.
+    // first means the file is empty. A zero-length file is a
+    // legitimate empty cache, not a corrupt one (a process killed
+    // between creating and writing it leaves one behind), so it
+    // merges as zero rows: no parse error, no format warning.
     for (;;) {
         if (!std::getline(in, line)) {
             if (path == path_)
@@ -257,10 +256,9 @@ RunCache::mergeTextFile(const std::string &path,
         if (in_section && RunMetrics::fromCsv(line, m)) {
             // Rows already in memory win; for a key both sides hold,
             // determinism says the values must be identical, so an
-            // actual difference is worth counting (and, for a
-            // coordinator merge, fatal - see mergeShardCaches). The
-            // collision cases are rare, so rows only re-serialize
-            // for comparison when the key already exists.
+            // actual difference is worth counting. The collision
+            // cases are rare, so rows only re-serialize for
+            // comparison when the key already exists.
             const RunMetrics *held = find(sig, m.workload, m.policy);
             if (held == nullptr) {
                 appendRow(sig, std::move(m), durable);
@@ -275,8 +273,8 @@ RunCache::mergeTextFile(const std::string &path,
         } else if (badLines_.insert(path + '\n' + line).second) {
             // Each damaged line counts once per source file: a later
             // checkpoint save re-reading the same file dedupes, but
-            // the same damaged text in two different shard files is
-            // two lost rows.
+            // the same damaged text in two different files is two
+            // lost rows.
             ++stats.parseErrors;
             ++parseErrors_;
         }
@@ -347,7 +345,7 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
 void
 RunCache::mergeV4Segment(const V4SegmentView &seg,
                          bool classify_collisions, bool durable,
-                         MergeStats &stats)
+                         MergeStats &stats, bool all_or_nothing)
 {
     const bool bulk =
         log_->empty() && fresh_.empty() && base_->rows() == 0;
@@ -388,6 +386,11 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
         return;
     }
 
+    // Classify every row before merging any, so an all-or-nothing
+    // caller (a fleet push) can refuse a conflicting segment whole.
+    // Keys are unique within a segment (parseV4Segment checked), so
+    // deferring the appends changes no classification.
+    std::vector<std::pair<std::string, RunMetrics>> fresh;
     std::string sig, wl, pol;
     for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
         const V4Key &k = seg.keys[i];
@@ -403,8 +406,7 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
             m.workload = wl;
             m.policy = pol;
             unpackV4Row(seg.rows[i], m);
-            appendRow(sig, std::move(m), durable);
-            ++stats.rows;
+            fresh.emplace_back(sig, std::move(m));
         } else if (!classify_collisions) {
             ++stats.duplicates;
         } else {
@@ -415,11 +417,20 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
             m.workload = wl;
             m.policy = pol;
             unpackV4Row(seg.rows[i], m);
-            if (held->toCsv() == m.toCsv())
+            if (held->toCsv() == m.toCsv()) {
                 ++stats.duplicates;
-            else
-                ++stats.conflicts;
+            } else if (stats.conflicts++ == 0) {
+                stats.firstConflict =
+                    csprintf("%s/%s under config %s", wl.c_str(),
+                             pol.c_str(), sig.c_str());
+            }
         }
+    }
+    if (all_or_nothing && stats.conflicts > 0)
+        return;
+    for (auto &[row_sig, m] : fresh) {
+        appendRow(row_sig, std::move(m), durable);
+        ++stats.rows;
     }
 }
 
@@ -446,6 +457,15 @@ RunCache::mergeFile(const std::string &path)
 {
     MergeStats stats = mergeFromFile(path);
     warnMergeProblems(path, stats);
+    return stats;
+}
+
+RunCache::MergeStats
+RunCache::mergeSegment(const V4SegmentView &seg)
+{
+    MergeStats stats;
+    mergeV4Segment(seg, /*classify_collisions=*/true,
+                   /*durable=*/false, stats, /*all_or_nothing=*/true);
     return stats;
 }
 
@@ -543,32 +563,27 @@ RunCache::appendPending()
     return true;
 }
 
-void
+bool
 RunCache::checkpoint()
 {
     unsaved_ = 0;
     if (!enabled() || pendingAppend_.empty())
-        return;
+        return true;
     const bool appendable = fileState_ == FileState::cleanV4;
     if (appendable && appendPending())
-        return;
+        return true;
     if (appendable) {
         // The append failed partway; the tail is suspect, so only a
         // compacting rewrite may touch the file from here on.
         fileState_ = FileState::other;
     }
-    save();
-}
-
-void
-RunCache::removeFile()
-{
-    if (enabled())
-        std::remove(path_.c_str());
-    unsaved_ = 0;
-    pendingAppend_.clear();
-    appendedSinceCompact_ = false;
-    fileState_ = FileState::absent;
+    if (save())
+        return true;
+    warn("sweep cache %s: checkpoint failed; %zu row%s stay in memory "
+         "until a later write succeeds",
+         path_.c_str(), pendingAppend_.size(),
+         pendingAppend_.size() == 1 ? "" : "s");
+    return false;
 }
 
 const RunMetrics *
@@ -708,24 +723,6 @@ SweepEngine::SweepEngine(std::string cache_path)
     : cachePath_(std::move(cache_path))
 {}
 
-SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
-    : cachePath_(cache_path.empty()
-                     ? cache_path
-                     : workerCheckpointPath(cache_path, fleet.index))
-{
-    if (cache_path.empty()) {
-        warn("fleet worker %u with the cache disabled: its results "
-             "stay in memory and cannot be merged",
-             fleet.index);
-        return;
-    }
-    // Warm-start from the canonical cache into the read-only side
-    // store: points some earlier sweep already merged replay from it
-    // instead of being resimulated, while the checkpoint file stays
-    // limited to the keys this worker is leased.
-    warm_.mergeFile(cache_path);
-}
-
 RunCache &
 SweepEngine::cache() const
 {
@@ -741,31 +738,13 @@ SweepEngine::cacheFileFormat() const
     return cache().loadedFormatName();
 }
 
-const RunMetrics *
-SweepEngine::findCached(const std::string &sig,
-                        const std::string &workload,
-                        const std::string &policy) const
-{
-    if (const RunMetrics *m = cache().find(sig, workload, policy))
-        return m;
-    return warm_.find(sig, workload, policy);
-}
-
-double
-SweepEngine::estimateFor(const std::string &workload,
-                         const std::string &policy) const
-{
-    return std::max(cache().estimateEvents(workload, policy),
-                    warm_.estimateEvents(workload, policy));
-}
-
 SweepEngine::~SweepEngine() = default;
 
 std::size_t
 SweepEngine::cacheParseErrors() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return cache().parseErrors() + warm_.parseErrors();
+    return cache().parseErrors();
 }
 
 const RunMetrics &
@@ -775,7 +754,7 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
     const std::string sig = cfg.signature();
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (const RunMetrics *m = findCached(sig, workload, policy)) {
+        if (const RunMetrics *m = cache().find(sig, workload, policy)) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return *m;
         }
@@ -787,7 +766,7 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
     RunMetrics m = runNamedWorkload(workload, cfg, policy);
 
     std::lock_guard<std::mutex> lk(mu_);
-    if (const RunMetrics *prior = findCached(sig, workload, policy)) {
+    if (const RunMetrics *prior = cache().find(sig, workload, policy)) {
         // Lost a race with another thread simulating the same point;
         // both computed identical metrics, keep the first.
         return *prior;
@@ -848,7 +827,7 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
         for (std::size_t i = 0; i < requests.size(); ++i) {
             const RunRequest &req = requests[i];
             sigs.push_back(req.cfg.signature());
-            if (findCached(sigs[i], req.workload, req.policy)) {
+            if (cache().find(sigs[i], req.workload, req.policy)) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 continue;
             }
@@ -857,8 +836,8 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
             if (!seen.emplace(std::move(key), true).second)
                 continue;
             missing.push_back(Job{&req, sigs[i],
-                                  estimateFor(req.workload,
-                                              req.policy),
+                                  cache().estimateEvents(req.workload,
+                                                         req.policy),
                                   i});
         }
     }
@@ -941,8 +920,7 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
         // a truncated cache cannot pass for a cold one - how many
         // cache rows were lost to parse errors.
         std::lock_guard<std::mutex> lk(mu_);
-        const std::size_t lost = cache().parseErrors() +
-                                 warm_.parseErrors();
+        const std::size_t lost = cache().parseErrors();
         inform("sweep batch done: %zu simulated, %zu cache parse "
                "error%s",
                missing.size(), lost, lost == 1 ? "" : "s");
@@ -953,8 +931,8 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
     results.reserve(requests.size());
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const RunMetrics *m = findCached(sigs[i], requests[i].workload,
-                                         requests[i].policy);
+        const RunMetrics *m = cache().find(
+            sigs[i], requests[i].workload, requests[i].policy);
         panic_if(m == nullptr, "sweep engine lost a result for %s/%s",
                  requests[i].workload.c_str(),
                  requests[i].policy.c_str());
@@ -988,13 +966,6 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
     std::exception_ptr error;
     std::mutex error_mu;
 
-    // Held from reading the checkpoint file until its push is
-    // stored, so pushes reach the coordinator in the order they were
-    // read. The file only grows, so the stored copy only grows too:
-    // without this, an older read could land after a newer push and
-    // drop a row already reported done.
-    std::mutex push_mu;
-
     auto processKey = [&](std::uint64_t id, std::uint32_t key,
                           std::unique_ptr<System> &sys,
                           std::string &sys_structure) {
@@ -1005,52 +976,29 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
             return; // stolen (or the lease went stale): not ours
         const RunRequest &req = requests[key];
         const std::string sig = req.cfg.signature();
-        bool cached;
+        const RunMetrics *row;
         {
             std::lock_guard<std::mutex> lk(mu_);
-            const RunMetrics *m =
-                findCached(sig, req.workload, req.policy);
-            cached = m != nullptr;
-            if (cached) {
-                // The coordinator only ever sees pushed bytes, so a
-                // row answered from the warm import is promoted into
-                // the checkpoint before this key is reported done
-                // (insert is first-write-wins: a row already there
-                // is a no-op).
-                cache().insert(sig, *m);
-                cache().checkpoint();
-            }
+            row = cache().find(sig, req.workload, req.policy);
         }
+        const bool cached = row != nullptr;
         if (cached) {
             hits_.fetch_add(1, std::memory_order_relaxed);
         } else {
             Job job{&req, sig, 0.0, key};
             RunMetrics m = runJob(job, sys, sys_structure);
             std::lock_guard<std::mutex> lk(mu_);
-            cache().insert(sig, std::move(m));
-            // Checkpoint before pushing: the push sends the file.
-            cache().checkpoint();
+            row = &cache().insert(sig, std::move(m));
         }
-        {
-            // Push before done: the coordinator retires a key on
-            // `done`, so its row must already be in the coordinator's
-            // store - this ordering is the whole crash-safety
-            // contract. The file is read under the engine lock, so no
-            // checkpoint lands mid-read.
-            std::lock_guard<std::mutex> plk(push_mu);
-            std::string bytes;
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                std::ifstream in(cachePath_, std::ios::binary);
-                if (in) {
-                    std::ostringstream ss;
-                    ss << in.rdbuf();
-                    bytes = ss.str();
-                }
-            }
-            if (!bytes.empty())
-                client.pushShard(id, bytes);
-        }
+        // Push before done: the coordinator retires a key on `done`,
+        // so its row must already be in the coordinator's file - this
+        // ordering is the whole crash-safety contract. Each push is
+        // one self-contained segment, so pushes may land in any order.
+        // Stored rows never change, so reading *row unlocked is safe.
+        client.pushSegment(
+            id, buildV4Segment({V4RowRef{sig, row->workload,
+                                         row->policy,
+                                         packV4Row(*row)}}));
         bool fresh = client.done(id, key);
         std::lock_guard<std::mutex> lk(stats_mu);
         if (cached)
@@ -1148,10 +1096,6 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
     if (error)
         std::rethrow_exception(error);
 
-    // Drained: every row is in the coordinator's stored copy, so the
-    // private checkpoint has nothing left to protect.
-    std::lock_guard<std::mutex> lk(mu_);
-    cache().removeFile();
     return stats;
 }
 
@@ -1169,17 +1113,7 @@ std::shared_ptr<const CacheSnapshot>
 SweepEngine::snapshot()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<const CacheSnapshot> own = cache().snapshot();
-    std::shared_ptr<const CacheSnapshot> side = warm_.snapshot();
-    if (side->rows() == 0)
-        return own;
-    // Union with the warm side store, writable rows winning - the
-    // same precedence findCached() applies. addAll retains both
-    // inputs, so the merged snapshot keeps their row stores alive.
-    CacheSnapshot::Builder b;
-    b.addAll(own);
-    b.addAll(side);
-    return b.build();
+    return cache().snapshot();
 }
 
 } // namespace migc

@@ -28,13 +28,12 @@
  *    being reconstructed per run.
  *
  * A fourth mechanism scales past one process: as a fleet worker
- * (FleetWorkerSpec, runFleet) the engine simulates the run keys a
- * coordinator leases it, checkpointing them to a private per-worker
- * file and pushing that file to the coordinator before each key is
- * reported done; the coordinator (bench/migc_sweep) merges the
- * pushed shard copies into the canonical cache at join,
- * byte-identical to a single-process sweep (see shard.hh and
- * fleet.hh).
+ * (runFleet, on a memory-only engine) the engine simulates the run
+ * keys a coordinator leases it and pushes each finished row as one
+ * v4 segment before reporting the key done; the coordinator
+ * (bench/migc_sweep) appends every push to the canonical cache and
+ * compacts it at the join, byte-identical to a single-process sweep
+ * (see shard.hh and fleet.hh).
  */
 
 #ifndef MIGC_CORE_SWEEP_ENGINE_HH
@@ -108,19 +107,7 @@ struct RunRequest
  */
 std::uint64_t gridFingerprint(const std::vector<RunRequest> &requests);
 
-/**
- * Tag selecting SweepEngine's fleet-worker constructor: it
- * checkpoints to the private workerCheckpointPath(cache, index) file
- * and warm-imports the canonical cache; the coordinator's leases
- * decide what it runs.
- */
-struct FleetWorkerSpec
-{
-    /** This worker's index: names its checkpoint file and its shard
-     *  in the coordinator's store, and identifies it in the
-     *  coordinator's accounting. */
-    unsigned index = 0;
-};
+struct V4SegmentView; // core/cache_v4.hh
 
 /**
  * Multi-config on-disk result store.
@@ -146,7 +133,7 @@ struct FleetWorkerSpec
  * Durability is two-tier. checkpoint() appends only the rows
  * inserted since the last durable write - one small segment at the
  * end of the file, O(fresh) bytes, which is what the amortized
- * insert checkpointing and the fleet's checkpoint-before-done
+ * insert checkpointing and the fleet coordinator's store-before-ack
  * contract use; a sweep writing N rows costs O(N) total bytes
  * instead of the O(N^2) of rewriting the file at every checkpoint.
  * flush()/saveNow() compact: one canonical sorted rewrite via
@@ -211,6 +198,11 @@ class RunCache
          *  held row wins; the caller decides how loud to be. */
         std::size_t conflicts = 0;
 
+        /** The first conflicting key of a v4 merge (what
+         *  mergeSegment() refuses), as "<workload>/<policy> under
+         *  config <signature>"; empty when there was none. */
+        std::string firstConflict;
+
         /** Unparseable rows this cache had not seen before (bad
          *  lines are remembered, so re-reading the same damaged
          *  file - e.g. at a checkpoint save - counts each loss
@@ -220,12 +212,20 @@ class RunCache
 
     /**
      * Union another cache file (v4 or v3 - sniffed) into memory
-     * without writing anything; rows already held win. This is how a
-     * fleet worker warm-starts from the canonical cache and how the
-     * coordinator plans a resume and compacts shard inputs
-     * (shard.hh). A missing file merges zero rows.
+     * without writing anything; rows already held win. A missing
+     * file merges zero rows.
      */
     MergeStats mergeFile(const std::string &path);
+
+    /**
+     * Union one parsed v4 segment from outside - a fleet worker's
+     * push - into memory, all or nothing: duplicates and conflicts
+     * are classified exactly as mergeFile() classifies them, and
+     * when any row conflicts, nothing is merged (stats.conflicts and
+     * stats.firstConflict say why). New rows become pending, so the
+     * next checkpoint() appends them to the file.
+     */
+    MergeStats mergeSegment(const V4SegmentView &seg);
 
     /**
      * Distinct unparseable rows seen across the initial load, every
@@ -237,10 +237,12 @@ class RunCache
     std::size_t parseErrors() const { return parseErrors_; }
 
     /**
-     * Compact the file now even if nothing is pending (merge join).
+     * Compact the file now even if nothing is pending. The fleet
+     * join uses it: a rerun that loaded a multi-segment file and has
+     * nothing pending must still leave the one canonical segment,
+     * which flush() would skip.
      * @return false when the file could not be written or moved
-     * into place (callers that consume other files on the strength
-     * of this write - the coordinator merge - must check).
+     * into place.
      */
     bool saveNow();
 
@@ -275,16 +277,14 @@ class RunCache
      * inserted since the last durable write to the end of the file
      * (O(fresh) bytes), falling back to a full compacting save when
      * the file cannot take an append (not v4, torn tail, first
-     * write). This is the fleet worker's checkpoint-before-done
-     * primitive; the file stays fragmented until the next
+     * write). This is what the fleet coordinator runs before it
+     * acknowledges a push; the file stays fragmented until the next
      * flush()/saveNow() compacts it.
+     * @return false, with a warning, when the rows did not reach the
+     * file (they stay pending, so the next durable write tries
+     * again); true when they did, or when I/O is off.
      */
-    void checkpoint();
-
-    /** Delete the file and forget that anything was pending, so
-     *  neither flush() nor the destructor writes it again. The rows
-     *  stay in memory. A fleet worker's clean drain. */
-    void removeFile();
+    bool checkpoint();
 
     /**
      * The current contents as an immutable snapshot: publishes any
@@ -355,10 +355,11 @@ class RunCache
                            bool classify_collisions);
 
     /** Merge one parsed v4 segment. @p durable marks rows already in
-     *  this cache's own file. */
-    void mergeV4Segment(const struct V4SegmentView &seg,
+     *  this cache's own file; @p all_or_nothing merges no row at all
+     *  when any row conflicts (mergeSegment). */
+    void mergeV4Segment(const V4SegmentView &seg,
                         bool classify_collisions, bool durable,
-                        MergeStats &stats);
+                        MergeStats &stats, bool all_or_nothing = false);
 
     /** Record what the initial load found (first observation only). */
     void noteLoadedFormat(const char *format);
@@ -407,8 +408,8 @@ class RunCache
 
     /** (source path, line) pairs already counted as parse errors:
      *  re-reading the same damaged file dedupes, while the same
-     *  damaged text in two different shard files still counts as
-     *  two lost rows. */
+     *  damaged text in two different files still counts as two lost
+     *  rows. */
     std::set<std::string> badLines_;
 
     /**
@@ -447,15 +448,6 @@ class SweepEngine
      *  and library users get hermetic behavior. */
     explicit SweepEngine(std::string cache_path);
 
-    /**
-     * Fleet-worker engine (see FleetWorkerSpec): results go to the
-     * private checkpoint file of @p fleet.index, the canonical file
-     * is warm-imported into a read-only side store (served, never
-     * rewritten, so checkpoints and pushes stay small), and the
-     * engine simulates exactly what runFleet() leases.
-     */
-    SweepEngine(std::string cache_path, FleetWorkerSpec fleet);
-
     ~SweepEngine();
 
     SweepEngine(const SweepEngine &) = delete;
@@ -491,16 +483,16 @@ class SweepEngine
      * Fleet-worker main loop: lease run-key ranges from @p client
      * until the coordinator reports the grid drained, simulating
      * each leased index of @p requests on up to @p jobs threads
-     * (0 = MIGC_JOBS / hardware default). Every leased key's row -
-     * simulated, or promoted from the warm import - is checkpointed
-     * to the private file and that file pushed to the coordinator
-     * *before* the key is reported done, so a worker killed at any
-     * instant leaves every reported key in the coordinator's store -
-     * the crash-safety half of the lease protocol. Pushes are read
-     * and sent one at a time, so the stored copy only grows. Keys
-     * the coordinator stole (observed at renew) are skipped without
-     * simulating. After a clean drain the private file is deleted:
-     * the stored copy holds every row.
+     * (0 = MIGC_JOBS / hardware default). Each leased key's row is
+     * pushed to the coordinator as one one-row v4 segment *before*
+     * the key is reported done, so a worker killed at any instant
+     * leaves every reported key in the coordinator's file - the
+     * crash-safety half of the lease protocol. A key whose row this
+     * engine already holds (leased to it again after an expiry) is
+     * pushed again without simulating. Keys the coordinator stole
+     * (observed at renew) are skipped without simulating. A fleet
+     * worker runs on a memory-only engine (an empty cache path), so
+     * it writes no file.
      */
     FleetRunStats runFleet(const std::vector<RunRequest> &requests,
                            FleetClient &client, unsigned jobs = 0);
@@ -518,15 +510,13 @@ class SweepEngine
 
     /**
      * Immutable snapshot of everything this engine can currently
-     * answer from memory: the writable cache unioned with the warm
-     * side store (writable rows win, matching findCached). Safe for
-     * concurrent lock-free queries; stays valid independent of later
-     * engine activity. This is the serving surface of migc_serve
-     * (src/serve/).
+     * answer from memory. Safe for concurrent lock-free queries;
+     * stays valid independent of later engine activity. This is the
+     * serving surface of migc_serve (src/serve/).
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
-    /** The writable cache's on-disk format at load ("v4", "v3",
+    /** The cache's on-disk format at load ("v4", "v3",
      *  "foreign", "none"); loads the cache if this engine has not
      *  touched it yet. Operator-facing (migc_serve stats). */
     const char *cacheFileFormat() const;
@@ -556,19 +546,8 @@ class SweepEngine
     RunMetrics runJob(const Job &job, std::unique_ptr<System> &sys,
                       std::string &sys_structure);
 
-    /** Lookup across the writable cache and the warm side store
-     *  (writable rows win). Caller holds mu_. */
-    const RunMetrics *findCached(const std::string &sig,
-                                 const std::string &workload,
-                                 const std::string &policy) const;
-
-    /** Scheduler cost estimate across both stores. Caller holds
-     *  mu_. */
-    double estimateFor(const std::string &workload,
-                       const std::string &policy) const;
-
     /**
-     * The writable cache, constructed (and its file loaded) on
+     * The cache, constructed (and its file loaded) on
      * first touch. The laziness is what lets migc_serve answer its
      * first queries from an mmap'd snapshot without this engine
      * ever parsing the file - the cache materializes only when the
@@ -579,8 +558,7 @@ class SweepEngine
 
     mutable std::mutex mu_;
 
-    /** Resolved path cache() opens (fleet workers: their private
-     *  checkpoint file). */
+    /** Path cache() opens (empty: memory only). */
     std::string cachePath_;
 
     /** See cache(). */
@@ -589,15 +567,6 @@ class SweepEngine
     /** Injected per-run straggler delay (setInjectedRunDelayMs). */
     unsigned slowMs_ = 0;
 
-    /**
-     * Read-only results imported from the canonical cache when this
-     * engine is a fleet worker (memory-only: constructed with an
-     * empty path, so it never writes). Keeping these out of the
-     * writable cache keeps the checkpoint, and so the pushed shard,
-     * down to the keys this worker was leased instead of a full copy
-     * of the canonical cache.
-     */
-    RunCache warm_{std::string()};
     std::atomic<std::uint64_t> sims_{0};
     std::atomic<std::uint64_t> hits_{0};
 };

@@ -89,24 +89,6 @@ parseServeRequest(const std::string &line)
                                     : ServeRequest::Kind::help;
         return req;
     }
-    if (verb == "fetch") {
-        // fetch <shard>: download the coordinator's stored copy of
-        // shard <shard>'s cache file (core/fleet.hh).
-        if (tok.size() != 2) {
-            return badRequest(
-                "fetch takes exactly 1 operand: fetch <shard>");
-        }
-        std::uint64_t shard = 0;
-        if (!parseU64(tok[1], shard) || shard > 4095) {
-            return badRequest(csprintf(
-                "fetch: shard index '%s' is not an integer in "
-                "[0, 4095]",
-                tok[1].c_str()));
-        }
-        req.worker = static_cast<unsigned>(shard);
-        req.kind = ServeRequest::Kind::fetch;
-        return req;
-    }
     if (verb == "lease" || verb == "done" || verb == "renew" ||
         verb == "push") {
         // Fleet verbs (core/fleet.hh):
@@ -201,15 +183,15 @@ serveHelpText()
         "# match also globs over signatures. Rows are v3 cache CSV, "
         "status lines\n"
         "# start with '#'.\n"
-        "# lease/done/renew/push/fetch are fleet-coordinator verbs "
+        "# lease/done/renew/push are fleet-coordinator verbs "
         "(migc_sweep;\n"
         "# see docs/SWEEPS.md): they share this wire format but are "
         "answered only\n"
         "# by a sweep coordinator socket, never by migc_serve. "
-        "push streams a\n"
-        "# checksummed shard cache upload (raw payload after the "
-        "header line);\n"
-        "# fetch streams a stored shard file back.\n";
+        "push uploads one\n"
+        "# checksummed v4 segment of finished rows (raw payload "
+        "after the header\n"
+        "# line).\n";
 }
 
 } // namespace migc

@@ -19,12 +19,10 @@
  *   done <worker> <leaseid> <key>        report one completed key
  *   renew <worker> <leaseid>             extend the lease deadline
  *   push <worker> <leaseid> <bytes> <checksum>
- *                                        upload the worker's shard
- *                                        cache: exactly <bytes> raw
- *                                        bytes follow the newline,
- *                                        cache_v4-checksummed
- *   fetch <shard>                        download the coordinator's
- *                                        stored copy of a shard file
+ *                                        upload one v4 segment of
+ *                                        finished rows: exactly
+ *                                        <bytes> raw bytes follow the
+ *                                        newline, cache_v4-checksummed
  *
  * Blank lines and lines starting with '#' are ignored (so a cache
  * file or a recorded session can be replayed as input). Responses
@@ -62,8 +60,7 @@ struct ServeRequest
         lease, ///< fleet: request a run-key range
         done,  ///< fleet: report one completed key
         renew, ///< fleet: extend a lease deadline
-        push,  ///< fleet: upload a shard cache file (payload follows)
-        fetch, ///< fleet: download a stored shard cache file
+        push,  ///< fleet: upload one v4 segment (payload follows)
     };
 
     Kind kind = Kind::none;
@@ -73,8 +70,8 @@ struct ServeRequest
     std::string workload;
     std::string policy;
 
-    /** Fleet operands (lease/done/renew/push/fetch). */
-    unsigned worker = 0;        ///< worker index (fetch: shard index)
+    /** Fleet operands (lease/done/renew/push). */
+    unsigned worker = 0;        ///< worker index
     std::uint64_t leaseId = 0;  ///< done/renew/push: which lease
     std::uint64_t gridHash = 0; ///< lease: the worker's grid print
     std::uint32_t key = 0;      ///< done: completed grid index
@@ -85,9 +82,9 @@ struct ServeRequest
     std::string error;
 };
 
-/** The largest push payload a coordinator accepts (a shard cache is
- *  a few MB even for the full paper grid; anything near this bound
- *  is a corrupted or hostile header, not a cache file). */
+/** The largest push payload a coordinator accepts (a worker pushes
+ *  one row of a few hundred bytes per finished key; anything near
+ *  this bound is a corrupted or hostile header, not a segment). */
 constexpr std::uint64_t kServeMaxPushBytes = 1ull << 30;
 
 /** Split @p line on runs of spaces/tabs (no quoting: cache names

@@ -234,12 +234,11 @@ ServeService::handleLine(const std::string &line)
       case ServeRequest::Kind::done:
       case ServeRequest::Kind::renew:
       case ServeRequest::Kind::push:
-      case ServeRequest::Kind::fetch:
         // Fleet verbs share the wire format (serve_protocol.hh) but
         // only a migc_sweep coordinator can answer them: this
         // service has a cache, not a work queue (and must never
         // accept a push payload it would have to discard unframed).
-        return "# error: lease/done/renew/push/fetch are "
+        return "# error: lease/done/renew/push are "
                "fleet-coordinator verbs (migc_sweep); this is a "
                "serve cache\n";
     }

@@ -3,28 +3,24 @@
  * The v4 binary columnar cache format: round-trip exactness, byte
  * determinism, O(fresh) checkpoint appends, torn-write rejection and
  * recovery, format migration (v3 -> v4) with byte-identical CSV
- * export, the zero-copy mapped snapshot's parity with the parsed
- * one, and a shard join that gives the same bytes for inputs of
- * every shape. See src/core/cache_v4.hh and docs/SWEEPS.md.
+ * export, and the zero-copy mapped snapshot's parity with the parsed
+ * one. See src/core/cache_v4.hh and docs/SWEEPS.md.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/cache_snapshot.hh"
 #include "core/cache_v4.hh"
 #include "core/metrics.hh"
-#include "core/shard.hh"
 #include "core/sweep_engine.hh"
 
 using namespace migc;
@@ -55,6 +51,14 @@ writeFile(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** "<prefix><i>". Built from a std::string temporary: GCC 12 warns
+ *  (-Wrestrict, a false positive) on `"w" + std::to_string(i)`. */
+std::string
+numbered(const char *prefix, int i)
+{
+    return std::string(prefix) + std::to_string(i);
+}
+
 /** A row with doubles no text format would round-trip exactly. */
 RunMetrics
 awkwardRow(const std::string &workload, const std::string &policy)
@@ -80,8 +84,7 @@ awkwardRow(const std::string &workload, const std::string &policy)
 }
 
 /** A plain deterministic row. Whole-number doubles only, so the
- *  row survives a v3 text round trip bit-exactly (the shard join
- *  test compares across serializations). */
+ *  row survives a v3 text round trip bit-exactly. */
 RunMetrics
 simpleRow(const std::string &workload, const std::string &policy,
           double seedv)
@@ -142,8 +145,8 @@ TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
     for (int i = 0; i < 20; ++i) {
         const std::string sig = i % 3 ? "sig-x" : "sig-y";
         rows.emplace_back(
-            sig, simpleRow("w" + std::to_string(i % 5),
-                           "p" + std::to_string(i / 5), i * 7.0));
+            sig, simpleRow(numbered("w", i % 5), numbered("p", i / 5),
+                           i * 7.0));
     }
 
     {
@@ -220,8 +223,7 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
     {
         RunCache rc(path, 100, CacheFormat::v4);
         for (int i = 0; i < 5; ++i)
-            rc.insert("sig-a", simpleRow("w" + std::to_string(i),
-                                         "p0", i));
+            rc.insert("sig-a", simpleRow(numbered("w", i), "p0", i));
         rc.flush();
     }
     const std::string clean = readFile(path);
@@ -409,9 +411,8 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
     for (int s = 0; s < 3; ++s)
         for (int w = 0; w < 4; ++w)
             for (int p = 0; p < 4; ++p)
-                rc.insert("sig-" + std::to_string(s),
-                          simpleRow("w" + std::to_string(w),
-                                    "p" + std::to_string(p),
+                rc.insert(numbered("sig-", s),
+                          simpleRow(numbered("w", w), numbered("p", p),
                                     s * 16 + w * 4 + p));
     rc.flush();
     auto parsed = rc.snapshot();
@@ -429,9 +430,9 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
     for (int s = 0; s < 3; ++s) {
         for (int w = 0; w < 4; ++w) {
             for (int p = 0; p < 4; ++p) {
-                const std::string sig = "sig-" + std::to_string(s);
-                const std::string wl = "w" + std::to_string(w);
-                const std::string po = "p" + std::to_string(p);
+                const std::string sig = numbered("sig-", s);
+                const std::string wl = numbered("w", w);
+                const std::string po = numbered("p", p);
                 std::string a, b;
                 ASSERT_TRUE(mapped->findCsv(sig, wl, po, a));
                 ASSERT_TRUE(parsed->findCsv(sig, wl, po, b));
@@ -457,102 +458,6 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
     EXPECT_EQ(mapped->estimateEvents("w0", "absent"),
               parsed->estimateEvents("w0", "absent"));
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------
-// Shard join over inputs of every shape
-// ---------------------------------------------------------------
-
-TEST(CacheV4, ShardInputsOfEveryShapeJoinToTheSameBytes)
-{
-    // One row set split over four shards, stored two ways: as clean
-    // single-segment v4 files, and as the shapes a join can meet in
-    // practice - a clean file, a pushed checkpoint of appended
-    // segments, a torn tail, and v3 text from an older build. The
-    // join compacts the odd ones in place, so both must yield the
-    // same canonical bytes.
-    const std::string clean = tempPath("join_clean");
-    const std::string shapes = tempPath("join_shapes");
-    for (const std::string &base : {clean, shapes}) {
-        std::remove(base.c_str());
-        for (unsigned i = 0; i < 4; ++i)
-            std::remove(shardCachePath(base, i).c_str());
-    }
-
-    // Rows of shard k: every fourth of 16, over two signatures.
-    auto rowsOf = [](unsigned k) {
-        std::vector<std::pair<std::string, RunMetrics>> rows;
-        for (unsigned i = k; i < 16; i += 4) {
-            std::string wl = "w";
-            wl += std::to_string(i);
-            rows.emplace_back(i % 3 ? "sig-a" : "sig-b",
-                              simpleRow(wl, "p", i));
-        }
-        return rows;
-    };
-    // One v4 segment holding @p rows (sorted, as the writer needs).
-    auto segment = [](std::vector<std::pair<std::string, RunMetrics>>
-                          rows) {
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto &a, const auto &b) {
-                      return std::tie(a.first, a.second.workload) <
-                             std::tie(b.first, b.second.workload);
-                  });
-        std::vector<V4RowRef> refs;
-        for (const auto &[sig, m] : rows) {
-            refs.push_back(
-                V4RowRef{sig, m.workload, m.policy, packV4Row(m)});
-        }
-        return buildV4Segment(refs);
-    };
-
-    for (unsigned k = 0; k < 4; ++k)
-        writeFile(shardCachePath(clean, k), segment(rowsOf(k)));
-
-    writeFile(shardCachePath(shapes, 0), segment(rowsOf(0)));
-    {
-        // Checkpoint appends: one segment per pushed row.
-        std::string appended;
-        for (const auto &row : rowsOf(1))
-            appended += segment({row});
-        writeFile(shardCachePath(shapes, 1), appended);
-    }
-    {
-        // A crash tore an append of a row the join never saw done.
-        const std::string lost =
-            segment({{"sig-a", simpleRow("w99", "p", 99)}});
-        writeFile(shardCachePath(shapes, 2),
-                  segment(rowsOf(2)) +
-                      lost.substr(0, lost.size() - 21));
-    }
-    {
-        // v3 text, as a pre-v4 worker left it.
-        RunCache text{std::string()};
-        for (const auto &[sig, m] : rowsOf(3))
-            text.insert(sig, m);
-        ASSERT_TRUE(text.exportFile(shardCachePath(shapes, 3),
-                                    CacheFormat::csv));
-    }
-
-    const ShardMergeStats a = mergeShardCaches(clean, 4);
-    const ShardMergeStats b = mergeShardCaches(shapes, 4);
-    EXPECT_EQ(a.files, 4u);
-    EXPECT_EQ(b.files, 4u);
-    EXPECT_EQ(a.rows, 16u);
-    EXPECT_EQ(b.rows, 16u);
-    EXPECT_EQ(a.parseErrors, 0u);
-    EXPECT_EQ(b.parseErrors, 1u); // the torn append
-
-    const std::string want = readFile(clean);
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(readFile(shapes), want);
-    std::string why;
-    EXPECT_NE(MappedCacheV4::map(shapes, &why), nullptr) << why;
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_FALSE(std::ifstream(shardCachePath(shapes, i)).good());
-
-    std::remove(clean.c_str());
-    std::remove(shapes.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -329,6 +329,20 @@ TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
         out << "broken row\n";
     }
 
+    // A zero-length or blank file is an empty cache, not a damaged
+    // one: it merges no row and counts no parse error.
+    for (const char *text : {"", "\n\n"}) {
+        const std::string blank = tempCachePath("blank_input");
+        {
+            std::ofstream out(blank, std::ios::trunc);
+            out << text;
+        }
+        RunCache empty{std::string()};
+        EXPECT_EQ(empty.mergeFile(blank).rows, 0u);
+        EXPECT_EQ(empty.parseErrors(), 0u);
+        std::remove(blank.c_str());
+    }
+
     RunCache cache(path);
     // Re-merging the same damaged file must not inflate the count.
     cache.mergeFile(corrupt);

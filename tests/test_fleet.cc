@@ -1,36 +1,41 @@
-/** @file Tests for the elastic shard fleet: the deterministic lease
- *  queue (grant order, expiry, stealing, late/stale completions),
- *  the wire protocol and coordinator dispatch, the resume-aware plan
- *  step, the static-vs-stealing makespan models, and three end-to-end
- *  invariants - a live two-worker socket fleet, a many-threaded fleet
- *  whose private checkpoints are deleted before the join, and a
- *  SIGKILLed worker plus takeover all merge byte-identical to a
+/** @file Tests for the elastic fleet: the deterministic lease queue
+ *  (grant order, expiry, stealing, late/stale completions), the wire
+ *  protocol and coordinator dispatch, the plan step, the
+ *  static-vs-stealing makespan models, the one store (a push merges
+ *  whole or not at all, and a conflict fails the sweep), and four
+ *  end-to-end invariants - a live two-worker socket fleet, a
+ *  many-threaded fleet whose pushes are in the file before the join,
+ *  a SIGKILLed worker plus takeover, and hand-started CLI workers
+ *  that write no file - all ending byte-identical to a
  *  single-process sweep. */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 
-#include <atomic>
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/cache_v4.hh"
 #include "core/fleet.hh"
 #include "core/metrics.hh"
 #include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
+#include "sim/logging.hh"
 
 using namespace migc;
 
@@ -72,16 +77,6 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-void
-removeCacheFamily(const std::string &base, unsigned shards)
-{
-    std::remove(base.c_str());
-    for (unsigned i = 0; i < shards; ++i) {
-        std::remove(shardCachePath(base, i).c_str());
-        std::remove(workerCheckpointPath(base, i).c_str());
-    }
-}
-
 /** The small grid the end-to-end fleet tests sweep. */
 std::vector<RunRequest>
 smallGrid()
@@ -95,50 +90,6 @@ smallGrid()
     return grid;
 }
 
-/**
- * A worker stream that looks at the files behind each `push` it
- * sends. From the second push on, the coordinator's stored copy
- * exists and the worker's checkpoint is what is being uploaded;
- * they must be two different files, or a worker append and a stored
- * push could overwrite each other.
- */
-class PushWatch : public Stream
-{
-  public:
-    PushWatch(std::unique_ptr<Stream> inner, std::string checkpoint,
-              std::string stored, std::atomic<int> &seen,
-              std::atomic<int> &aliased)
-        : inner_(std::move(inner)), checkpoint_(std::move(checkpoint)),
-          stored_(std::move(stored)), seen_(seen), aliased_(aliased)
-    {}
-
-    ssize_t read(void *buf, std::size_t n) override
-    {
-        return inner_->read(buf, n);
-    }
-
-    bool writeAll(const void *buf, std::size_t n) override
-    {
-        std::error_code ec;
-        if (n >= 5 && std::memcmp(buf, "push ", 5) == 0 &&
-            std::filesystem::exists(stored_, ec)) {
-            ++seen_;
-            if (std::filesystem::equivalent(checkpoint_, stored_, ec))
-                ++aliased_;
-        }
-        return inner_->writeAll(buf, n);
-    }
-
-    void shutdown() override { inner_->shutdown(); }
-
-  private:
-    std::unique_ptr<Stream> inner_;
-    std::string checkpoint_;
-    std::string stored_;
-    std::atomic<int> &seen_;
-    std::atomic<int> &aliased_;
-};
-
 std::vector<std::uint32_t>
 allPending(std::size_t n)
 {
@@ -146,16 +97,6 @@ allPending(std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         pending[i] = static_cast<std::uint32_t>(i);
     return pending;
-}
-
-/** Does the file hold at least one parseable result row yet?
- *  Loads memory-only, so the probe never rewrites the file. */
-bool
-hasCheckpointedRow(const std::string &path)
-{
-    RunCache probe{std::string()};
-    probe.mergeFile(path);
-    return probe.size() > 0;
 }
 
 } // namespace
@@ -426,8 +367,8 @@ TEST(FleetServer, AnswersTheWireProtocolWithoutASocket)
 {
     FleetQueue q({10, 50, 30, 20, 40, 60}, allPending(6),
                  FleetConfig{2, 10000});
-    FleetServer srv(tempPath("dispatch.sock"), std::move(q), 777,
-                    tempPath("dispatch.csv"));
+    RunCache store{std::string()};
+    FleetServer srv(tempPath("dispatch.sock"), std::move(q), 777, store);
 
     // Blank lines and comments draw no response (replayable input).
     EXPECT_EQ(srv.handleLine(""), "");
@@ -458,7 +399,7 @@ TEST(FleetServer, AnswersTheWireProtocolWithoutASocket)
 }
 
 // ---------------------------------------------------------------------
-// Grid fingerprint and the resume-aware plan step
+// Grid fingerprint and the plan step
 // ---------------------------------------------------------------------
 
 TEST(GridFingerprint, SensitiveToContentOrderAndSize)
@@ -482,67 +423,196 @@ TEST(GridFingerprint, SensitiveToContentOrderAndSize)
 
 TEST(FleetPlan, ColdGridIsAllPendingWithPositiveCosts)
 {
-    const std::string base = tempPath("plan_cold.csv");
-    removeCacheFamily(base, 2);
+    const RunCache empty{std::string()};
     const auto grid = smallGrid();
-    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    FleetPlan plan = planFleetSweep(grid, empty);
     EXPECT_EQ(plan.pending.size(), grid.size());
     EXPECT_EQ(plan.cached, 0u);
-    EXPECT_EQ(plan.resumedRows, 0u);
     for (std::uint32_t key : plan.pending)
         EXPECT_GT(plan.costs[key], 0.0) << key;
 }
 
-TEST(FleetPlan, ResumeFoldsPartialShardFilesIn)
+TEST(FleetPlan, LeasesOnlyKeysTheCanonicalCacheLacks)
 {
-    const std::string base = tempPath("plan_resume.csv");
-    const std::string partial = tempPath("plan_partial.csv");
-    removeCacheFamily(base, 2);
-    std::remove(partial.c_str());
-
-    // A crashed fleet's worker 0 had pushed two rows: fake that by
-    // sweeping just those points into what becomes its stored
-    // shard.
+    // What a rerun after a crash sees: the canonical file already
+    // holds every row pushed before it, so only the rest is pending.
+    const std::string base = tempPath("plan_rerun.csv");
+    std::remove(base.c_str());
     const auto grid = smallGrid();
     {
-        SweepEngine engine(partial);
+        SweepEngine engine(base);
         engine.run({grid[0], grid[3]});
     }
-    ASSERT_EQ(std::rename(partial.c_str(),
-                          shardCachePath(base, 0).c_str()),
-              0);
-
-    // Without --resume the shard file is invisible: the full grid
-    // comes back pending (re-execution would still merge cleanly).
-    FleetPlan cold = planFleetSweep(grid, base, 2, false);
-    EXPECT_EQ(cold.pending.size(), grid.size());
-    EXPECT_EQ(cold.resumedRows, 0u);
-
-    // With --resume only the never-checkpointed keys are pending,
-    // and the shard file stays on disk for the join merge.
-    FleetPlan plan = planFleetSweep(grid, base, 2, true);
-    EXPECT_EQ(plan.resumedRows, 2u);
+    const RunCache canonical(base);
+    FleetPlan plan = planFleetSweep(grid, canonical);
     EXPECT_EQ(plan.cached, 2u);
     EXPECT_EQ(plan.pending.size(), grid.size() - 2);
     for (std::uint32_t key : plan.pending) {
         EXPECT_NE(key, 0u);
         EXPECT_NE(key, 3u);
     }
-    EXPECT_TRUE(
-        static_cast<bool>(std::ifstream(shardCachePath(base, 0))));
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 }
 
 TEST(FleetPlan, DuplicateGridPointsLeaseOnce)
 {
-    const std::string base = tempPath("plan_dupe.csv");
-    removeCacheFamily(base, 2);
+    const RunCache empty{std::string()};
     auto grid = smallGrid();
     grid.push_back(grid[2]); // same run key, new index
-    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    FleetPlan plan = planFleetSweep(grid, empty);
     EXPECT_EQ(plan.pending.size(), grid.size() - 1);
     for (std::uint32_t key : plan.pending)
         EXPECT_NE(key, grid.size() - 1);
+}
+
+// ---------------------------------------------------------------------
+// The one store: a push is verified, merged whole or not at all
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** One v4 segment of @p rows under @p sig, sorted as the writer
+ *  needs. */
+std::string
+segmentOf(const std::string &sig, std::vector<RunMetrics> rows)
+{
+    std::sort(rows.begin(), rows.end(),
+              [](const RunMetrics &a, const RunMetrics &b) {
+                  return std::tie(a.workload, a.policy) <
+                         std::tie(b.workload, b.policy);
+              });
+    std::vector<V4RowRef> refs;
+    for (const RunMetrics &m : rows)
+        refs.push_back(V4RowRef{sig, m.workload, m.policy, packV4Row(m)});
+    return buildV4Segment(refs);
+}
+
+RunMetrics
+fakeRow(const std::string &workload, const std::string &policy,
+        Tick exec_ticks)
+{
+    RunMetrics m;
+    m.workload = workload;
+    m.policy = policy;
+    m.execTicks = exec_ticks;
+    return m;
+}
+
+/** Send one `push` frame for @p segment and return the reply line. */
+std::string
+pushRaw(Stream &conn, const std::string &segment)
+{
+    const std::string header = csprintf(
+        "push 0 1 %zu %llu\n", segment.size(),
+        static_cast<unsigned long long>(
+            v4Checksum(segment.data(), segment.size())));
+    if (!conn.writeAll(header + segment))
+        return "(write failed)";
+    std::string line;
+    char c;
+    while (conn.read(&c, 1) == 1 && c != '\n')
+        line.push_back(c);
+    return line;
+}
+
+} // namespace
+
+TEST(FleetStore, ConflictingPushIsRefusedWholeAndWritesNothing)
+{
+    // The canonical cache holds FwSoft/CacheRW. A push that carries a
+    // new key *and* a different row for FwSoft/CacheRW must be
+    // refused whole: the reply names the key, no row of it is merged
+    // and the file keeps its bytes.
+    const std::string base = tempPath("conflict.csv");
+    std::remove(base.c_str());
+    {
+        RunCache seed(base);
+        seed.insert("sig", fakeRow("FwSoft", "CacheRW", 1111));
+        seed.flush();
+    }
+    const std::string before = readFile(base);
+    ASSERT_FALSE(before.empty());
+
+    RunCache store(base);
+    FleetServer server("tcp:127.0.0.1:0",
+                       FleetQueue({1.0}, {0}, FleetConfig{1, 10000}), 42,
+                       store);
+    server.start();
+    std::string error;
+    std::unique_ptr<Stream> conn =
+        connectTo(server.boundEndpoint(), &error);
+    ASSERT_NE(conn, nullptr) << error;
+
+    const std::string reply = pushRaw(
+        *conn, segmentOf("sig", {fakeRow("FwBN", "Uncached", 7),
+                                 fakeRow("FwSoft", "CacheRW", 2222)}));
+    EXPECT_EQ(reply.rfind("# error: push conflict: ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("FwSoft/CacheRW under config sig"),
+              std::string::npos)
+        << reply;
+    EXPECT_NE(reply.find("did not run the same deterministic sweep"),
+              std::string::npos)
+        << reply;
+
+    // An identical re-push of the stored row is a duplicate, not a
+    // conflict, and lands.
+    const std::string same =
+        segmentOf("sig", {fakeRow("FwSoft", "CacheRW", 1111)});
+    EXPECT_EQ(pushRaw(*conn, same),
+              "# pushed " + std::to_string(same.size()));
+    conn.reset();
+    server.stop();
+
+    EXPECT_EQ(server.pushTotals().pushes, 1u);
+    EXPECT_EQ(server.pushTotals().rows, 0u);
+    EXPECT_EQ(server.pushTotals().duplicates, 1u);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.find("sig", "FwBN", "Uncached"), nullptr);
+    EXPECT_EQ(readFile(base), before);
+    std::remove(base.c_str());
+}
+
+TEST(FleetStoreDeathTest, ConflictFailsTheCoordinatorAndTheWorker)
+{
+    // A refused conflict fails the whole sweep at once: the worker
+    // that pushed it dies without retrying, and the coordinator
+    // exits non-zero naming the key. (Memory-only store: the
+    // re-executed death-test children leave no file behind.)
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RunCache store{std::string()};
+    store.insert("sig", fakeRow("FwSoft", "CacheRW", 1111));
+    FleetServer server("tcp:127.0.0.1:0",
+                       FleetQueue({1.0}, {0}, FleetConfig{1, 10000}), 42,
+                       store);
+    server.start();
+    const std::string spec = server.boundEndpoint().spec();
+    const std::string conflicting =
+        segmentOf("sig", {fakeRow("FwSoft", "CacheRW", 2222)});
+
+    // Nothing refused yet: the coordinator carries on.
+    server.exitOnConflict();
+
+    EXPECT_EXIT(
+        {
+            FleetClient client(spec, 0, 42);
+            client.pushSegment(1, conflicting);
+        },
+        ::testing::ExitedWithCode(1),
+        "fleet push refused: # error: push conflict: .*FwSoft/CacheRW");
+    EXPECT_EXIT(
+        {
+            std::string error;
+            std::unique_ptr<Stream> conn =
+                connectTo(server.boundEndpoint(), &error);
+            if (conn != nullptr)
+                pushRaw(*conn, conflicting);
+            server.exitOnConflict();
+        },
+        ::testing::ExitedWithCode(1),
+        "FwSoft/CacheRW under config sig.*did not run the same "
+        "deterministic sweep");
+    server.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -555,7 +625,7 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
     const std::string base = tempPath("e2e_fleet.csv");
     const std::string sock = tempPath("e2e.sock");
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 
     const auto grid = smallGrid();
     {
@@ -564,17 +634,18 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
     }
 
     const std::uint64_t hash = gridFingerprint(grid);
-    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    RunCache store(base);
+    FleetPlan plan = planFleetSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 10000}),
-                       hash, base);
+                       hash, store);
     server.start();
 
     std::vector<std::thread> workers;
     for (unsigned i = 0; i < 2; ++i) {
         workers.emplace_back([&, i] {
-            SweepEngine engine(base, FleetWorkerSpec{i});
+            SweepEngine engine{std::string()};
             FleetClient client(sock, i, hash);
             engine.runFleet(grid, client, 1);
         });
@@ -592,28 +663,30 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
         runs += st.runs;
     EXPECT_EQ(runs, grid.size());
     server.stop();
+    EXPECT_EQ(server.pushTotals().rows, grid.size());
 
-    mergeShardCaches(base, 2);
+    // The join is the store's compaction.
+    ASSERT_TRUE(store.saveNow());
     const std::string solo_bytes = readFile(solo);
     ASSERT_FALSE(solo_bytes.empty());
     EXPECT_EQ(solo_bytes, readFile(base));
 
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 }
 
-TEST(FleetEndToEnd, JoinReadsOnlyTheStoredShards)
+TEST(FleetEndToEnd, ConcurrentPushesAreInTheFileBeforeTheJoin)
 {
-    // The join reads nothing but pushed bytes. Four engine threads
-    // per worker on four-key leases push concurrently; each push is
-    // read and sent in order, so a stored copy only grows and still
-    // holds every row reported done. Deleting the workers' private
-    // checkpoints before the join must therefore change nothing.
+    // Four engine threads per worker on four-key leases push
+    // concurrently, in any order. Every acknowledged push is appended
+    // to the canonical file before its `done`, so at drain the file
+    // already holds every row - the join only compacts it to the
+    // solo bytes, and leaves no other file of its family behind.
     const std::string solo = tempPath("store_solo.csv");
     const std::string base = tempPath("store_fleet.csv");
     const std::string sock = tempPath("store.sock");
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 
     const SimConfig cfg = SimConfig::testConfig();
     std::vector<RunRequest> grid;
@@ -628,26 +701,19 @@ TEST(FleetEndToEnd, JoinReadsOnlyTheStoredShards)
     }
 
     const std::uint64_t hash = gridFingerprint(grid);
-    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    RunCache store(base);
+    FleetPlan plan = planFleetSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{4, 10000}),
-                       hash, base);
+                       hash, store);
     server.start();
 
-    std::atomic<int> seen{0};
-    std::atomic<int> aliased{0};
     std::vector<std::thread> workers;
     for (unsigned i = 0; i < 2; ++i) {
         workers.emplace_back([&, i] {
-            FleetClientOptions opts;
-            opts.wrap = [&, i](std::unique_ptr<Stream> inner) {
-                return std::make_unique<PushWatch>(
-                    std::move(inner), workerCheckpointPath(base, i),
-                    shardCachePath(base, i), seen, aliased);
-            };
-            SweepEngine engine(base, FleetWorkerSpec{i});
-            FleetClient client(sock, i, hash, opts);
+            SweepEngine engine{std::string()};
+            FleetClient client(sock, i, hash);
             engine.runFleet(grid, client, 4);
         });
     }
@@ -655,20 +721,18 @@ TEST(FleetEndToEnd, JoinReadsOnlyTheStoredShards)
         t.join();
     EXPECT_TRUE(server.drained());
     server.stop();
-    // Twelve pushes over two workers: some worker pushed twice.
-    EXPECT_GT(seen.load(), 0);
-    EXPECT_EQ(aliased.load(), 0)
-        << "a worker checkpoint is the coordinator's stored copy";
 
-    for (unsigned i = 0; i < 2; ++i)
-        std::remove(workerCheckpointPath(base, i).c_str());
-    mergeShardCaches(base, 2);
+    {
+        RunCache on_disk{std::string()};
+        on_disk.mergeFile(base);
+        EXPECT_EQ(on_disk.size(), grid.size());
+        EXPECT_EQ(on_disk.parseErrors(), 0u);
+    }
+    ASSERT_TRUE(store.saveNow());
     const std::string solo_bytes = readFile(solo);
     ASSERT_FALSE(solo_bytes.empty());
     EXPECT_EQ(solo_bytes, readFile(base));
 
-    // A clean join leaves the canonical file and nothing else of its
-    // family: no stored shard, checkpoint or temporary file.
     const std::filesystem::path canonical(base);
     const std::string family = canonical.filename().string() + ".";
     for (const auto &entry : std::filesystem::directory_iterator(
@@ -678,7 +742,7 @@ TEST(FleetEndToEnd, JoinReadsOnlyTheStoredShards)
     }
 
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 }
 
 TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
@@ -690,7 +754,7 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
     const std::string base = tempPath("kill_fleet.csv");
     const std::string sock = tempPath("kill.sock");
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
 
     const auto grid = smallGrid();
     {
@@ -699,11 +763,12 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
     }
 
     const std::uint64_t hash = gridFingerprint(grid);
-    FleetPlan plan = planFleetSweep(grid, base, 2, false);
+    RunCache store(base);
+    FleetPlan plan = planFleetSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
-                       hash, base);
+                       hash, store);
 
     // Fork the victim worker *before* the server spawns any thread:
     // the child is single-threaded at fork and builds its own
@@ -713,7 +778,7 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
     if (pid == 0) {
         // Worker 0, slowed so the parent can SIGKILL it mid-run. The
         // client ctor retries connecting while the parent binds.
-        SweepEngine engine(base, FleetWorkerSpec{0});
+        SweepEngine engine{std::string()};
         engine.setInjectedRunDelayMs(200);
         FleetClient client(sock, 0, hash);
         engine.runFleet(grid, client, 1);
@@ -724,41 +789,142 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
 
     // Wait until worker 0 has pushed at least one row - the
     // crash-safety contract says the row reached the coordinator's
-    // store before the matching `done` - then kill it dead
-    // mid-lease.
-    bool checkpointed = false;
-    for (int i = 0; i < 3000 && !checkpointed; ++i) {
-        checkpointed = hasCheckpointedRow(shardCachePath(base, 0));
-        if (!checkpointed)
+    // file before the matching `done` - then kill it dead mid-lease.
+    bool pushed = false;
+    for (int i = 0; i < 3000 && !pushed; ++i) {
+        pushed = server.pushTotals().pushes > 0;
+        if (!pushed)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(10));
     }
     ::kill(pid, SIGKILL);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(checkpointed)
-        << "worker 0 never checkpointed a row";
+    ASSERT_TRUE(pushed) << "worker 0 never pushed a row";
     EXPECT_TRUE(WIFSIGNALED(status));
 
     // Worker 1 takes over: the victim's outstanding lease expires
     // (500 ms renew deadline), its keys requeue, and the survivor
     // drains the grid.
     {
-        SweepEngine engine(base, FleetWorkerSpec{1});
+        SweepEngine engine{std::string()};
         FleetClient client(sock, 1, hash);
         engine.runFleet(grid, client, 1);
     }
     EXPECT_TRUE(server.drained());
     server.stop();
 
-    // The dead worker's stored partial shard plus the survivor's
-    // merge into exactly the single-process file: duplicated keys
-    // (pushed but never reported) dedupe byte-identically.
-    mergeShardCaches(base, 2);
+    // The dead worker's pushes plus the survivor's compact into
+    // exactly the single-process file: keys pushed twice (pushed,
+    // never reported) merge as byte-identical duplicates.
+    ASSERT_TRUE(store.saveNow());
     const std::string solo_bytes = readFile(solo);
     ASSERT_FALSE(solo_bytes.empty());
     EXPECT_EQ(solo_bytes, readFile(base));
 
     std::remove(solo.c_str());
-    removeCacheFamily(base, 2);
+    std::remove(base.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Through the real CLI: workers write no file
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** migc_sweep next to this test binary, or empty when it was not
+ *  built (the sanitizer jobs build without the bench binaries). */
+std::string
+migcSweepBinary()
+{
+    std::error_code ec;
+    const std::filesystem::path self =
+        std::filesystem::read_symlink("/proc/self/exe", ec);
+    if (ec)
+        return "";
+    const std::filesystem::path bin = self.parent_path() / "migc_sweep";
+    return std::filesystem::exists(bin, ec) ? bin.string() : "";
+}
+
+/** Start @p args (args[0] is the binary) with its output discarded. */
+pid_t
+spawnQuiet(const std::vector<std::string> &args)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        ::dup2(null, STDOUT_FILENO);
+        ::dup2(null, STDERR_FILENO);
+        std::vector<char *> argv;
+        for (const std::string &a : args)
+            argv.push_back(const_cast<char *>(a.c_str()));
+        argv.push_back(nullptr);
+        ::execv(argv[0], argv.data());
+        _exit(127);
+    }
+    return pid;
+}
+
+/** @p pid's exit status, or -1 when it did not exit normally. */
+int
+waitExit(pid_t pid)
+{
+    int status = 0;
+    if (pid <= 0 || ::waitpid(pid, &status, 0) != pid ||
+        !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+} // namespace
+
+TEST(FleetCli, WorkersLeaveTheirCacheDirectoriesEmpty)
+{
+    // A listening coordinator and two hand-started workers, each
+    // worker given a --cache in a directory of its own. A worker
+    // keeps its rows in memory and pushes them, so after the fleet
+    // both worker directories are empty and the coordinator's cache
+    // alone holds the solo sweep's bytes.
+    const std::string bin = migcSweepBinary();
+    if (bin.empty())
+        GTEST_SKIP() << "migc_sweep was not built next to this test";
+    namespace fs = std::filesystem;
+    const fs::path root = tempPath("cli");
+    fs::remove_all(root);
+    for (const char *dir : {"coord", "w0", "w1"})
+        fs::create_directories(root / dir);
+    const std::string sock = "unix:" + (root / "fleet.sock").string();
+    auto sweep = [&](std::vector<std::string> extra) {
+        std::vector<std::string> args{
+            bin,        "--config", "test",   "--workloads",
+            "FwSoft,FwBN", "--policies", "Uncached,CacheR,CacheRW"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        return args;
+    };
+
+    ASSERT_EQ(waitExit(spawnQuiet(
+                  sweep({"--cache", (root / "solo.v4").string()}))),
+              0);
+    const pid_t coord = spawnQuiet(
+        sweep({"--cache", (root / "coord" / "fleet.v4").string(),
+               "--shards", "2", "--listen", sock}));
+    std::vector<pid_t> workers;
+    for (const char *i : {"0", "1"}) {
+        const fs::path dir = root / (std::string("w") + i);
+        workers.push_back(spawnQuiet(
+            sweep({"--cache", (dir / "fleet.v4").string(), "--fleet",
+                   sock, "--shard-index", i})));
+    }
+    for (pid_t w : workers)
+        EXPECT_EQ(waitExit(w), 0);
+    EXPECT_EQ(waitExit(coord), 0);
+
+    for (const char *dir : {"w0", "w1"})
+        EXPECT_TRUE(fs::is_empty(root / dir)) << dir << " holds a file";
+    const std::string solo_bytes = readFile((root / "solo.v4").string());
+    ASSERT_FALSE(solo_bytes.empty());
+    EXPECT_EQ(readFile((root / "coord" / "fleet.v4").string()),
+              solo_bytes);
+    fs::remove_all(root);
 }

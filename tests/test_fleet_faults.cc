@@ -1,29 +1,33 @@
 /** @file Chaos suite for the multi-host fleet: a deterministic
  *  fault-injection matrix ({drop, truncate, duplicate, delay,
- *  corrupt} x {lease, done, renew, push, fetch}) driven through the
+ *  corrupt} x {lease, done, renew, push}) driven through the
  *  transport shim (serve/transport.hh) over real localhost-TCP
- *  sockets, proving the merged coordinator-store cache stays
+ *  sockets, proving the coordinator's canonical cache stays
  *  byte-identical to a single-process sweep under every injected
  *  failure. Plus: the shim's replay determinism (same seed +
- *  schedule = same byte trace, independent of read chunking), a
- *  checksum-failed v4 segment dropping loudly out of the shard merge
- *  and repairing on re-push, the connect-failure fatal naming the
- *  underlying OS error, and a SIGKILLed TCP worker whose takeover
- *  still merges byte-identical with no shared shard files. */
+ *  schedule = same byte trace, independent of read chunking), the
+ *  push traffic being one one-row segment per completion, a rerun
+ *  over a canonical file whose last segment is torn leasing only the
+ *  lost keys, the connect-failure fatal naming the underlying OS
+ *  error, and a SIGKILLed TCP worker whose takeover still ends
+ *  byte-identical. */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -34,6 +38,7 @@
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "serve/transport.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 using namespace migc;
@@ -81,16 +86,6 @@ writeFile(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-void
-removeCacheFamily(const std::string &base, unsigned shards)
-{
-    std::remove(base.c_str());
-    for (unsigned i = 0; i < shards; ++i) {
-        std::remove(shardCachePath(base, i).c_str());
-        std::remove(workerCheckpointPath(base, i).c_str());
-    }
-}
-
 /** The small grid every end-to-end case sweeps (same points as
  *  tests/test_fleet.cc, so sim cost stays bounded). */
 std::vector<RunRequest>
@@ -133,11 +128,10 @@ struct FleetResult
 
 /**
  * One chaos run: a 2-worker fleet over tcp:127.0.0.1:0 with
- * disjoint per-worker cache bases (nothing shares a file - only
- * `push` can move bytes to the coordinator), worker 0's
- * connections wrapped in the fault shim with @p faults. Returns the
- * drain-time merge of the coordinator's *store* - exactly what a
- * no-shared-filesystem fleet would have.
+ * memory-only workers (only `push` can move a row to the
+ * coordinator), worker 0's connections wrapped in the fault shim
+ * with @p faults. Returns the coordinator's canonical cache after
+ * the join.
  */
 FleetResult
 runFaultedFleet(const std::string &tag,
@@ -147,17 +141,14 @@ runFaultedFleet(const std::string &tag,
     const auto grid = smallGrid();
     const std::uint64_t hash = gridFingerprint(grid);
     const std::string coord = tempPath(tag + "_coord.csv");
-    const std::string w0 = tempPath(tag + "_w0.csv");
-    const std::string w1 = tempPath(tag + "_w1.csv");
-    removeCacheFamily(coord, 2);
-    removeCacheFamily(w0, 2);
-    removeCacheFamily(w1, 2);
+    std::remove(coord.c_str());
 
-    FleetPlan plan = planFleetSweep(grid, coord, 2, false);
+    RunCache store(coord);
+    FleetPlan plan = planFleetSweep(grid, store);
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, renewMs}),
-                       hash, coord);
+                       hash, store);
     server.start();
     const std::string spec = server.boundEndpoint().spec();
 
@@ -168,8 +159,7 @@ runFaultedFleet(const std::string &tag,
     std::vector<std::thread> workers;
     for (unsigned i = 0; i < 2; ++i) {
         workers.emplace_back([&, i] {
-            SweepEngine engine(i == 0 ? w0 : w1,
-                               FleetWorkerSpec{i});
+            SweepEngine engine{std::string()};
             engine.setInjectedRunDelayMs(i == 0 ? worker0DelayMs
                                                 : 0);
             FleetClientOptions opts;
@@ -188,15 +178,13 @@ runFaultedFleet(const std::string &tag,
 
     FleetResult r;
     r.drained = server.drained();
-    r.pushes = server.pushesStored();
+    r.pushes = server.pushTotals().pushes;
     server.stop();
     r.trace = fplan->trace();
 
-    mergeShardCaches(coord, 2);
+    EXPECT_TRUE(store.saveNow());
     r.mergedBytes = readFile(coord);
-    removeCacheFamily(coord, 2);
-    removeCacheFamily(w0, 2);
-    removeCacheFamily(w1, 2);
+    std::remove(coord.c_str());
     return r;
 }
 
@@ -290,7 +278,7 @@ TEST(FleetFaultMatrix, PushPayloadFaultsNeverReachTheStore)
     // the raw payload bytes - the checksum path. A corrupted or
     // reordered payload must bounce off the coordinator (mismatch
     // reply), a torn one must die mid-frame; either way the client
-    // retransmits the whole file and the store ends byte-exact.
+    // retransmits the whole segment and the store ends byte-exact.
     struct OpCase
     {
         StreamFault::Op op;
@@ -322,68 +310,6 @@ TEST(FleetFaultMatrix, PushPayloadFaultsNeverReachTheStore)
             << "fault never fired; trace:\n" << r.trace;
         EXPECT_EQ(r.mergedBytes, soloBytes());
     }
-}
-
-// ---------------------------------------------------------------------
-// Fetch column of the matrix: faults on the reply stream
-// ---------------------------------------------------------------------
-
-TEST(FleetFaults, FetchRetriesThroughEveryFaultKind)
-{
-    const std::string store = tempPath("fetch_store.csv");
-    std::string bytes;
-    Rng rng(0xFE7C4u);
-    for (int i = 0; i < 256; ++i)
-        bytes.push_back(static_cast<char>(rng.below(256)));
-    writeFile(shardCachePath(store, 3), bytes);
-
-    FleetServer server("tcp:127.0.0.1:0",
-                       FleetQueue({1.0}, {0}, FleetConfig{1, 10000}),
-                       42, store);
-    server.start();
-    const std::string spec = server.boundEndpoint().spec();
-
-    const StreamFault::Op ops[] = {
-        StreamFault::Op::drop, StreamFault::Op::truncate,
-        StreamFault::Op::duplicate, StreamFault::Op::delay,
-        StreamFault::Op::corrupt,
-    };
-    int casenum = 0;
-    for (StreamFault::Op op : ops) {
-        // Offset 2 garbles the "# shard <bytes> <checksum>" header;
-        // offset 40 lands inside the streamed payload.
-        for (std::uint64_t offset : {2ull, 40ull}) {
-            SCOPED_TRACE(casenum);
-            auto fplan = std::make_shared<FaultPlan>();
-            StreamFault f;
-            f.op = op;
-            f.dir = StreamFault::Dir::rx;
-            f.conn = 0;
-            f.match = "# shard";
-            f.matchNth = 1;
-            f.offset = offset;
-            f.len = 5;
-            f.holdBytes = 6;
-            fplan->faults = {f};
-            fplan->seed = 0xD00Du + casenum;
-
-            FleetClientOptions opts;
-            opts.wrap = [fplan](std::unique_ptr<Stream> s) {
-                return wrapFaulty(std::move(s), fplan);
-            };
-            FleetClient client(spec, 0, 42, opts);
-            const std::string dest = tempPath(
-                "fetch_dest_" + std::to_string(casenum));
-            std::remove(dest.c_str());
-            EXPECT_TRUE(client.fetchShard(3, dest));
-            EXPECT_EQ(readFile(dest), bytes);
-            EXPECT_FALSE(fplan->trace().empty());
-            std::remove(dest.c_str());
-            ++casenum;
-        }
-    }
-    server.stop();
-    std::remove(shardCachePath(store, 3).c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -548,80 +474,163 @@ TEST(FleetFaults, ReplayedScheduleProducesIdenticalTrace)
 }
 
 // ---------------------------------------------------------------------
-// A checksum-failed v4 segment drops loudly, survives re-push
+// The one store: push traffic, and a rerun after a torn append
 // ---------------------------------------------------------------------
 
-TEST(FleetFaults, CorruptFooterSegmentDropsLoudlyThenRepushRepairs)
+namespace
 {
-    const SimConfig cfg = SimConfig::testConfig();
-    const std::string aPath = tempPath("seg_a.csv");
-    const std::string bPath = tempPath("seg_b.csv");
-    std::remove(aPath.c_str());
-    std::remove(bPath.c_str());
-    {
-        SweepEngine e(aPath);
-        e.run({RunRequest{cfg, "FwSoft", "Uncached"}});
+
+/** soloBytes()'s rows, loaded into the memory-only cache @p into. */
+void
+loadSoloRows(RunCache &into)
+{
+    const std::string path = tempPath("solo_rows.csv");
+    writeFile(path, soloBytes());
+    into.mergeFile(path);
+    std::remove(path.c_str());
+}
+
+/** One v4 segment holding @p rows's rows for @p reqs (one config),
+ *  sorted as the writer needs - for one request, exactly what a
+ *  worker pushes when it finishes that key. */
+std::string
+segmentFor(const RunCache &rows, std::vector<RunRequest> reqs)
+{
+    std::sort(reqs.begin(), reqs.end(),
+              [](const RunRequest &a, const RunRequest &b) {
+                  return std::tie(a.workload, a.policy) <
+                         std::tie(b.workload, b.policy);
+              });
+    const std::string sig = SimConfig::testConfig().signature();
+    std::vector<V4RowRef> refs;
+    for (const RunRequest &req : reqs) {
+        const RunMetrics *m = rows.find(sig, req.workload, req.policy);
+        EXPECT_NE(m, nullptr) << req.workload << "/" << req.policy;
+        if (m != nullptr)
+            refs.push_back(
+                V4RowRef{sig, m->workload, m->policy, packV4Row(*m)});
     }
+    return buildV4Segment(refs);
+}
+
+} // namespace
+
+TEST(FleetFaults, PushedBytesAreOneRowSegmentPerCompletion)
+{
+    // A worker's whole upstream traffic, read from the shim's
+    // per-direction byte count: two lease requests (the grant, then
+    // `# drained`) and, per key, one push header, one one-row
+    // segment and one done line. Nothing else is sent.
+    const auto grid = smallGrid();
+    const std::uint64_t hash = gridFingerprint(grid);
+    ASSERT_FALSE(soloBytes().empty());
+    RunCache solo{std::string()};
+    loadSoloRows(solo);
+
+    const std::string coord = tempPath("bytes_coord.csv");
+    std::remove(coord.c_str());
+    RunCache store(coord);
+    FleetPlan plan = planFleetSweep(grid, store);
+    // One lease holds the whole grid, and no run gets near the renew
+    // deadline, so the worker never renews.
+    FleetServer server("tcp:127.0.0.1:0",
+                       FleetQueue(plan.costs, plan.pending,
+                                  FleetConfig{grid.size(), 600000}),
+                       hash, store);
+    server.start();
+    auto fplan = std::make_shared<FaultPlan>(); // no faults: a counter
     {
-        SweepEngine e(bPath);
-        e.run({RunRequest{cfg, "FwBN", "CacheR"}});
+        SweepEngine engine{std::string()};
+        FleetClientOptions opts;
+        opts.wrap = [fplan](std::unique_ptr<Stream> s) {
+            return wrapFaulty(std::move(s), fplan);
+        };
+        FleetClient client(server.boundEndpoint().spec(), 0, hash,
+                           opts);
+        EXPECT_EQ(engine.runFleet(grid, client, 1).runs, grid.size());
+    } // closing the connection writes its byte counts to the trace
+    EXPECT_TRUE(server.drained());
+    server.stop();
+    ASSERT_TRUE(store.saveNow());
+    EXPECT_EQ(readFile(coord), soloBytes());
+    std::remove(coord.c_str());
+
+    std::uint64_t want =
+        2 * csprintf("lease 0 %llu\n",
+                     static_cast<unsigned long long>(hash))
+                .size();
+    for (std::uint32_t key = 0; key < grid.size(); ++key) {
+        const std::string seg = segmentFor(solo, {grid[key]});
+        want += csprintf("push 0 1 %zu %llu\n", seg.size(),
+                         static_cast<unsigned long long>(
+                             v4Checksum(seg.data(), seg.size())))
+                    .size() +
+                seg.size() + csprintf("done 0 1 %u\n", key).size();
     }
-    const std::string a = readFile(aPath);
-    const std::string b = readFile(bPath);
-    ASSERT_GT(a.size(), kV4HeaderBytes + kV4FooterBytes);
-    ASSERT_EQ(a.compare(0, sizeof(kV4SegMagic), kV4SegMagic,
-                        sizeof(kV4SegMagic)),
-              0)
-        << "expected a v4-format cache";
+    const std::string trace = fplan->trace();
+    EXPECT_EQ(trace.find("conn1"), std::string::npos)
+        << "the worker reconnected:\n" << trace;
+    const std::string mark = "conn0 tx eof bytes=";
+    const std::size_t at = trace.find(mark);
+    ASSERT_NE(at, std::string::npos) << trace;
+    EXPECT_EQ(std::strtoull(trace.c_str() + at + mark.size(), nullptr,
+                            10),
+              want)
+        << trace;
+}
 
-    // Two distinct-key single-row segments concatenate into one
-    // valid two-segment shard file - the shape a worker's
-    // checkpoint-append discipline produces.
-    const std::string clean = a + b;
-    const std::string base = tempPath("seg_base.csv");
-    removeCacheFamily(base, 1);
-    const std::string shard0 = shardCachePath(base, 0);
+TEST(FleetFaults, TornLastSegmentRerunLeasesOnlyTheLostKeys)
+{
+    // A coordinator killed mid-append leaves its canonical file with
+    // a torn last segment. The rerun's load drops that segment loudly
+    // and keeps the rest, so only the torn keys are leased again; its
+    // first push compacts the file instead of appending after the
+    // garbage, and the join ends at the solo bytes.
+    const auto grid = smallGrid();
+    const std::uint64_t hash = gridFingerprint(grid);
+    ASSERT_FALSE(soloBytes().empty());
+    RunCache solo{std::string()};
+    loadSoloRows(solo);
+    ASSERT_EQ(solo.size(), grid.size());
 
-    // Flip one byte of the *second* segment's footer checksum: the
-    // first segment must survive, the second must drop - counted,
-    // never silently.
-    std::string damaged = clean;
-    damaged[damaged.size() - kV4FooterBytes] ^=
-        static_cast<char>(0x5a);
-    writeFile(shard0, damaged);
+    // Keys 0-3 in one clean segment, then the append of keys 4 and 5
+    // torn 21 bytes short of its end.
+    const std::string base = tempPath("torn_base.csv");
+    const std::string lost = segmentFor(solo, {grid[4], grid[5]});
+    writeFile(base,
+              segmentFor(solo, {grid[0], grid[1], grid[2], grid[3]}) +
+                  lost.substr(0, lost.size() - 21));
 
-    ShardMergeStats st1 = mergeShardCaches(base, 1);
-    EXPECT_EQ(st1.files, 1u);
-    EXPECT_EQ(st1.rows, 1u);
-    EXPECT_GE(st1.parseErrors, 1u)
-        << "a dropped segment must be counted, not silent";
+    RunCache store(base);
+    EXPECT_EQ(store.size(), 4u);
+    EXPECT_EQ(store.parseErrors(), 1u);
+    FleetPlan plan = planFleetSweep(grid, store);
+    EXPECT_EQ(plan.pending, (std::vector<std::uint32_t>{4, 5}));
+
+    FleetServer server("tcp:127.0.0.1:0",
+                       FleetQueue(plan.costs, plan.pending,
+                                  FleetConfig{1, 10000}),
+                       hash, store);
+    server.start();
     {
-        RunCache probe(base, 8);
-        EXPECT_EQ(probe.size(), 1u);
+        SweepEngine engine{std::string()};
+        FleetClient client(server.boundEndpoint().spec(), 0, hash);
+        EXPECT_EQ(engine.runFleet(grid, client, 1).runs, 2u);
     }
+    EXPECT_TRUE(server.drained());
+    server.stop();
 
-    // Re-push the clean file (what FleetClient::pushShard's
-    // retransmit delivers) and merge again: the lost row comes
-    // back, the surviving one dedupes.
-    writeFile(shard0, clean);
-    ShardMergeStats st2 = mergeShardCaches(base, 1);
-    EXPECT_EQ(st2.rows, 1u);
-    EXPECT_EQ(st2.duplicates, 1u);
-    EXPECT_EQ(st2.parseErrors, 0u);
-
-    // Byte-identical to a merge that never saw the damage.
-    const std::string base2 = tempPath("seg_base2.csv");
-    removeCacheFamily(base2, 1);
-    writeFile(shardCachePath(base2, 0), clean);
-    mergeShardCaches(base2, 1);
-    const std::string wantBytes = readFile(base2);
-    ASSERT_FALSE(wantBytes.empty());
-    EXPECT_EQ(readFile(base), wantBytes);
-
-    std::remove(aPath.c_str());
-    std::remove(bPath.c_str());
-    removeCacheFamily(base, 1);
-    removeCacheFamily(base2, 1);
+    // Before the join, every segment of the file parses: nothing was
+    // appended after the torn bytes.
+    {
+        RunCache on_disk{std::string()};
+        on_disk.mergeFile(base);
+        EXPECT_EQ(on_disk.parseErrors(), 0u);
+        EXPECT_EQ(on_disk.size(), grid.size());
+    }
+    ASSERT_TRUE(store.saveNow());
+    EXPECT_EQ(readFile(base), soloBytes());
+    std::remove(base.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -706,7 +715,7 @@ TEST(FleetFaults, VanishedPeerFailsTheWriteNotTheProcess)
 }
 
 // ---------------------------------------------------------------------
-// SIGKILL + takeover over TCP with no shared shard files
+// SIGKILL + takeover over TCP
 // ---------------------------------------------------------------------
 
 TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
@@ -719,17 +728,14 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
     ASSERT_FALSE(soloBytes().empty());
 
     const std::string coord = tempPath("kill_coord.csv");
-    const std::string w0 = tempPath("kill_w0.csv");
-    const std::string w1 = tempPath("kill_w1.csv");
-    removeCacheFamily(coord, 2);
-    removeCacheFamily(w0, 2);
-    removeCacheFamily(w1, 2);
+    std::remove(coord.c_str());
 
-    FleetPlan plan = planFleetSweep(grid, coord, 2, false);
+    RunCache store(coord);
+    FleetPlan plan = planFleetSweep(grid, store);
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
-                       hash, coord);
+                       hash, store);
 
     // Fork the victim *before* the server spawns any thread; the
     // kernel-chosen port is only known after start(), so it travels
@@ -745,7 +751,7 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
         while (::read(pipefd[0], &c, 1) == 1 && c != '\n')
             spec.push_back(c);
         ::close(pipefd[0]);
-        SweepEngine engine(w0, FleetWorkerSpec{0});
+        SweepEngine engine{std::string()};
         engine.setInjectedRunDelayMs(200);
         FleetClientOptions opts;
         opts.gridSize = grid.size();
@@ -761,12 +767,12 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
               static_cast<ssize_t>(specLine.size()));
     ::close(pipefd[1]);
 
-    // Push-before-done means a stored push is proof the victim both
-    // checkpointed and uploaded at least one row. Then kill it dead
+    // Push-before-done means a stored push is proof the victim's
+    // first row is in the coordinator's file. Then kill it dead
     // mid-lease.
     bool pushed = false;
     for (int i = 0; i < 3000 && !pushed; ++i) {
-        pushed = server.pushesStored() > 0;
+        pushed = server.pushTotals().pushes > 0;
         if (!pushed)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(10));
@@ -774,14 +780,14 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
     ::kill(pid, SIGKILL);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(pushed) << "worker 0 never pushed a shard";
+    ASSERT_TRUE(pushed) << "worker 0 never pushed a row";
     EXPECT_TRUE(WIFSIGNALED(status));
 
     // The survivor takes over on the same TCP endpoint: the
     // victim's lease expires (500 ms), its keys requeue, the grid
     // drains.
     {
-        SweepEngine engine(w1, FleetWorkerSpec{1});
+        SweepEngine engine{std::string()};
         FleetClientOptions opts;
         opts.gridSize = grid.size();
         FleetClient client(server.boundEndpoint().spec(), 1, hash,
@@ -791,13 +797,10 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
     EXPECT_TRUE(server.drained());
     server.stop();
 
-    // Merge only the coordinator's *store* - the workers' own cache
-    // files are deleted first, so nothing can leak through a shared
-    // filesystem. Keys the victim pushed but never reported get
-    // re-run by the survivor and dedupe byte-identically.
-    removeCacheFamily(w0, 2);
-    removeCacheFamily(w1, 2);
-    mergeShardCaches(coord, 2);
+    // The workers wrote no file, so the coordinator's cache alone is
+    // the result. Keys the victim pushed but never reported were
+    // re-run by the survivor and merged as byte-identical duplicates.
+    ASSERT_TRUE(store.saveNow());
     EXPECT_EQ(readFile(coord), soloBytes());
-    removeCacheFamily(coord, 2);
+    std::remove(coord.c_str());
 }

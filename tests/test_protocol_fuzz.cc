@@ -5,8 +5,8 @@
  *  of every valid line, and seeded mutations of valid frames. The
  *  live half drives a real FleetServer socket with binary garbage
  *  and hostile push frames and proves the coordinator still answers
- *  afterwards - and that nothing damaged ever reached its shard
- *  store. */
+ *  afterwards - and that nothing but a whole v4 segment ever reached
+ *  its store. */
 
 #include <gtest/gtest.h>
 
@@ -14,13 +14,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cache_v4.hh"
 #include "core/fleet.hh"
-#include "core/shard.hh"
+#include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "serve/transport.hh"
 #include "sim/rng.hh"
@@ -34,15 +33,6 @@ std::string
 tempPath(const std::string &leaf)
 {
     return ::testing::TempDir() + "migc_fuzz_" + leaf;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 bool
@@ -113,13 +103,6 @@ expectInvariants(const std::string &line)
       case K::help:
         EXPECT_EQ(tok.size(), 1u);
         break;
-      case K::fetch:
-        ASSERT_EQ(tok.size(), 2u);
-        EXPECT_EQ(tok[0], "fetch");
-        ASSERT_TRUE(refU64(tok[1], &v)) << "line: " << line;
-        EXPECT_LE(v, 4095u);
-        EXPECT_EQ(req.worker, v);
-        break;
       case K::lease:
         ASSERT_EQ(tok.size(), 3u);
         EXPECT_EQ(tok[0], "lease");
@@ -176,8 +159,6 @@ validLines()
         "done 1 42 7",
         "renew 0 9",
         "push 2 7 128 18446744073709551615",
-        "fetch 3",
-        "fetch 4095",
         "done 1 1 4294967295",
         "push 1 1 1073741824 0",
     };
@@ -284,7 +265,6 @@ TEST(ProtocolFuzz, NumericEdgeTokensAreRejectedExactly)
     using K = ServeRequest::Kind;
     // One past every bound, plus every non-strict-decimal spelling.
     const char *bad[] = {
-        "fetch 4096",
         "lease 4096 1",
         "done 1 1 4294967296",
         "push 1 1 1073741825 5",            // kServeMaxPushBytes + 1
@@ -298,8 +278,7 @@ TEST(ProtocolFuzz, NumericEdgeTokensAreRejectedExactly)
         "renew 1 ",
         "push 1 1 100",       // missing checksum
         "push 1 1 100 5 9",   // extra operand
-        "fetch",
-        "fetch 1 2",
+        "fetch 3",            // the removed download verb
     };
     for (const char *line : bad) {
         EXPECT_EQ(parseServeRequest(line).kind, K::error)
@@ -307,7 +286,6 @@ TEST(ProtocolFuzz, NumericEdgeTokensAreRejectedExactly)
         expectInvariants(line);
     }
     // ...and the exact bounds themselves are accepted.
-    EXPECT_EQ(parseServeRequest("fetch 4095").kind, K::fetch);
     EXPECT_EQ(parseServeRequest("done 1 1 4294967295").kind, K::done);
     EXPECT_EQ(parseServeRequest("push 1 1 1073741824 0").kind,
               K::push);
@@ -322,9 +300,9 @@ TEST(ProtocolFuzz, NumericEdgeTokensAreRejectedExactly)
 
 TEST(ProtocolFuzz, LiveCoordinatorSurvivesGarbageAndHostilePushes)
 {
-    const std::string store = tempPath("live_store.csv");
-    for (unsigned i = 0; i < 16; ++i)
-        std::remove(shardCachePath(store, i).c_str());
+    const std::string store_path = tempPath("live_store.csv");
+    std::remove(store_path.c_str());
+    RunCache store(store_path);
 
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue({1.0}, {0}, FleetConfig{1, 10000}),
@@ -367,43 +345,58 @@ TEST(ProtocolFuzz, LiveCoordinatorSurvivesGarbageAndHostilePushes)
 
     std::string line;
     ASSERT_TRUE(readUntilPrefix(*conn, rx, "# fleet total=", line));
-    EXPECT_FALSE(fileExists(shardCachePath(store, 7)))
-        << "checksum-failed push reached the shard store";
+    EXPECT_FALSE(fileExists(store_path))
+        << "checksum-failed push reached the store";
 
-    // Phase 4: after all that abuse, a well-formed push still lands
-    // byte-exactly, and fetch streams it back.
-    std::string payload = "not a real cache file, but 48 raw bytes!\n";
-    payload.push_back('\0');
-    payload += "binary\xff\x01tail";
-    const std::string header = "push 8 1 " +
-        std::to_string(payload.size()) + " " +
-        std::to_string(v4Checksum(payload.data(), payload.size())) +
-        "\n";
-    ASSERT_TRUE(conn->writeAll(header + payload));
-    ASSERT_TRUE(readUntilPrefix(*conn, rx, "# pushed ", line));
-    EXPECT_EQ(line, "# pushed " + std::to_string(payload.size()));
-    EXPECT_EQ(readFile(shardCachePath(store, 8)), payload);
-
-    ASSERT_TRUE(conn->writeAll("fetch 9\n"));
-    ASSERT_TRUE(readLineFrom(*conn, rx, line));
-    EXPECT_EQ(line, "# none");
-
-    ASSERT_TRUE(conn->writeAll("fetch 8\n"));
-    ASSERT_TRUE(readLineFrom(*conn, rx, line));
-    ASSERT_EQ(line.rfind("# shard ", 0), 0u) << line;
-    std::string fetched = rx;
-    while (fetched.size() < payload.size()) {
-        char chunk[4096];
-        ssize_t n = conn->read(chunk, sizeof(chunk));
-        ASSERT_GT(n, 0);
-        fetched.append(chunk, static_cast<std::size_t>(n));
+    // Phase 4: payloads with a correct checksum that are not exactly
+    // one v4 segment - arbitrary bytes, and two segments back to
+    // back - are refused whole and write nothing.
+    auto frame = [](const std::string &payload) {
+        return "push 8 1 " + std::to_string(payload.size()) + " " +
+               std::to_string(
+                   v4Checksum(payload.data(), payload.size())) +
+               "\n" + payload;
+    };
+    std::string junk = "not a real cache file, but 48 raw bytes!\n";
+    junk.push_back('\0');
+    junk += "binary\xff\x01tail";
+    RunMetrics row;
+    row.workload = "FwSoft";
+    row.policy = "CacheRW";
+    row.execTicks = 1234;
+    const std::string segment = buildV4Segment(
+        {V4RowRef{"sig", row.workload, row.policy, packV4Row(row)}});
+    for (const std::string &payload : {junk, segment + segment}) {
+        ASSERT_TRUE(conn->writeAll(frame(payload)));
+        ASSERT_TRUE(readUntilPrefix(*conn, rx, "# ", line));
+        EXPECT_EQ(line.rfind("# error: push payload is not one v4 "
+                             "segment",
+                             0),
+                  0u)
+            << line;
     }
-    EXPECT_EQ(fetched, payload);
+    EXPECT_FALSE(fileExists(store_path))
+        << "a push that is not one v4 segment reached the store";
 
-    EXPECT_EQ(server.pushesStored(), 1u);
+    // Phase 5: after all that abuse, one well-formed segment still
+    // lands, and it is in the file before the reply.
+    ASSERT_TRUE(conn->writeAll(frame(segment)));
+    ASSERT_TRUE(readUntilPrefix(*conn, rx, "# pushed ", line));
+    EXPECT_EQ(line, "# pushed " + std::to_string(segment.size()));
+    {
+        RunCache on_disk{std::string()};
+        on_disk.mergeFile(store_path);
+        ASSERT_NE(on_disk.find("sig", "FwSoft", "CacheRW"), nullptr);
+        EXPECT_EQ(on_disk.find("sig", "FwSoft", "CacheRW")->toCsv(),
+                  row.toCsv());
+        EXPECT_EQ(on_disk.size(), 1u);
+    }
+
+    EXPECT_EQ(server.pushTotals().pushes, 1u);
     conn.reset();
     server.stop();
-    std::remove(shardCachePath(store, 8).c_str());
+    EXPECT_TRUE(store.saveNow());
+    std::remove(store_path.c_str());
 }
 
 TEST(ProtocolFuzz, SocketFuzzIsDeterministicAcrossTwoRuns)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "core/cache_snapshot.hh"
-#include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "policy/policy_registry.hh"
@@ -64,10 +65,13 @@ class ScopedEnv
     bool hadOld_ = false;
 };
 
+/** A cache path private to this test process, so two runs of this
+ *  suite at once never share a file. */
 std::string
 tempCachePath(const std::string &leaf)
 {
-    return ::testing::TempDir() + "migc_serve_" + leaf + ".csv";
+    return ::testing::TempDir() + "migc_serve_" +
+           std::to_string(::getpid()) + "_" + leaf + ".csv";
 }
 
 RunMetrics
@@ -586,104 +590,78 @@ TEST(ServeService, TortureConcurrentReadersDuringMissInserts)
         warmup.run(half);
     }
 
-    SweepEngine engine(path);
-    ServeService service(engine);
+    {
+        SweepEngine engine(path);
+        ServeService service(engine);
 
-    constexpr int kReaders = 4;
-    constexpr int kIters = 200;
-    std::vector<std::thread> readers;
-    std::vector<std::string> failures(kReaders);
-    for (int r = 0; r < kReaders; ++r) {
-        readers.emplace_back([&, r] {
-            for (int i = 0; i < kIters; ++i) {
-                const RunRequest &req =
-                    grid[static_cast<std::size_t>(r + i) %
-                         grid.size()];
-                std::string reply = service.handleLine(
-                    "get test " + req.workload + " " + req.policy);
-                const std::string &want =
-                    expected.at({req.workload, req.policy});
-                if (reply.find('#') == 0) {
-                    if (reply.find("# miss") != 0) {
-                        failures[r] = "unexpected status: " + reply;
+        constexpr int kReaders = 4;
+        constexpr int kIters = 200;
+        std::vector<std::thread> readers;
+        std::vector<std::string> failures(kReaders);
+        for (int r = 0; r < kReaders; ++r) {
+            readers.emplace_back([&, r] {
+                for (int i = 0; i < kIters; ++i) {
+                    const RunRequest &req =
+                        grid[static_cast<std::size_t>(r + i) %
+                             grid.size()];
+                    std::string reply = service.handleLine(
+                        "get test " + req.workload + " " + req.policy);
+                    const std::string &want =
+                        expected.at({req.workload, req.policy});
+                    if (reply.find('#') == 0) {
+                        if (reply.find("# miss") != 0) {
+                            failures[r] = "unexpected status: " + reply;
+                            return;
+                        }
+                    } else if (reply != want + "\n") {
+                        failures[r] = "served row diverged:\n  got  " +
+                                      reply + "  want " + want + "\n";
                         return;
                     }
-                } else if (reply != want + "\n") {
-                    failures[r] = "served row diverged:\n  got  " +
-                                  reply + "  want " + want + "\n";
-                    return;
-                }
-                if (i % 16 == 0) {
-                    // Pattern queries race the publishes too; every
-                    // data row they return must be a real result.
-                    std::string matched =
-                        service.handleLine("match test * *");
-                    std::size_t start = 0;
-                    while (start < matched.size()) {
-                        std::size_t nl = matched.find('\n', start);
-                        std::string row =
-                            matched.substr(start, nl - start);
-                        start = nl + 1;
-                        if (row.empty() || row[0] == '#')
-                            continue;
-                        bool known = false;
-                        for (const auto &[key, csv] : expected)
-                            known = known || csv == row;
-                        if (!known) {
-                            failures[r] =
-                                "match returned a row that is not a "
-                                "warm-replay result: " + row;
-                            return;
+                    if (i % 16 == 0) {
+                        // Pattern queries race the publishes too; every
+                        // data row they return must be a real result.
+                        std::string matched =
+                            service.handleLine("match test * *");
+                        std::size_t start = 0;
+                        while (start < matched.size()) {
+                            std::size_t nl = matched.find('\n', start);
+                            std::string row =
+                                matched.substr(start, nl - start);
+                            start = nl + 1;
+                            if (row.empty() || row[0] == '#')
+                                continue;
+                            bool known = false;
+                            for (const auto &[key, csv] : expected)
+                                known = known || csv == row;
+                            if (!known) {
+                                failures[r] =
+                                    "match returned a row that is not a "
+                                    "warm-replay result: " + row;
+                                return;
+                            }
                         }
                     }
                 }
-            }
-        });
-    }
-    for (auto &t : readers)
-        t.join();
-    for (const auto &f : failures)
-        EXPECT_EQ(f, "");
+            });
+        }
+        for (auto &t : readers)
+            t.join();
+        for (const auto &f : failures)
+            EXPECT_EQ(f, "");
 
-    service.drain();
-    for (const RunRequest &req : grid) {
-        EXPECT_EQ(service.handleLine("get test " + req.workload +
-                                     " " + req.policy),
-                  expected.at({req.workload, req.policy}) + "\n");
-    }
-    EXPECT_EQ(service.missEnqueues(), grid.size() - grid.size() / 2)
-        << "each cold point must enqueue exactly one simulation";
-    EXPECT_EQ(engine.simulationsPerformed(),
-              grid.size() - grid.size() / 2);
+        service.drain();
+        for (const RunRequest &req : grid) {
+            EXPECT_EQ(service.handleLine("get test " + req.workload +
+                                         " " + req.policy),
+                      expected.at({req.workload, req.policy}) + "\n");
+        }
+        EXPECT_EQ(service.missEnqueues(), grid.size() - grid.size() / 2)
+            << "each cold point must enqueue exactly one simulation";
+        EXPECT_EQ(engine.simulationsPerformed(),
+                  grid.size() - grid.size() / 2);
+    } // the engine writes its miss-inserted rows back on the way out
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// SweepEngine::snapshot
-// ---------------------------------------------------------------------
-
-TEST(EngineSnapshot, UnionsWarmSideStoreWithWritableCache)
-{
-    // A fleet worker warm-imports the canonical cache; its snapshot
-    // must serve those rows alongside its own fresh ones.
-    const auto &expected = expectedRows();
-    std::string canonical = tempCachePath("engine_snap");
-    std::remove(canonical.c_str());
-    {
-        SweepEngine warmup(canonical);
-        warmup.run(smallGrid());
-    }
-
-    SweepEngine worker(canonical, FleetWorkerSpec{0});
-    auto snap = worker.snapshot();
-    EXPECT_EQ(snap->rows(), expected.size());
-    std::string sig = SimConfig::testConfig().signature();
-    for (const auto &[key, csv] : expected) {
-        const RunMetrics *row =
-            snap->find(sig, key.first, key.second);
-        ASSERT_NE(row, nullptr);
-        EXPECT_EQ(row->toCsv(), csv);
-    }
-    std::remove(canonical.c_str());
-    std::remove(shardCachePath(canonical, 0).c_str());
+    EXPECT_FALSE(std::ifstream(path).good())
+        << path << " outlived the test";
 }
