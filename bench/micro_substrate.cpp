@@ -202,8 +202,8 @@ benchTagsVictimSearch()
  * Sustained sequential lookup sweep over every resident line: the
  * streaming counterpart to tags_lookup_hit's random probes. Walks
  * the whole footprint in address order so each set's address lane is
- * scanned back to back - the pure SoA/SIMD scan rate with no RNG in
- * the loop.
+ * scanned back to back - the pure SoA scan rate with no RNG in the
+ * loop.
  */
 BenchResult
 benchTagsSoaScanSweep()
@@ -734,8 +734,7 @@ toJson(const std::vector<BenchResult> &results, double headline,
        const std::vector<FleetMakespanModel> &fleet_models)
 {
     std::ostringstream os;
-    os << "{\n  \"schema\": 1,\n  \"simd_isa\": \"" << Tags::simdIsa()
-       << "\",\n  \"benchmarks\": [\n";
+    os << "{\n  \"schema\": 1,\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         os << "    {\"name\": \"" << r.name << "\", \"items\": "

@@ -56,6 +56,7 @@
 #include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "sim/rng.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -236,8 +237,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--cache-format") {
             opt.cacheFormat = need(i++);
             fatal_if(opt.cacheFormat != "v4" &&
-                         opt.cacheFormat != "csv" &&
-                         opt.cacheFormat != "v3",
+                         opt.cacheFormat != "csv",
                      "--cache-format %s: expected v4 or csv",
                      opt.cacheFormat.c_str());
         } else if (arg == "--convert") {
@@ -427,20 +427,21 @@ selfExePath(const char *argv0)
 }
 
 /**
- * The coordinator's socket address. Derived from the cache path so
- * two fleets on different caches never collide; the pid suffix keeps
- * repeated runs on one cache apart. sun_path caps AF_UNIX paths at
- * ~107 bytes, so deep build trees fall back to /tmp.
+ * The coordinator's socket address: `<cache>.fleet.sock`, one name
+ * per cache, so a rerun after a crash binds over the dead
+ * coordinator's socket file (Listener::bind unlinks it) instead of
+ * leaving it behind. sun_path caps AF_UNIX paths at ~107 bytes, so
+ * deep build trees fall back to a /tmp name hashed from the cache
+ * path.
  */
 std::string
 fleetSocketPath(const std::string &cache)
 {
-    std::string sock = csprintf("%s.fleet.%d.sock", cache.c_str(),
-                                static_cast<int>(::getpid()));
+    const std::string sock = cache + ".fleet.sock";
     if (sock.size() < 100)
         return sock;
-    return csprintf("/tmp/migc_fleet_%d.sock",
-                    static_cast<int>(::getpid()));
+    return csprintf("/tmp/migc_fleet_%016llx.sock",
+                    static_cast<unsigned long long>(fnv1a(cache)));
 }
 
 int
@@ -527,10 +528,17 @@ coordinateFleet(const Options &opt, const std::string &cache,
     inform("fleet plan: %zu of %zu grid points pending (%zu cached)",
            plan.pending.size(), requests.size(), plan.cached);
 
+    const std::string sock = opt.listenSocket.empty()
+                                 ? fleetSocketPath(cache)
+                                 : opt.listenSocket;
     if (plan.pending.empty()) {
         // Nothing to lease. A rerun after a fleet that stored every
         // row but died before its join lands here: this is the join
-        // on its own.
+        // on its own, and it removes the dead coordinator's socket
+        // file, which no bind will replace.
+        const Endpoint ep = parseEndpoint(sock);
+        if (ep.kind == Endpoint::Kind::unix_)
+            ::unlink(ep.path.c_str());
         joinFleet(canonical, cache, FleetServer::PushTotals());
         return 0;
     }
@@ -538,9 +546,6 @@ coordinateFleet(const Options &opt, const std::string &cache,
     FleetConfig fcfg;
     fcfg.leaseSize = opt.leaseSize;
     fcfg.renewMs = opt.renewMs;
-    const std::string sock = opt.listenSocket.empty()
-                                 ? fleetSocketPath(cache)
-                                 : opt.listenSocket;
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending, fcfg),
                        gridFingerprint(requests), canonical);
@@ -679,10 +684,9 @@ main(int argc, char **argv)
                  "--convert/--export need a cache file (unset "
                  "MIGC_NO_CACHE or pass --cache)");
         RunCache rc(cache); // sniffs whatever format is on disk
-        const CacheFormat fmt =
-            opt.cacheFormat == "csv" || opt.cacheFormat == "v3"
-                ? CacheFormat::csv
-                : CacheFormat::v4;
+        const CacheFormat fmt = opt.cacheFormat == "csv"
+                                    ? CacheFormat::csv
+                                    : CacheFormat::v4;
         const std::string dest =
             opt.exportPath.empty() ? cache : opt.exportPath;
         fatal_if(!rc.exportFile(dest, fmt),
@@ -695,12 +699,11 @@ main(int argc, char **argv)
 
     if (opt.manifest) {
         const std::string self = selfExePath(argv[0]);
-        // A stable, pid-free socket name (the printed commands are
-        // for copy-paste, possibly from a file, long after this
-        // process exited) - unless --listen named an endpoint, which
-        // passes through verbatim (tcp: for multi-host fleets).
+        // The socket a plain coordinator run would bind - unless
+        // --listen named an endpoint, which passes through verbatim
+        // (tcp: for multi-host fleets).
         const std::string sock = opt.listenSocket.empty()
-                                     ? cache + ".fleet.sock"
+                                     ? fleetSocketPath(cache)
                                      : opt.listenSocket;
         const bool tcp =
             parseEndpoint(sock).kind == Endpoint::Kind::tcp;

@@ -30,7 +30,7 @@ Tags::Tags(std::uint64_t size_bytes, unsigned assoc, unsigned line_size,
 
     const std::size_t n = static_cast<std::size_t>(numSets_) * assoc_;
     blocks_.resize(n);
-    addrs_.assign(n + simd::kLanePad, kNoAddr);
+    addrs_.assign(n, kNoAddr);
     states_.assign(n, static_cast<std::uint8_t>(BlkState::invalid));
     validBits_.assign(numSets_, 0);
     busyBits_.assign(numSets_, 0);
@@ -89,23 +89,24 @@ std::uint64_t
 Tags::invalidateClean()
 {
     std::uint64_t count = 0;
-    simd::forEachByteEq(
-        states_.data(), states_.size(),
-        static_cast<std::uint8_t>(BlkState::valid), [&](std::size_t i) {
-            blocks_[i].invalidate();
-            addrs_[i] = kNoAddr;
-            states_[i] = static_cast<std::uint8_t>(BlkState::invalid);
-            setWayBits(i, BlkState::invalid);
-            ++count;
-        });
+    forEachInState(BlkState::valid, [&](std::size_t i) {
+        blocks_[i].invalidate();
+        addrs_[i] = kNoAddr;
+        states_[i] = static_cast<std::uint8_t>(BlkState::invalid);
+        setWayBits(i, BlkState::invalid);
+        ++count;
+    });
     return count;
 }
 
 std::uint64_t
 Tags::countState(BlkState state) const
 {
-    return simd::countByteEq(states_.data(), states_.size(),
-                             static_cast<std::uint8_t>(state));
+    const std::uint8_t key = static_cast<std::uint8_t>(state);
+    std::uint64_t count = 0;
+    for (std::uint8_t s : states_)
+        count += s == key;
+    return count;
 }
 
 void
@@ -148,11 +149,6 @@ Tags::shadowCoherent() const
             if (replStamps_[i] != want)
                 return false;
         }
-    }
-    // The over-read padding must keep its sentinel fill.
-    for (std::size_t i = n; i < addrs_.size(); ++i) {
-        if (addrs_[i] != kNoAddr)
-            return false;
     }
     return true;
 }

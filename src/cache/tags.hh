@@ -8,7 +8,7 @@
  * lanes so lookups never stride through the 48-byte block structs:
  *
  *  - `addrs_`: one 64-bit line address per way (sentinel `kNoAddr`
- *    for non-present ways), the lane `findBlock` SIMD-compares;
+ *    for non-present ways), the lane `findBlock` scans;
  *  - `states_`: the packed `BlkState` byte array the full-array
  *    sweeps (`invalidateClean`, `countState`, `forEachDirty`) scan;
  *  - `validBits_` / `busyBits_`: one bitmap word per set (way i =
@@ -30,12 +30,13 @@
 #define MIGC_CACHE_TAGS_HH
 
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cache/cache_blk.hh"
 #include "cache/repl_policy.hh"
-#include "cache/simd.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -75,16 +76,19 @@ class Tags
     CacheBlk *
     findBlock(Addr addr)
     {
-        // One SIMD compare sweep over the set's address lane. Only
+        // One compare sweep over the set's address lane. Only
         // present ways hold a real address (non-present ways hold
         // kNoAddr, which is never line-aligned), so a lane match IS
-        // a tag match and ascending-index selection reproduces the
-        // scalar walk's first-match way exactly.
+        // a tag match, and the first match is the lowest way.
         const Addr line = lineAlign(addr);
         const std::size_t base =
             static_cast<std::size_t>(setIndex(addr)) * assoc_;
-        const unsigned way = simd::findLane(&addrs_[base], assoc_, line);
-        return way < assoc_ ? &blocks_[base + way] : nullptr;
+        const Addr *lanes = &addrs_[base];
+        for (unsigned way = 0; way < assoc_; ++way) {
+            if (lanes[way] == line)
+                return &blocks_[base + way];
+        }
+        return nullptr;
     }
 
     /** Busy (fill-pending) ways in @p addr's set; feeds the adaptive
@@ -176,18 +180,17 @@ class Tags
 
     /**
      * Visit every dirty block (order: set-major, way-minor) via a
-     * vector byte-scan of the state array. The callback binds
-     * statically (no std::function) - this sits on the rinse/flush
-     * path. @p fn may change the visited block's state (through
+     * byte scan of the state array. The callback binds statically
+     * (no std::function) - this sits on the rinse/flush path. @p fn
+     * may change the visited block's state (through
      * setState/invalidateBlock) but no other block's.
      */
     template <typename Fn>
     void
     forEachDirty(Fn &&fn)
     {
-        simd::forEachByteEq(states_.data(), states_.size(),
-                            static_cast<std::uint8_t>(BlkState::dirty),
-                            [&](std::size_t i) { fn(blocks_[i]); });
+        forEachInState(BlkState::dirty,
+                       [&](std::size_t i) { fn(blocks_[i]); });
     }
 
     /** Visit all blocks (tests / introspection). Mutating state or
@@ -212,14 +215,10 @@ class Tags
 
     /**
      * Verify every SoA mirror against the per-block metadata: the
-     * address lane (including the sentinel padding), the packed
-     * state array, both bitmaps, and the replacement stamp lane.
-     * O(blocks); test and debug hook.
+     * address lane, the packed state array, both bitmaps, and the
+     * replacement stamp lane. O(blocks); test and debug hook.
      */
     bool shadowCoherent() const;
-
-    /** Vector ISA the tag scans were compiled for. */
-    static const char *simdIsa() { return simd::isaName(); }
 
     // --- set-dueling sample counters ---
     // Tags records where duel cost events land; what a set's role
@@ -252,6 +251,25 @@ class Tags
         return static_cast<std::size_t>(blk - blocks_.data());
     }
 
+    /**
+     * fn(i) for each block index i whose packed state is @p state, in
+     * ascending order. Each byte is read right before its call, so
+     * @p fn may change the state of the block it visits (the flush
+     * path does) but no other block's.
+     */
+    template <typename Fn>
+    void
+    forEachInState(BlkState state, Fn &&fn)
+    {
+        const std::uint8_t key = static_cast<std::uint8_t>(state);
+        const std::uint8_t *data = states_.data();
+        const std::size_t n = states_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (data[i] == key)
+                fn(i);
+        }
+    }
+
     /** Set way @p i's valid/busy bitmap bits for @p state. */
     void
     setWayBits(std::size_t i, BlkState state)
@@ -279,7 +297,7 @@ class Tags
     /** Per-block metadata (the external currency). */
     std::vector<CacheBlk> blocks_;
     // --- SoA mirrors (see file comment for the coherence rule) ---
-    std::vector<Addr> addrs_; ///< + simd::kLanePad sentinel lanes
+    std::vector<Addr> addrs_;
     std::vector<std::uint8_t> states_;
     std::vector<std::uint64_t> validBits_;
     std::vector<std::uint64_t> busyBits_;

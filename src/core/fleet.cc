@@ -291,25 +291,6 @@ formatKeys(const std::vector<std::uint32_t> &keys)
     return out;
 }
 
-/** Strict decimal uint64 (same rules as the protocol parser). */
-bool
-parseU64Strict(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : tok) {
-        if (c < '0' || c > '9')
-            return false;
-        std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (UINT64_MAX - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
 } // namespace
 
 FleetServer::FleetServer(std::string endpoint_spec, FleetQueue queue,
@@ -791,7 +772,7 @@ FleetClient::lease()
             return tok.size() == 2;
         if (tok[1] == "wait") {
             std::uint64_t ms;
-            return tok.size() == 3 && parseU64Strict(tok[2], ms);
+            return tok.size() == 3 && parseU64(tok[2], ms);
         }
         if (tok[1] == "error:") {
             // Only the coordinator's genuine refusals surface; an
@@ -802,14 +783,14 @@ FleetClient::lease()
         if (tok[1] != "lease" || tok.size() < 6)
             return false;
         std::uint64_t id, renew_ms;
-        if (!parseU64Strict(tok[2], id) || id == 0 ||
-            !parseU64Strict(tok[3], renew_ms))
+        if (!parseU64(tok[2], id) || id == 0 ||
+            !parseU64(tok[3], renew_ms))
             return false;
         if (tok[4] != "fresh" && tok[4] != "stolen")
             return false;
         for (std::size_t i = 5; i < tok.size(); ++i) {
             std::uint64_t key;
-            if (!parseU64Strict(tok[i], key))
+            if (!parseU64(tok[i], key))
                 return false;
             // A key outside the grid is a torn frame, not a grant:
             // handing it to the engine would panic the worker.
@@ -984,11 +965,11 @@ FleetClient::renewLoop()
                     tok[1] != "renew")
                     return false;
                 std::uint64_t got;
-                if (!parseU64Strict(tok[2], got) || got != id)
+                if (!parseU64(tok[2], got) || got != id)
                     return false;
                 for (std::size_t i = 3; i < tok.size(); ++i) {
                     std::uint64_t key;
-                    if (!parseU64Strict(tok[i], key))
+                    if (!parseU64(tok[i], key))
                         return false;
                 }
                 return true;

@@ -166,8 +166,8 @@ class RunCache
 {
   public:
     /** @p format must be v4, the only format a cache writes (the
-     *  parameter stays for existing callers); exportFile() writes a
-     *  csv copy. */
+     *  parameter stays because perfbench/harness/serve_load.cc
+     *  passes it); exportFile() writes a csv copy. */
     explicit RunCache(std::string path,
                       std::size_t checkpoint_interval = 8,
                       CacheFormat format = CacheFormat::v4);

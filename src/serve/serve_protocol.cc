@@ -36,7 +36,8 @@ badRequest(std::string message)
     return req;
 }
 
-/** Strict decimal uint64: the whole token, no sign, no overflow. */
+} // namespace
+
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
@@ -54,8 +55,6 @@ parseU64(const std::string &tok, std::uint64_t &out)
     out = v;
     return true;
 }
-
-} // namespace
 
 ServeRequest
 parseServeRequest(const std::string &line)

@@ -91,6 +91,11 @@ constexpr std::uint64_t kServeMaxPushBytes = 1ull << 30;
  *  reject whitespace-adjacent forms anyway, see sim/names.hh). */
 std::vector<std::string> serveTokens(const std::string &line);
 
+/** Strict decimal uint64: the whole token, no sign, no overflow.
+ *  Leaves @p out untouched and returns false otherwise. Request
+ *  operands and the fleet's replies parse through it alike. */
+bool parseU64(const std::string &tok, std::uint64_t &out);
+
 /** Parse one request line (never throws; bad input returns
  *  Kind::error with a message naming the problem). */
 ServeRequest parseServeRequest(const std::string &line);

@@ -1,12 +1,26 @@
-/** @file Tests for tags, replacement, MSHRs, and the DBI. */
+/**
+ * @file
+ * Tests for tags, replacement, MSHRs, and the DBI. The tag store is
+ * also driven through randomized traces in lockstep with a naive
+ * array-of-structs reference model, asserting identical block,
+ * victim, busy and count results op for op, with
+ * Tags::shadowCoherent() checked throughout.
+ */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "cache/dbi.hh"
 #include "cache/mshr.hh"
 #include "cache/tags.hh"
+#include "sim/rng.hh"
 
 using namespace migc;
 
@@ -117,6 +131,356 @@ TEST(Tags, ForEachDirtyVisitsExactlyDirty)
     });
     EXPECT_EQ(dirty, 4);
 }
+
+namespace
+{
+
+// ---------------------------------------------------------------------
+// Tags vs. a naive AoS reference model
+// ---------------------------------------------------------------------
+
+/**
+ * The tag-store semantics, kept deliberately naive: per-block structs
+ * only, linear walks, candidate gather in way order. Uses its own
+ * ReplPolicy instance seeded identically to the Tags under test, so
+ * the random policy's draw streams stay in lockstep as long as both
+ * sides make the same victim() calls.
+ */
+class RefTags
+{
+  public:
+    RefTags(std::uint64_t size_bytes, unsigned assoc, unsigned line_size,
+            ReplKind repl, std::uint64_t seed)
+        : assoc_(assoc), lineMask_(line_size - 1),
+          numSets_(static_cast<unsigned>(size_bytes / assoc / line_size)),
+          setShift_(0), repl_(ReplPolicy::create(repl, seed))
+    {
+        for (unsigned s = 1; s < line_size; s <<= 1)
+            ++setShift_;
+        blocks_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    }
+
+    Addr lineAlign(Addr a) const { return a & ~lineMask_; }
+
+    unsigned setIndex(Addr a) const
+    {
+        return static_cast<unsigned>((a >> setShift_) & (numSets_ - 1));
+    }
+
+    /** Way holding @p a, or assoc_ when absent. */
+    unsigned
+    findWay(Addr a) const
+    {
+        const Addr line = lineAlign(a);
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(a)) * assoc_;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            const CacheBlk &b = blocks_[base + w];
+            if (b.addr == line && b.state != BlkState::invalid)
+                return w;
+        }
+        return assoc_;
+    }
+
+    unsigned
+    busyWays(Addr a) const
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(a)) * assoc_;
+        unsigned busy = 0;
+        for (unsigned w = 0; w < assoc_; ++w)
+            busy += blocks_[base + w].isBusy();
+        return busy;
+    }
+
+    /** Victim way for @p a, or assoc_ when every way is busy. */
+    unsigned
+    victimWay(Addr a)
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(a)) * assoc_;
+        std::vector<CacheBlk *> cands;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            CacheBlk &b = blocks_[base + w];
+            if (b.state == BlkState::invalid)
+                return w;
+            if (!b.isBusy())
+                cands.push_back(&b);
+        }
+        if (cands.empty())
+            return assoc_;
+        CacheBlk *victim = cands[repl_->victim(cands)];
+        return static_cast<unsigned>(victim - &blocks_[base]);
+    }
+
+    CacheBlk &
+    at(Addr a, unsigned way)
+    {
+        return blocks_[static_cast<std::size_t>(setIndex(a)) * assoc_ +
+                       way];
+    }
+
+    void
+    touch(CacheBlk &b)
+    {
+        b.lastTouch = ++stamp_;
+    }
+
+    void
+    insert(CacheBlk &b, Addr a, BlkState state)
+    {
+        b.addr = lineAlign(a);
+        b.state = state;
+        b.reused = false;
+        b.insertStamp = ++stamp_;
+        b.lastTouch = stamp_;
+    }
+
+    std::uint64_t
+    invalidateClean()
+    {
+        std::uint64_t n = 0;
+        for (auto &b : blocks_) {
+            if (b.state == BlkState::valid) {
+                b.invalidate();
+                ++n;
+            }
+        }
+        return n;
+    }
+
+    std::uint64_t
+    countState(BlkState state) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &b : blocks_)
+            n += b.state == state;
+        return n;
+    }
+
+    /** Dirty block addresses in index order; @p clean makes each of
+     *  those blocks valid afterwards. */
+    std::vector<Addr>
+    dirtyAddrs(bool clean)
+    {
+        std::vector<Addr> out;
+        for (auto &b : blocks_) {
+            if (b.isDirty()) {
+                out.push_back(b.addr);
+                if (clean)
+                    b.state = BlkState::valid;
+            }
+        }
+        return out;
+    }
+
+    void
+    reset(std::uint64_t seed)
+    {
+        for (auto &b : blocks_)
+            b = CacheBlk{};
+        stamp_ = 0;
+        repl_->reset(seed);
+    }
+
+  private:
+    unsigned assoc_;
+    Addr lineMask_;
+    unsigned numSets_;
+    unsigned setShift_;
+    std::unique_ptr<ReplPolicy> repl_;
+    std::vector<CacheBlk> blocks_;
+    std::uint64_t stamp_ = 0;
+};
+
+/** Way index of a Tags-owned block (via the forEach enumeration). */
+class WayIndex
+{
+  public:
+    explicit WayIndex(Tags &tags)
+    {
+        std::size_t i = 0;
+        tags.forEach([&](CacheBlk &b) { index_[&b] = i++; });
+    }
+
+    unsigned
+    way(const Tags &tags, const CacheBlk *blk) const
+    {
+        return static_cast<unsigned>(index_.at(blk) % tags.assoc());
+    }
+
+  private:
+    std::unordered_map<const CacheBlk *, std::size_t> index_;
+};
+
+void
+driveTrace(ReplKind kind, unsigned assoc, std::uint64_t trace_seed)
+{
+    SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
+                 " assoc=" + std::to_string(assoc) +
+                 " seed=" + std::to_string(trace_seed));
+    const std::uint64_t size = 16 * 1024;
+    const unsigned line = 64;
+    const std::uint64_t repl_seed = 77;
+    Tags tags(size, assoc, line, kind, repl_seed);
+    RefTags ref(size, assoc, line, kind, repl_seed);
+    WayIndex ways(tags);
+
+    // 4x the cache footprint: plenty of conflict misses.
+    const std::uint64_t addr_space = 4 * size;
+    Rng rng(trace_seed);
+    auto randAddr = [&] { return rng.below(addr_space); };
+
+    const int ops = 60000;
+    for (int op = 0; op < ops; ++op) {
+        const std::uint64_t what = rng.below(100);
+        if (what < 40) {
+            // Lookup (+ touch on hit).
+            const Addr a = randAddr();
+            CacheBlk *blk = tags.findBlock(a);
+            const unsigned rw = ref.findWay(a);
+            ASSERT_EQ(blk != nullptr, rw < assoc) << "op " << op;
+            if (blk) {
+                ASSERT_EQ(ways.way(tags, blk), rw) << "op " << op;
+                ASSERT_EQ(blk->state, ref.at(a, rw).state);
+                tags.touch(blk);
+                ref.touch(ref.at(a, rw));
+            }
+        } else if (what < 65) {
+            // Allocate: victim select, evict if needed, insert.
+            // Mostly a miss fill. A resident address is skipped three
+            // times in four; the fourth installs a second copy, so
+            // lookups must agree on the lowest of two matching ways.
+            const Addr a = randAddr();
+            if (tags.findBlock(a) != nullptr && rng.below(4) != 0)
+                continue;
+            CacheBlk *victim = tags.findVictim(a);
+            const unsigned rw = ref.victimWay(a);
+            ASSERT_EQ(victim != nullptr, rw < assoc) << "op " << op;
+            if (!victim)
+                continue;
+            ASSERT_EQ(ways.way(tags, victim), rw) << "op " << op;
+            if (victim->isValid())
+                tags.invalidateBlock(victim);
+            CacheBlk &rv = ref.at(a, rw);
+            if (rv.isValid())
+                rv.invalidate();
+            const BlkState st =
+                std::array{BlkState::valid, BlkState::dirty,
+                           BlkState::busy}[rng.below(3)];
+            tags.insert(victim, a, st, 0);
+            ref.insert(rv, a, st);
+        } else if (what < 75) {
+            // State transition on a resident block.
+            const Addr a = randAddr();
+            CacheBlk *blk = tags.findBlock(a);
+            const unsigned rw = ref.findWay(a);
+            ASSERT_EQ(blk != nullptr, rw < assoc);
+            if (blk) {
+                const BlkState st = rng.below(2) ? BlkState::valid
+                                                 : BlkState::dirty;
+                tags.setState(blk, st);
+                ref.at(a, rw).state = st;
+            }
+        } else if (what < 82) {
+            // Invalidate a resident block.
+            const Addr a = randAddr();
+            CacheBlk *blk = tags.findBlock(a);
+            const unsigned rw = ref.findWay(a);
+            ASSERT_EQ(blk != nullptr, rw < assoc);
+            if (blk) {
+                tags.invalidateBlock(blk);
+                ref.at(a, rw).invalidate();
+            }
+        } else if (what < 90) {
+            const Addr a = randAddr();
+            ASSERT_EQ(tags.busyWays(a), ref.busyWays(a)) << "op " << op;
+        } else if (what < 94) {
+            for (BlkState st :
+                 {BlkState::invalid, BlkState::valid, BlkState::dirty,
+                  BlkState::busy}) {
+                ASSERT_EQ(tags.countState(st), ref.countState(st));
+            }
+        } else if (what < 97) {
+            ASSERT_EQ(tags.invalidateClean(), ref.invalidateClean());
+        } else if (what < 99) {
+            // Half the scans clean each block they visit, as the
+            // flush path does: the callback may change the state byte
+            // it visits, and every dirty block is still visited once.
+            const bool clean = rng.below(2) != 0;
+            std::vector<Addr> got;
+            tags.forEachDirty([&](CacheBlk &b) {
+                got.push_back(b.addr);
+                if (clean)
+                    tags.setState(&b, BlkState::valid);
+            });
+            ASSERT_EQ(got, ref.dirtyAddrs(clean)) << "op " << op;
+        } else {
+            // Full reset mid-trace; both sides restart their stamps
+            // and replacement RNG from the same seed.
+            const std::uint64_t s = rng.below(1000);
+            tags.reset(s);
+            ref.reset(s);
+        }
+
+        if (op % 1000 == 0) {
+            ASSERT_TRUE(tags.shadowCoherent()) << "op " << op;
+        }
+    }
+    EXPECT_TRUE(tags.shadowCoherent());
+}
+
+TEST(TagsDifferential, LruMatchesReferenceModel)
+{
+    // 16 ways is the default L2, 32 the widest ablation L1, and 64
+    // the widest set a bitmap word holds (an all-ones way mask).
+    driveTrace(ReplKind::lru, 16, 1);
+    driveTrace(ReplKind::lru, 8, 2);
+    driveTrace(ReplKind::lru, 32, 7);
+    driveTrace(ReplKind::lru, 64, 8);
+}
+
+TEST(TagsDifferential, FifoMatchesReferenceModel)
+{
+    driveTrace(ReplKind::fifo, 16, 3);
+    driveTrace(ReplKind::fifo, 4, 4);
+    driveTrace(ReplKind::fifo, 32, 9);
+    driveTrace(ReplKind::fifo, 64, 10);
+}
+
+TEST(TagsDifferential, RandomPolicyRngDrawsStayInLockstep)
+{
+    driveTrace(ReplKind::random, 16, 5);
+    driveTrace(ReplKind::random, 8, 6);
+    driveTrace(ReplKind::random, 32, 11);
+    driveTrace(ReplKind::random, 64, 12);
+}
+
+TEST(TagsDifferential, FullSetMinScanFastPathPicksLruVictim)
+{
+    // Fill one set completely with known touch order and check the
+    // stamp-lane fast path picks the least-recently-used way.
+    Tags tags(16 * 1024, 16, 64, ReplKind::lru);
+    const Addr set_stride = 64 * 16; // 16 sets
+    std::vector<CacheBlk *> inserted;
+    for (unsigned w = 0; w < 16; ++w) {
+        const Addr a = w * set_stride; // all map to set 0
+        CacheBlk *v = tags.findVictim(a);
+        tags.insert(v, a, BlkState::valid, 0);
+        inserted.push_back(v);
+    }
+    // Touch every way except way 5 (most-recent last).
+    for (unsigned w = 0; w < 16; ++w) {
+        if (w != 5)
+            tags.touch(inserted[w]);
+    }
+    CacheBlk *victim = tags.findVictim(16 * set_stride);
+    ASSERT_NE(victim, nullptr);
+    EXPECT_EQ(victim, inserted[5]);
+    EXPECT_TRUE(tags.shadowCoherent());
+}
+
+} // namespace
 
 class ReplPolicySweep : public ::testing::TestWithParam<ReplKind>
 {};

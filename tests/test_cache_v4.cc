@@ -111,11 +111,11 @@ TEST(CacheV4, RoundTripPreservesExactDoubles)
     std::remove(path.c_str());
     const RunMetrics planted = awkwardRow("FwSoft", "CacheRW");
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         rc.insert("sig-a", planted);
         rc.flush();
     }
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     const RunMetrics *held = rc.find("sig-a", "FwSoft", "CacheRW");
     ASSERT_NE(held, nullptr);
     // Exact equality, not near-equality: the binary format stores
@@ -150,14 +150,14 @@ TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
     }
 
     {
-        RunCache rc(a, 1000, CacheFormat::v4);
+        RunCache rc(a, 1000);
         for (const auto &[sig, m] : rows)
             rc.insert(sig, m);
         rc.flush();
     }
     {
         // Reverse order, tiny checkpoint interval (many appends).
-        RunCache rc(b, 2, CacheFormat::v4);
+        RunCache rc(b, 2);
         for (auto it = rows.rbegin(); it != rows.rend(); ++it)
             rc.insert(it->first, it->second);
         rc.flush();
@@ -175,7 +175,7 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 {
     const std::string path = tempPath("appends");
     std::remove(path.c_str());
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
 
     rc.insert("sig-a", simpleRow("w0", "p0", 1));
     rc.insert("sig-a", simpleRow("w1", "p0", 2));
@@ -198,7 +198,7 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 
     // A fresh cache reads the appended file whole.
     {
-        RunCache other(path, 1000, CacheFormat::v4);
+        RunCache other(path, 1000);
         EXPECT_EQ(other.size(), 4u);
         EXPECT_EQ(other.parseErrors(), 0u);
         EXPECT_NE(other.find("sig-c", "w9", "p9"), nullptr);
@@ -221,7 +221,7 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
     const std::string path = tempPath("truncated");
     std::remove(path.c_str());
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         for (int i = 0; i < 5; ++i)
             rc.insert("sig-a", simpleRow(numbered("w", i), "p0", i));
         rc.flush();
@@ -231,7 +231,7 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
 
     // The parsing loader refuses the damaged segment and counts the
     // loss; nothing is served from it.
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     EXPECT_EQ(rc.size(), 0u);
     EXPECT_GE(rc.parseErrors(), 1u);
 
@@ -247,7 +247,7 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     const std::string path = tempPath("corrupt");
     std::remove(path.c_str());
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         rc.insert("sig-a", awkwardRow("FwSoft", "CacheRW"));
         rc.flush();
     }
@@ -255,7 +255,7 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     bytes[bytes.size() / 2] ^= 0x40; // flip one bit mid-file
     writeFile(path, bytes);
 
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     EXPECT_EQ(rc.size(), 0u);
     EXPECT_GE(rc.parseErrors(), 1u);
     std::string why;
@@ -271,7 +271,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     // A clean two-segment file (one compact write + one append)...
     std::string two_segments;
     {
-        RunCache rc(path, 1000, CacheFormat::v4);
+        RunCache rc(path, 1000);
         rc.insert("sig-a", simpleRow("w0", "p0", 1));
         rc.insert("sig-a", simpleRow("w1", "p0", 2));
         rc.checkpoint();
@@ -288,7 +288,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 
     // Reload: the clean first segment survives, the torn tail is a
     // counted parse error, not silent loss of the whole file.
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
     EXPECT_EQ(rc.size(), 2u);
     EXPECT_GE(rc.parseErrors(), 1u);
     EXPECT_NE(rc.find("sig-a", "w0", "p0"), nullptr);
@@ -300,7 +300,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     rc.checkpoint();
     EXPECT_EQ(v4SegmentCount(path), 1u);
     {
-        RunCache healed(path, 1000, CacheFormat::v4);
+        RunCache healed(path, 1000);
         EXPECT_EQ(healed.size(), 3u);
         EXPECT_EQ(healed.parseErrors(), 0u);
     }
@@ -310,7 +310,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     const std::string ref = tempPath("torn_append_ref");
     std::remove(ref.c_str());
     {
-        RunCache rr(ref, 1000, CacheFormat::v4);
+        RunCache rr(ref, 1000);
         rr.insert("sig-a", simpleRow("w0", "p0", 1));
         rr.insert("sig-a", simpleRow("w1", "p0", 2));
         rr.insert("sig-c", simpleRow("w5", "p5", 9));
@@ -407,7 +407,7 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
 {
     const std::string path = tempPath("parity");
     std::remove(path.c_str());
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
     for (int s = 0; s < 3; ++s)
         for (int w = 0; w < 4; ++w)
             for (int p = 0; p < 4; ++p)
