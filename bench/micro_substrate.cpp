@@ -18,6 +18,10 @@
  *                   regresses by more than R (default 0.30,
  *                   0 < R < 1).
  *
+ * Each scenario checks its own result (every probe hits, every row
+ * loads, ...); when one check fails the harness says which and
+ * exits 1 after printing the results.
+ *
  * These quantify simulator performance, not modeled-hardware
  * performance.
  */
@@ -26,7 +30,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,9 +40,7 @@
 
 #include "cache/tags.hh"
 #include "core/cache_v4.hh"
-#include "core/fleet.hh"
 #include "core/runner.hh"
-#include "core/shard.hh"
 #include "core/sweep_engine.hh"
 #include "core/system.hh"
 #include "policy/cache_policy.hh"
@@ -73,8 +74,24 @@ struct BenchResult
     /** Per-category event counts (end-to-end scenarios only). */
     std::vector<std::pair<std::string, std::uint64_t>> byCategory;
 
+    /** Set by check(): the scenario's self-check failed. */
+    bool checkFailed = false;
+
     double rate() const { return seconds > 0 ? items / seconds : 0.0; }
 };
+
+/**
+ * A scenario's self-check: when @p ok is false, say @p what went
+ * wrong and mark @p r, so main exits 1 after printing every result.
+ */
+void
+check(BenchResult &r, bool ok, const char *what)
+{
+    if (!ok) {
+        std::fprintf(stderr, "%s: %s\n", r.name.c_str(), what);
+        r.checkFailed = true;
+    }
+}
 
 BenchResult
 benchEqScheduleService()
@@ -168,8 +185,7 @@ benchTagsLookupHit()
     }
     r.seconds = secondsSince(t0);
     r.items = n;
-    if (sink != n)
-        std::fprintf(stderr, "tags_lookup_hit: unexpected misses\n");
+    check(r, sink == n, "unexpected misses");
     return r;
 }
 
@@ -226,15 +242,15 @@ benchTagsSoaScanSweep()
     }
     r.seconds = secondsSince(t0);
     r.items = lines * reps;
-    if (sink != r.items)
-        std::fprintf(stderr, "tags_soa_scan_sweep: unexpected misses\n");
+    check(r, sink == r.items, "unexpected misses");
     return r;
 }
 
 /**
- * busyWays over random sets with half the store busy: the occupancy
- * probe the dynamic allocation-bypass policy (CacheRW-DynAB) makes
- * on every store. One popcount per call against the busy bitmap.
+ * busyWays over random sets with half of every set busy: the
+ * occupancy probe the dynamic allocation-bypass policy
+ * (CacheRW-DynAB) makes on every store. One popcount per call
+ * against the busy bitmap.
  */
 BenchResult
 benchBusyBitmapPopcount()
@@ -243,10 +259,15 @@ benchBusyBitmapPopcount()
     r.name = "busy_bitmap_popcount";
     r.eventScenario = false;
     Tags tags(1 << 20, 16, 64, ReplKind::lru);
-    int i = 0;
-    for (Addr a = 0; a < (1 << 20); a += 64) {
+    // Consecutive lines fall in consecutive sets, so line i is the
+    // (i / sets)-th line of its set: marking the odd ones busy fills
+    // every set with 8 busy and 8 valid ways.
+    const std::uint64_t sets = tags.numSets();
+    std::uint64_t i = 0;
+    for (Addr a = 0; a < (1 << 20); a += 64, ++i) {
         CacheBlk *v = tags.findVictim(a);
-        tags.insert(v, a, (i++ % 2) ? BlkState::busy : BlkState::valid,
+        tags.insert(v, a,
+                    (i / sets) % 2 ? BlkState::busy : BlkState::valid,
                     0);
     }
     Rng rng(5);
@@ -259,9 +280,8 @@ benchBusyBitmapPopcount()
     }
     r.seconds = secondsSince(t0);
     r.items = n;
-    // Half the ways of every set are busy, so the mean must be 8.
-    if (sink != n * 8)
-        std::fprintf(stderr, "busy_bitmap_popcount: unexpected sum\n");
+    // Half the ways of every set are busy, so every probe counts 8.
+    check(r, sink == n * 8, "unexpected sum");
     return r;
 }
 
@@ -356,9 +376,7 @@ benchPolicyDecisionOverhead()
     // Two of the five verdicts are unconditionally true, so sink must
     // reach at least 2n; the check also keeps the verdict calls
     // observable (no dead-code elimination of the measured loop).
-    if (sink < 2 * n)
-        std::fprintf(stderr,
-                     "policy_decision_overhead: unexpected sink\n");
+    check(r, sink >= 2 * n, "unexpected sink");
     return r;
 }
 
@@ -419,11 +437,10 @@ benchSweepColdFifo()
  * The same cold grid through the SweepEngine: longest-job-first
  * scheduling plus per-worker System reuse (cache disabled, so every
  * run simulates). Bit-identical results, less wall clock on
- * multi-core hosts. @p grid_results receives the metrics so the
- * scheduler model below can replay the grid's true run costs.
+ * multi-core hosts.
  */
 BenchResult
-benchSweepColdEngine(std::vector<RunMetrics> &grid_results)
+benchSweepColdEngine()
 {
     BenchResult r;
     r.name = "sweep_cold_engine";
@@ -431,96 +448,12 @@ benchSweepColdEngine(std::vector<RunMetrics> &grid_results)
     auto grid = sweepGrid();
     auto t0 = BenchClock::now();
     SweepEngine engine("");
-    grid_results = engine.run(grid, kSweepJobs);
+    engine.run(grid, kSweepJobs);
     r.seconds = secondsSince(t0);
     r.items = grid.size();
-    if (engine.simulationsPerformed() != grid.size())
-        std::fprintf(stderr, "sweep_cold_engine: unexpected cache hits\n");
+    check(r, engine.simulationsPerformed() == grid.size(),
+          "unexpected cache hits");
     return r;
-}
-
-/**
- * Deterministic scheduler-quality model: replay the grid's measured
- * per-run costs (sim_events, which are bit-exact and host-
- * independent) through a k-worker pool in FIFO submission order vs
- * longest-job-first, and compare makespans. This isolates the
- * tail-straggler effect the LPT scheduler removes from host core
- * count and thread noise - the wall-clock scenarios above only show
- * it when the host really has >= kSweepJobs cores.
- */
-struct ScheduleModel
-{
-    unsigned workers;
-    double fifoMakespan; ///< event units
-    double lptMakespan;  ///< event units
-    double ratio() const
-    {
-        return lptMakespan > 0 ? fifoMakespan / lptMakespan : 0.0;
-    }
-};
-
-ScheduleModel
-modelSchedule(const std::vector<RunMetrics> &grid_results, unsigned k)
-{
-    auto makespan = [k](const std::vector<double> &seq) {
-        std::vector<double> workers(k, 0.0);
-        for (double cost : seq) {
-            auto it = std::min_element(workers.begin(), workers.end());
-            *it += cost;
-        }
-        return *std::max_element(workers.begin(), workers.end());
-    };
-    std::vector<double> fifo;
-    fifo.reserve(grid_results.size());
-    for (const auto &m : grid_results)
-        fifo.push_back(m.simEvents);
-    std::vector<double> lpt = fifo;
-    std::sort(lpt.begin(), lpt.end(), std::greater<double>());
-    return ScheduleModel{k, makespan(fifo), makespan(lpt)};
-}
-
-/**
- * Deterministic fleet-quality model: replay the grid's measured
- * per-run costs through a static run-key hash partition vs the
- * work-stealing fleet (core/fleet.hh models) on a k-worker pool with
- * one 3x straggler - the sweep-level failure mode the elastic fleet
- * exists to remove. Like the schedule model above, this is built
- * from sim_events, so it is bit-exact and host-independent.
- */
-struct FleetMakespanModel
-{
-    unsigned workers;
-    double staticMakespan; ///< event units (straggler-bound)
-    double stealMakespan;  ///< event units
-    double ratio() const
-    {
-        return stealMakespan > 0 ? staticMakespan / stealMakespan
-                                 : 0.0;
-    }
-};
-
-FleetMakespanModel
-modelFleetMakespan(const std::vector<RunMetrics> &grid_results,
-                   unsigned k)
-{
-    // Owners come from the run-key hash modulo k on the real run
-    // keys: the static hash partition the fleet is compared against.
-    auto grid = sweepGrid();
-    std::vector<double> costs;
-    std::vector<unsigned> owners;
-    costs.reserve(grid_results.size());
-    for (std::size_t i = 0; i < grid_results.size(); ++i) {
-        costs.push_back(grid_results[i].simEvents);
-        owners.push_back(static_cast<unsigned>(
-            runKeyHash(grid[i].cfg.signature(), grid[i].workload,
-                       grid[i].policy) %
-            k));
-    }
-    std::vector<double> speeds(k, 1.0);
-    speeds[0] = 1.0 / 3.0; // one straggling worker
-    return FleetMakespanModel{
-        k, fleetStaticMakespan(costs, owners, speeds),
-        fleetStealMakespan(costs, speeds)};
 }
 
 /**
@@ -549,8 +482,7 @@ benchSweepWarmReplay()
         SweepEngine engine(path);
         engine.run(grid);
         if (engine.simulationsPerformed() != 0) {
-            std::fprintf(stderr,
-                         "sweep_warm_replay: cache miss on replay\n");
+            check(r, false, "cache miss on replay");
             break;
         }
     }
@@ -648,8 +580,7 @@ benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
         std::string why;
         auto file = MappedCacheV4::map(path, &why);
         if (file == nullptr) {
-            std::fprintf(stderr, "cache_v4_load: map failed: %s\n",
-                         why.c_str());
+            check(r, false, ("map failed: " + why).c_str());
             break;
         }
         auto snap = CacheSnapshot::fromMappedFile(std::move(file));
@@ -657,8 +588,7 @@ benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
     }
     r.seconds = secondsSince(t0);
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
-    if (sink != r.items)
-        std::fprintf(stderr, "cache_v4_load: row count drifted\n");
+    check(r, sink == r.items, "row count drifted");
     return r;
 }
 
@@ -678,8 +608,7 @@ benchCacheV3Parse(const std::string &path, const SyntheticGrid &g)
     }
     r.seconds = secondsSince(t0);
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
-    if (sink != r.items)
-        std::fprintf(stderr, "cache_v3_parse: row count drifted\n");
+    check(r, sink == r.items, "row count drifted");
     return r;
 }
 
@@ -707,8 +636,7 @@ benchWarmReplayV4(const std::string &path, const SyntheticGrid &g)
     }
     r.seconds = secondsSince(t0);
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
-    if (hits != r.items)
-        std::fprintf(stderr, "warm_replay_v4: cache miss on replay\n");
+    check(r, hits == r.items, "cache miss on replay");
     return r;
 }
 
@@ -729,9 +657,7 @@ geomeanRate(const std::vector<BenchResult> &results, bool events_only)
 }
 
 std::string
-toJson(const std::vector<BenchResult> &results, double headline,
-       const std::vector<ScheduleModel> &models,
-       const std::vector<FleetMakespanModel> &fleet_models)
+toJson(const std::vector<BenchResult> &results, double headline)
 {
     std::ostringstream os;
     os << "{\n  \"schema\": 1,\n  \"benchmarks\": [\n";
@@ -752,24 +678,7 @@ toJson(const std::vector<BenchResult> &results, double headline,
         }
         os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"sweep_schedule_model\": {";
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        const auto &sm = models[i];
-        os << "\"workers_" << sm.workers << "\": {\"fifo_makespan_events\": "
-           << sm.fifoMakespan << ", \"lpt_makespan_events\": "
-           << sm.lptMakespan << ", \"fifo_over_lpt\": " << sm.ratio()
-           << "}" << (i + 1 < models.size() ? ", " : "");
-    }
-    os << "},\n  \"fleet_makespan_model\": {";
-    for (std::size_t i = 0; i < fleet_models.size(); ++i) {
-        const auto &fm = fleet_models[i];
-        os << "\"workers_" << fm.workers
-           << "\": {\"static_makespan_events\": " << fm.staticMakespan
-           << ", \"steal_makespan_events\": " << fm.stealMakespan
-           << ", \"static_over_steal\": " << fm.ratio() << "}"
-           << (i + 1 < fleet_models.size() ? ", " : "");
-    }
-    os << "},\n  \"headline_events_per_sec\": " << headline << "\n}\n";
+    os << "  ],\n  \"headline_events_per_sec\": " << headline << "\n}\n";
     return os.str();
 }
 
@@ -851,8 +760,7 @@ main(int argc, char **argv)
     results.push_back(benchEndToEnd("FwAct", "CacheRW-PCby"));
     results.push_back(benchPolicyDecisionOverhead());
     results.push_back(benchSweepColdFifo());
-    std::vector<RunMetrics> grid_results;
-    results.push_back(benchSweepColdEngine(grid_results));
+    results.push_back(benchSweepColdEngine());
     results.push_back(benchSweepWarmReplay());
 
     // Data-plane scenarios: the same 100k-row synthetic grid as a
@@ -871,30 +779,6 @@ main(int argc, char **argv)
         std::remove(v3_path.c_str());
     }
 
-    std::vector<ScheduleModel> models{
-        modelSchedule(grid_results, 4), modelSchedule(grid_results, 8),
-        modelSchedule(grid_results, 16), modelSchedule(grid_results, 24)};
-
-    std::vector<FleetMakespanModel> fleet_models{
-        modelFleetMakespan(grid_results, 4),
-        modelFleetMakespan(grid_results, 8),
-        modelFleetMakespan(grid_results, 16),
-        modelFleetMakespan(grid_results, 24)};
-
-    // Gate the 8-worker straggler ratio as a scenario "rate": the
-    // model is deterministic (sim_events in, event-units out), so
-    // items = ratio x 1000 over one nominal second regresses only
-    // when scheduling or simulation behavior actually changes.
-    {
-        BenchResult r;
-        r.name = "fleet_steal_makespan";
-        r.eventScenario = false;
-        r.items = static_cast<std::uint64_t>(
-            std::llround(fleet_models[1].ratio() * 1000.0));
-        r.seconds = 1.0;
-        results.push_back(r);
-    }
-
     const double headline = geomeanRate(results, true);
 
     for (const auto &r : results) {
@@ -907,19 +791,6 @@ main(int argc, char **argv)
                             static_cast<unsigned long long>(count));
         }
     }
-    for (const auto &sm : models) {
-        std::printf("%-32s fifo %.0f -> lpt %.0f event-units "
-                    "(%.2fx shorter tail at %u workers)\n",
-                    "sweep_schedule_model", sm.fifoMakespan,
-                    sm.lptMakespan, sm.ratio(), sm.workers);
-    }
-    for (const auto &fm : fleet_models) {
-        std::printf("%-32s static %.0f -> steal %.0f event-units "
-                    "(%.2fx faster with a 3x straggler at %u "
-                    "workers)\n",
-                    "fleet_makespan_model", fm.staticMakespan,
-                    fm.stealMakespan, fm.ratio(), fm.workers);
-    }
     std::printf("%-32s %12.0f events/s (geomean of event scenarios)\n",
                 "headline", headline);
 
@@ -929,8 +800,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
             return 2;
         }
-        out << toJson(results, headline, models, fleet_models);
+        out << toJson(results, headline);
         std::printf("wrote %s\n", json_path.c_str());
+    }
+
+    const auto failed =
+        std::count_if(results.begin(), results.end(),
+                      [](const BenchResult &r) { return r.checkFailed; });
+    if (failed > 0) {
+        std::fprintf(stderr, "FAIL: %ld scenario self-check%s failed\n",
+                     static_cast<long>(failed), failed == 1 ? "" : "s");
+        return 1;
     }
 
     if (!baseline_path.empty()) {
@@ -967,7 +847,6 @@ main(int argc, char **argv)
         // records them.
         for (const auto &r : results) {
             if (r.name.rfind("sweep_", 0) != 0 &&
-                r.name.rfind("fleet_", 0) != 0 &&
                 r.name.rfind("tags_", 0) != 0 &&
                 r.name.rfind("cache_", 0) != 0 &&
                 r.name.rfind("warm_", 0) != 0 &&

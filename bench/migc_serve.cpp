@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/shard.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_service.hh"
 #include "serve/transport.hh"

@@ -17,10 +17,11 @@
  *    steal schedule, or crash history. A rerun of the same command
  *    after a crash plans from that file, so only never-pushed keys
  *    are re-enqueued; with nothing left pending, it is just the
- *    join. (`--resume` is accepted and ignored.)
+ *    join.
  *  - fleet worker: `--fleet SOCK --shard-index i` leases ranges from
  *    the coordinator at SOCK and pushes each finished row to it; it
- *    keeps its rows in memory and reads or writes no cache file.
+ *    keeps its rows in memory, reads or writes no cache file, and
+ *    refuses `--cache`.
  *  - listening coordinator: `--listen SOCK --shards N` is the
  *    coordinator without the forking - workers are started by hand
  *    or a launcher (what `--manifest` prints); it joins at drain.
@@ -49,7 +50,6 @@
 
 #include "core/experiments.hh"
 #include "core/fleet.hh"
-#include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "policy/cache_policy.hh"
@@ -110,7 +110,7 @@ usage(const char *argv0)
         "  --shard-index I        this fleet worker's index (with\n"
         "                         --fleet); a worker keeps its rows in\n"
         "                         memory, pushes them to the\n"
-        "                         coordinator, and ignores --cache\n"
+        "                         coordinator, and refuses --cache\n"
         "  --fleet SPEC           lease work from the coordinator at\n"
         "                         SPEC: unix:<path>, tcp:<host>:<port>,\n"
         "                         or a bare AF_UNIX path\n"
@@ -122,10 +122,6 @@ usage(const char *argv0)
         "  --push                 accepted and ignored: every fleet\n"
         "                         worker pushes each row to the\n"
         "                         coordinator before its done\n"
-        "  --resume               accepted and ignored: a rerun always\n"
-        "                         re-enqueues only the keys absent from\n"
-        "                         <cache>, which holds every row pushed\n"
-        "                         before a crash\n"
         "  --lease-size K         run keys per lease (default 2)\n"
         "  --renew-ms MS          lease renew deadline (default 10000);\n"
         "                         a worker silent this long forfeits\n"
@@ -211,9 +207,9 @@ parseArgs(int argc, char **argv)
             opt.fleetSocket = need(i++);
         } else if (arg == "--listen") {
             opt.listenSocket = need(i++);
-        } else if (arg == "--push" || arg == "--resume") {
+        } else if (arg == "--push") {
             // Accepted and ignored so existing scripts still parse:
-            // every fleet worker pushes, and every rerun resumes.
+            // every fleet worker pushes.
         } else if (arg == "--lease-size") {
             opt.leaseSize =
                 parseCount("--lease-size", need(i++), 1, 4096);
@@ -261,6 +257,10 @@ parseArgs(int argc, char **argv)
     fatal_if(!opt.fleetSocket.empty() && !opt.listenSocket.empty(),
              "--fleet (worker) and --listen (coordinator) are "
              "mutually exclusive");
+    fatal_if(!opt.fleetSocket.empty() && !opt.cache.empty(),
+             "--cache cannot be combined with --fleet: a fleet worker "
+             "keeps its rows in memory and pushes them to the "
+             "coordinator, whose --cache stores them");
     // --manifest --listen SPEC prints commands for that endpoint (the
     // multi-host workflow); --manifest --fleet is still meaningless
     // (a manifest describes a whole fleet, not one worker).
@@ -669,8 +669,9 @@ main(int argc, char **argv)
              "--listen needs --shards (workers must use indices "
              "below N)");
 
-    // Fleet workers keep their rows in memory: the cache path only
-    // matters to the other roles.
+    // Fleet workers keep their rows in memory (parseArgs refuses
+    // their --cache): the cache path only matters to the other
+    // roles.
     if (!opt.fleetSocket.empty())
         return runFleetWorker(opt);
 

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <tuple>
 
 #include "core/cache_v4.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "sim/logging.hh"
+#include "workloads/workload.hh"
 
 namespace migc
 {
@@ -1002,57 +1005,42 @@ FleetClient::renewLoop()
 }
 
 // ---------------------------------------------------------------------
-// Makespan models
+// The plan step
 // ---------------------------------------------------------------------
 
-double
-fleetStaticMakespan(const std::vector<double> &costs,
-                    const std::vector<unsigned> &owners,
-                    const std::vector<double> &speeds)
+FleetPlan
+planFleetSweep(const std::vector<RunRequest> &requests,
+               const RunCache &canonical)
 {
-    panic_if(costs.size() != owners.size(),
-             "fleetStaticMakespan: %zu costs vs %zu owners",
-             costs.size(), owners.size());
-    std::vector<double> load(speeds.size(), 0.0);
-    for (std::size_t i = 0; i < costs.size(); ++i) {
-        panic_if(owners[i] >= speeds.size(),
-                 "fleetStaticMakespan: owner %u outside %zu workers",
-                 owners[i], speeds.size());
-        load[owners[i]] += costs[i];
-    }
-    double makespan = 0.0;
-    for (std::size_t w = 0; w < speeds.size(); ++w) {
-        panic_if(speeds[w] <= 0.0, "worker speed must be positive");
-        makespan = std::max(makespan, load[w] / speeds[w]);
-    }
-    return makespan;
-}
+    FleetPlan plan;
+    plan.costs.assign(requests.size(), 0.0);
 
-double
-fleetStealMakespan(std::vector<double> costs,
-                   const std::vector<double> &speeds)
-{
-    panic_if(speeds.empty(), "fleetStealMakespan needs >= 1 worker");
-    // Longest job first, each to the worker that finishes it
-    // earliest given current load - the schedule an idle worker
-    // pulling leases (and stealing when the queue drains) converges
-    // to, evaluated deterministically.
-    std::sort(costs.begin(), costs.end(), std::greater<double>());
-    std::vector<double> finish(speeds.size(), 0.0);
-    for (double cost : costs) {
-        std::size_t best = 0;
-        double best_t = 0.0;
-        for (std::size_t w = 0; w < speeds.size(); ++w) {
-            panic_if(speeds[w] <= 0.0, "worker speed must be positive");
-            double t = finish[w] + cost / speeds[w];
-            if (w == 0 || t < best_t) {
-                best = w;
-                best_t = t;
-            }
+    std::map<std::tuple<std::string, std::string, std::string>, bool>
+        seen;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const RunRequest &req = requests[i];
+        const std::string sig = req.cfg.signature();
+        if (canonical.find(sig, req.workload, req.policy) != nullptr) {
+            ++plan.cached;
+            continue;
         }
-        finish[best] = best_t;
+        // Duplicate grid points lease (and simulate) once; the
+        // result answers every copy at replay time.
+        if (!seen.emplace(std::make_tuple(sig, req.workload,
+                                          req.policy),
+                          true)
+                 .second)
+            continue;
+        double est = canonical.estimateEvents(req.workload, req.policy);
+        if (est <= 0.0) {
+            est = static_cast<double>(
+                makeWorkload(req.workload)
+                    ->footprintBytes(req.cfg.workloadScale));
+        }
+        plan.costs[i] = est;
+        plan.pending.push_back(static_cast<std::uint32_t>(i));
     }
-    return *std::max_element(finish.begin(), finish.end());
+    return plan;
 }
 
 } // namespace migc

@@ -63,10 +63,11 @@
  * an orphaned lease expires - which is what the fault-injection
  * suite (tests/test_fleet_faults.cc) leans on.
  *
- * The pure makespan-model functions at the bottom replay measured
- * per-run costs through static-vs-stealing fleets;
- * bench/micro_substrate records them (fleet_steal_makespan) and CI
- * gates the ratio.
+ * planFleetSweep, at the bottom, is the step before the first lease:
+ * it reads the canonical cache and decides which grid points the
+ * queue still has to serve. A rerun after a crash is exactly that
+ * step: every row pushed before the crash is in the canonical file,
+ * so only the keys no worker ever pushed come back pending.
  */
 
 #ifndef MIGC_CORE_FLEET_HH
@@ -91,6 +92,7 @@ namespace migc
 
 struct ServeRequest; // serve/serve_protocol.hh
 class RunCache;      // core/sweep_engine.hh
+struct RunRequest;   // core/sweep_engine.hh
 
 /** Tuning for a fleet sweep; the coordinator's flags land here. */
 struct FleetConfig
@@ -379,7 +381,7 @@ struct FleetClientOptions
     std::size_t gridSize = 0;
 
     /** Wraps every connected stream; the fault-injection tests
-     *  inject FaultyStream here. Identity when empty. */
+     *  interpose their shim here. Identity when empty. */
     StreamWrapper wrap;
 
     /** Connect retry budget: attempts x delay is how long a worker
@@ -490,28 +492,37 @@ class FleetClient
 };
 
 // ---------------------------------------------------------------------
-// Deterministic fleet makespan models
+// The plan step
 // ---------------------------------------------------------------------
 
 /**
- * Makespan of the static PR 5 partition: key i runs on worker
- * owners[i]; worker w processes its whole slice at speeds[w] relative
- * speed. Assignment is fixed at fork time, so the makespan is the
- * slowest worker's slice time - the straggler problem the fleet
- * removes.
+ * What a fleet coordinator knows before the first lease: which grid
+ * indices still need simulating, and what each one is expected to
+ * cost. Built by planFleetSweep().
  */
-double fleetStaticMakespan(const std::vector<double> &costs,
-                           const std::vector<unsigned> &owners,
-                           const std::vector<double> &speeds);
+struct FleetPlan
+{
+    /** Grid indices with no cached row yet (deduplicated; the
+     *  FleetQueue serves them longest-estimate-first). */
+    std::vector<std::uint32_t> pending;
+
+    /** Scheduler cost estimate per grid index (sim_events of a prior
+     *  run of the same (workload, policy), falling back to the
+     *  workload-footprint heuristic - the same ladder run() uses). */
+    std::vector<double> costs;
+
+    /** Grid points already satisfied by the canonical cache. */
+    std::size_t cached = 0;
+};
 
 /**
- * Makespan of the work-stealing fleet on the same jobs and speeds:
- * jobs dispatch longest-first, each to the worker that would finish
- * it earliest (the greedy schedule an idle-worker lease/steal loop
- * converges to). Deterministic given (costs, speeds).
+ * The coordinator's grid scan: classify each of @p requests as
+ * cached in @p canonical (the cache the coordinator opened on the
+ * canonical file, and later stores pushes in) or pending, and
+ * estimate pending costs.
  */
-double fleetStealMakespan(std::vector<double> costs,
-                          const std::vector<double> &speeds);
+FleetPlan planFleetSweep(const std::vector<RunRequest> &requests,
+                         const RunCache &canonical);
 
 } // namespace migc
 

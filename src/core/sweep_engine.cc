@@ -12,6 +12,7 @@
 #include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include <chrono>
 #include <condition_variable>
@@ -19,7 +20,6 @@
 #include "core/cache_v4.hh"
 #include "core/fleet.hh"
 #include "core/runner.hh"
-#include "core/shard.hh"
 #include "core/system.hh"
 #include "sim/logging.hh"
 #include "sim/names.hh"
@@ -127,6 +127,27 @@ sweepCachePathFromEnv()
         return "";
     const char *path = std::getenv("MIGC_SWEEP_CACHE");
     return path ? path : "mi_sweep_cache.csv";
+}
+
+void
+rejectRemovedEnv()
+{
+    const char *use_fleet =
+        "static sharding was removed. Spread a grid over processes "
+        "with `migc_sweep --grid paper|dynamic --shards N`, then run "
+        "the figure binaries on the merged cache";
+    const std::pair<const char *, const char *> removed[] = {
+        {"MIGC_SHARDS", use_fleet},
+        {"MIGC_SHARD_INDEX", use_fleet},
+        {"MIGC_CACHE_FORMAT",
+         "caches are always written as v4. For a v3 text copy, run "
+         "`migc_sweep --export PATH --cache-format csv`"},
+    };
+    for (const auto &[name, instead] : removed) {
+        const char *value = std::getenv(name);
+        fatal_if(value != nullptr && value[0] != '\0',
+                 "%s is no longer supported: %s", name, instead);
+    }
 }
 
 const char *
@@ -693,6 +714,32 @@ RunCache::size() const
         n += section.size();
     return n;
 }
+
+namespace
+{
+
+/**
+ * Stable 64-bit hash of one run key: FNV-1a over the three key
+ * strings, so it is identical across processes, architectures of
+ * the same width, and runs.
+ */
+std::uint64_t
+runKeyHash(const std::string &sig, const std::string &workload,
+           const std::string &policy)
+{
+    // '\n' cannot appear inside a key component (keys are one-line
+    // cache fields), so the concatenation is unambiguous.
+    std::string key;
+    key.reserve(sig.size() + workload.size() + policy.size() + 2);
+    key += sig;
+    key += '\n';
+    key += workload;
+    key += '\n';
+    key += policy;
+    return fnv1a(key);
+}
+
+} // namespace
 
 std::uint64_t
 gridFingerprint(const std::vector<RunRequest> &requests)

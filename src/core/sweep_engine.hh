@@ -33,7 +33,7 @@
  * v4 segment before reporting the key done; the coordinator
  * (bench/migc_sweep) appends every push to the canonical cache and
  * compacts it at the join, byte-identical to a single-process sweep
- * (see shard.hh and fleet.hh).
+ * (see fleet.hh).
  */
 
 #ifndef MIGC_CORE_SWEEP_ENGINE_HH
@@ -68,6 +68,17 @@ class FleetClient;
  * where the cache lives.
  */
 std::string sweepCachePathFromEnv();
+
+/**
+ * Fatal when a removed environment variable is set to anything:
+ * MIGC_SHARDS or MIGC_SHARD_INDEX (static key-hash sharding is gone;
+ * a script written for it would otherwise run the full grid once per
+ * "shard") or MIGC_CACHE_FORMAT (caches are always written as v4; a
+ * script asking for csv would otherwise get binary files). Every
+ * default-constructed SweepEngine, migc_sweep and migc_serve call it
+ * before anything simulates.
+ */
+void rejectRemovedEnv();
 
 /**
  * A cache serialization. RunCache writes v4 only; csv exists for

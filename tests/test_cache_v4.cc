@@ -22,17 +22,13 @@
 #include "core/cache_v4.hh"
 #include "core/metrics.hh"
 #include "core/sweep_engine.hh"
+#include "support/env.hh"
 
 using namespace migc;
+using migc::test::tempPath;
 
 namespace
 {
-
-std::string
-tempPath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_cache_v4_" + leaf;
-}
 
 std::string
 readFile(const std::string &path)

@@ -15,9 +15,11 @@
 #include "core/sweep_engine.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "support/env.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
+using migc::test::ScopedEnv;
 
 namespace
 {
@@ -51,37 +53,6 @@ expectIdentical(const RunMetrics &a, const RunMetrics &b)
     EXPECT_EQ(a.kernels, b.kernels);
     EXPECT_EQ(a.simEvents, b.simEvents);
 }
-
-/** Scoped env var set/restore (duplicated from test_experiments to
- *  keep the suites independent). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_ = false;
-};
 
 } // namespace
 

@@ -1,6 +1,7 @@
 /** @file Tests for the experiment harness and the sweep engine: the
  *  multi-config on-disk cache, cache bypass, cross-config isolation,
- *  warm-cache replay, and static-policy selection logic. */
+ *  warm-cache replay, static-policy selection logic, and the fatal
+ *  check on removed environment variables. */
 
 #include <gtest/gtest.h>
 
@@ -12,48 +13,15 @@
 #include "core/metrics.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
+#include "support/env.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
+using migc::test::ScopedEnv;
+using migc::test::tempPath;
 
 namespace
 {
-
-/** Scoped env var set/restore so tests cannot leak state. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_ = false;
-};
-
-std::string
-tempCachePath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_" + leaf + ".csv";
-}
 
 bool
 fileExists(const std::string &path)
@@ -95,8 +63,8 @@ writeCacheFile(const std::string &path, const SimConfig &cfg,
 
 TEST(ExperimentSweep, CacheRoundTripBySignature)
 {
-    const std::string path = tempCachePath("roundtrip");
-    const std::string text = tempCachePath("roundtrip_text");
+    const std::string path = tempPath("roundtrip.csv");
+    const std::string text = tempPath("roundtrip_text.csv");
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
@@ -152,7 +120,7 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
 
 TEST(ExperimentSweep, NoCacheEnvBypassesDisk)
 {
-    const std::string path = tempCachePath("bypass");
+    const std::string path = tempPath("bypass.csv");
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
 
@@ -181,7 +149,7 @@ TEST(ExperimentSweep, NoCacheEnvBypassesDisk)
 
 TEST(SweepEngine, CrossConfigSectionsDoNotClobberEachOther)
 {
-    const std::string path = tempCachePath("crossconfig");
+    const std::string path = tempPath("crossconfig.csv");
     std::remove(path.c_str());
 
     SimConfig cfg_a = SimConfig::testConfig();
@@ -219,7 +187,7 @@ TEST(SweepEngine, CrossConfigSectionsDoNotClobberEachOther)
 
 TEST(SweepEngine, OverlappingWritersUnionInsteadOfClobbering)
 {
-    const std::string path = tempCachePath("unionwriters");
+    const std::string path = tempPath("unionwriters.csv");
     std::remove(path.c_str());
 
     SimConfig cfg_a = SimConfig::testConfig();
@@ -251,7 +219,7 @@ TEST(SweepEngine, OverlappingWritersUnionInsteadOfClobbering)
 
 TEST(SweepEngine, WarmCacheReplayPerformsZeroSimulations)
 {
-    const std::string path = tempCachePath("warmreplay");
+    const std::string path = tempPath("warmreplay.csv");
     std::remove(path.c_str());
 
     // An ablation-style multi-config grid: same (workload, policy)
@@ -290,7 +258,7 @@ TEST(SweepEngine, WarmCacheReplayPerformsZeroSimulations)
 
 TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
 {
-    const std::string path = tempCachePath("parse_errors");
+    const std::string path = tempPath("parse_errors.csv");
     std::remove(path.c_str());
 
     // A cache file with one good row and two corrupted lines (a
@@ -318,8 +286,8 @@ TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
 
 TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
 {
-    const std::string corrupt = tempCachePath("corrupt_input");
-    const std::string path = tempCachePath("parse_dedupe");
+    const std::string corrupt = tempPath("corrupt_input.csv");
+    const std::string path = tempPath("parse_dedupe.csv");
     std::remove(corrupt.c_str());
     std::remove(path.c_str());
     {
@@ -332,7 +300,7 @@ TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
     // A zero-length or blank file is an empty cache, not a damaged
     // one: it merges no row and counts no parse error.
     for (const char *text : {"", "\n\n"}) {
-        const std::string blank = tempCachePath("blank_input");
+        const std::string blank = tempPath("blank_input.csv");
         {
             std::ofstream out(blank, std::ios::trunc);
             out << text;
@@ -380,7 +348,7 @@ TEST(SweepEngine, DuplicateRequestsSimulateOnce)
 
 TEST(ExperimentSweep, StaticBestAndWorstSelection)
 {
-    const std::string path = tempCachePath("selection");
+    const std::string path = tempPath("selection.csv");
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
@@ -411,7 +379,7 @@ TEST(ExperimentSweep, PolicyNameSetsMatchThePaper)
 
 TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
 {
-    const std::string path = tempCachePath("prefetch");
+    const std::string path = tempPath("prefetch.csv");
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
@@ -432,4 +400,59 @@ TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
     warm.prefetch({"Uncached"});
     EXPECT_EQ(warm.engine().simulationsPerformed(), 0u);
     std::remove(path.c_str());
+}
+
+TEST(RemovedEnv, FatalInTheDefaultEngine)
+{
+    // Static sharding and the csv write format are gone. A script
+    // that still exports their variables must die before anything
+    // simulates instead of running the full grid once per "shard" or
+    // getting binary caches where it asked for text; the default-
+    // constructed engine every figure binary uses is where that
+    // check has to fire.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ScopedEnv no_cache("MIGC_NO_CACHE", "1");
+    ScopedEnv format("MIGC_CACHE_FORMAT", nullptr);
+    const SimConfig cfg = SimConfig::testConfig();
+    const std::vector<RunRequest> grid{
+        RunRequest{cfg, "FwSoft", "Uncached"},
+        RunRequest{cfg, "FwBN", "CacheRW"}};
+    {
+        ScopedEnv shards("MIGC_SHARDS", "2");
+        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_SHARDS is no longer supported.*"
+            "migc_sweep --grid paper[|]dynamic --shards N");
+    }
+    {
+        ScopedEnv shards("MIGC_SHARDS", nullptr);
+        ScopedEnv index("MIGC_SHARD_INDEX", "1");
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_SHARD_INDEX is no longer supported");
+    }
+    {
+        // Any value is fatal, even the one that used to be the
+        // default.
+        ScopedEnv shards("MIGC_SHARDS", nullptr);
+        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
+        ScopedEnv v4("MIGC_CACHE_FORMAT", "v4");
+        EXPECT_EXIT(
+            {
+                SweepEngine engine;
+                engine.run(grid);
+            },
+            ::testing::ExitedWithCode(1),
+            "MIGC_CACHE_FORMAT is no longer supported.*"
+            "migc_sweep --export PATH --cache-format csv");
+    }
 }

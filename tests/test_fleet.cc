@@ -1,9 +1,9 @@
 /** @file Tests for the elastic fleet: the deterministic lease queue
  *  (grant order, expiry, stealing, late/stale completions), the wire
- *  protocol and coordinator dispatch, the plan step, the
- *  static-vs-stealing makespan models, the one store (a push merges
- *  whole or not at all, and a conflict fails the sweep), and four
- *  end-to-end invariants - a live two-worker socket fleet, a
+ *  protocol and coordinator dispatch, the grid fingerprint and the
+ *  plan step, the one store (a push merges whole or not at all, and
+ *  a conflict fails the sweep), the flags migc_sweep refuses, and
+ *  four end-to-end invariants - a live two-worker socket fleet, a
  *  many-threaded fleet whose pushes are in the file before the join,
  *  a SIGKILLed worker plus takeover, and hand-started CLI workers
  *  that write no file - all ending byte-identical to a
@@ -31,13 +31,14 @@
 #include "core/cache_v4.hh"
 #include "core/fleet.hh"
 #include "core/metrics.hh"
-#include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "sim/logging.hh"
+#include "support/env.hh"
 
 using namespace migc;
+using migc::test::tempPath;
 
 // ThreadSanitizer cannot follow a forked child that starts threads
 // (the runtime's own background thread makes every fork
@@ -55,18 +56,6 @@ using namespace migc;
 
 namespace
 {
-
-/** This process's id, fixed before any test forks: forked children
- *  must name the same files as their parent. */
-const std::string kRunTag = std::to_string(::getpid());
-
-/** A file or socket path private to this test process, so two runs
- *  of this suite at once never share a cache or a socket. */
-std::string
-tempPath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_fleet_" + kRunTag + "_" + leaf;
-}
 
 std::string
 readFile(const std::string &path)
@@ -271,52 +260,6 @@ TEST(FleetQueue, LateDoneBeatsTheThief)
 }
 
 // ---------------------------------------------------------------------
-// Makespan models
-// ---------------------------------------------------------------------
-
-TEST(FleetModel, DegenerateFleetsAgree)
-{
-    // One worker: both models are the serial sum.
-    EXPECT_DOUBLE_EQ(fleetStealMakespan({3, 2, 1}, {1.0}), 6.0);
-    EXPECT_DOUBLE_EQ(fleetStaticMakespan({3, 2, 1}, {0, 0, 0}, {1.0}),
-                     6.0);
-    // Equal jobs, even split, equal speeds: nothing to steal.
-    EXPECT_DOUBLE_EQ(fleetStealMakespan({1, 1, 1, 1}, {1.0, 1.0}),
-                     2.0);
-    EXPECT_DOUBLE_EQ(
-        fleetStaticMakespan({1, 1, 1, 1}, {0, 0, 1, 1}, {1.0, 1.0}),
-        2.0);
-}
-
-TEST(FleetModel, StragglerRatioMeetsTheAcceptanceBar)
-{
-    // The acceptance scenario: a paper-scale grid (102 runs, varied
-    // costs), 8 workers, worker 0 a 3x straggler. The static hash
-    // partition strands ~1/8 of the grid on the slow worker; the
-    // stealing fleet re-balances around it. The PR's bar is >= 1.3x.
-    std::vector<double> costs;
-    std::vector<unsigned> owners;
-    for (unsigned i = 0; i < 102; ++i) {
-        costs.push_back(1.0 + static_cast<double>(i % 7) * 0.5);
-        owners.push_back(i % 8);
-    }
-    std::vector<double> speeds(8, 1.0);
-    speeds[0] = 1.0 / 3.0;
-
-    const double s = fleetStaticMakespan(costs, owners, speeds);
-    const double e = fleetStealMakespan(costs, speeds);
-    EXPECT_GT(e, 0.0);
-    EXPECT_GE(s / e, 1.3);
-
-    // With no straggler the static split of this near-uniform grid
-    // is already decent; stealing must not be *worse* than serial /
-    // worse than the slowest static slice by construction.
-    std::vector<double> flat(8, 1.0);
-    EXPECT_LE(fleetStealMakespan(costs, flat),
-              fleetStaticMakespan(costs, owners, flat) + 1e-9);
-}
-
-// ---------------------------------------------------------------------
 // Wire protocol: parsing and coordinator dispatch
 // ---------------------------------------------------------------------
 
@@ -419,6 +362,21 @@ TEST(GridFingerprint, SensitiveToContentOrderAndSize)
     auto edited = grid;
     edited[0].policy = "CacheRW";
     EXPECT_NE(h, gridFingerprint(edited));
+}
+
+TEST(GridFingerprint, KeyComponentsAreSeparated)
+{
+    // Moving a character across the workload/policy boundary keeps
+    // the concatenated key text but names a different run, so the
+    // fingerprint must change: the components are hashed with a
+    // separator, not glued together.
+    const SimConfig cfg = SimConfig::testConfig();
+    const std::uint64_t h =
+        gridFingerprint({RunRequest{cfg, "FwSoft", "CacheRW"}});
+    EXPECT_EQ(h, gridFingerprint({RunRequest{cfg, "FwSoft", "CacheRW"}}));
+    EXPECT_NE(h, gridFingerprint({RunRequest{cfg, "FwSoftC", "acheRW"}}));
+    EXPECT_NE(h, gridFingerprint({RunRequest{cfg, "FwSof", "tCacheRW"}}));
+    EXPECT_NE(h, gridFingerprint({RunRequest{cfg, "FwSoft", "CacheR"}}));
 }
 
 TEST(FleetPlan, ColdGridIsAllPendingWithPositiveCosts)
@@ -847,12 +805,15 @@ migcSweepBinary()
     return std::filesystem::exists(bin, ec) ? bin.string() : "";
 }
 
-/** Start @p args (args[0] is the binary) with its output discarded. */
+/** Start @p args (args[0] is the binary) in directory @p cwd with
+ *  its output discarded. */
 pid_t
-spawnQuiet(const std::vector<std::string> &args)
+spawnQuiet(const std::vector<std::string> &args, const std::string &cwd)
 {
     const pid_t pid = ::fork();
     if (pid == 0) {
+        if (::chdir(cwd.c_str()) != 0)
+            _exit(126);
         const int null = ::open("/dev/null", O_WRONLY);
         ::dup2(null, STDOUT_FILENO);
         ::dup2(null, STDERR_FILENO);
@@ -882,9 +843,9 @@ waitExit(pid_t pid)
 TEST(FleetCli, WorkersLeaveTheirCacheDirectoriesEmpty)
 {
     // A listening coordinator and two hand-started workers, each
-    // worker given a --cache in a directory of its own. A worker
-    // keeps its rows in memory and pushes them, so after the fleet
-    // both worker directories are empty and the coordinator's cache
+    // worker run from an empty directory of its own. A worker keeps
+    // its rows in memory and pushes them, so after the fleet both
+    // worker directories are still empty and the coordinator's cache
     // alone holds the solo sweep's bytes.
     const std::string bin = migcSweepBinary();
     if (bin.empty())
@@ -904,17 +865,19 @@ TEST(FleetCli, WorkersLeaveTheirCacheDirectoriesEmpty)
     };
 
     ASSERT_EQ(waitExit(spawnQuiet(
-                  sweep({"--cache", (root / "solo.v4").string()}))),
+                  sweep({"--cache", (root / "solo.v4").string()}),
+                  root.string())),
               0);
     const pid_t coord = spawnQuiet(
         sweep({"--cache", (root / "coord" / "fleet.v4").string(),
-               "--shards", "2", "--listen", sock}));
+               "--shards", "2", "--listen", sock}),
+        (root / "coord").string());
     std::vector<pid_t> workers;
     for (const char *i : {"0", "1"}) {
         const fs::path dir = root / (std::string("w") + i);
         workers.push_back(spawnQuiet(
-            sweep({"--cache", (dir / "fleet.v4").string(), "--fleet",
-                   sock, "--shard-index", i})));
+            sweep({"--fleet", sock, "--shard-index", i}),
+            dir.string()));
     }
     for (pid_t w : workers)
         EXPECT_EQ(waitExit(w), 0);
@@ -927,4 +890,30 @@ TEST(FleetCli, WorkersLeaveTheirCacheDirectoriesEmpty)
     EXPECT_EQ(readFile((root / "coord" / "fleet.v4").string()),
               solo_bytes);
     fs::remove_all(root);
+}
+
+TEST(FleetCli, RefusesResumeAndAWorkersCache)
+{
+    // --resume did nothing (every rerun resumes) and a worker's
+    // --cache was never read (a worker keeps its rows in memory), so
+    // both are refused instead of silently accepted. --push is still
+    // accepted: the benchmark's fleet passes it.
+    const std::string bin = migcSweepBinary();
+    if (bin.empty())
+        GTEST_SKIP() << "migc_sweep was not built next to this test";
+    namespace fs = std::filesystem;
+    const fs::path dir = tempPath("cli_refused");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string cwd = dir.string();
+    const std::string sock = "unix:" + (dir / "none.sock").string();
+
+    EXPECT_EQ(waitExit(spawnQuiet({bin, "--resume"}, cwd)), 1);
+    EXPECT_EQ(waitExit(spawnQuiet({bin, "--fleet", sock, "--shard-index",
+                                   "0", "--cache", "w.v4"},
+                                  cwd)),
+              1);
+    EXPECT_EQ(waitExit(spawnQuiet({bin, "--push", "--help"}, cwd)), 0);
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }

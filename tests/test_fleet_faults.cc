@@ -1,7 +1,7 @@
 /** @file Chaos suite for the multi-host fleet: a deterministic
  *  fault-injection matrix ({drop, truncate, duplicate, delay,
  *  corrupt} x {lease, done, renew, push}) driven through the
- *  transport shim (serve/transport.hh) over real localhost-TCP
+ *  transport shim (support/fault_stream.hh) over real localhost-TCP
  *  sockets, proving the coordinator's canonical cache stays
  *  byte-identical to a single-process sweep under every injected
  *  failure. Plus: the shim's replay determinism (same seed +
@@ -34,14 +34,16 @@
 
 #include "core/cache_v4.hh"
 #include "core/fleet.hh"
-#include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "serve/transport.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "support/env.hh"
+#include "support/fault_stream.hh"
 
 using namespace migc;
+using namespace migc::test;
 
 // See tests/test_fleet.cc: TSan cannot follow a forked child that
 // starts threads, so the SIGKILL test skips itself there.
@@ -56,17 +58,6 @@ using namespace migc;
 
 namespace
 {
-
-/** This process's id, fixed before any test forks (see
- *  tests/test_fleet.cc). */
-const std::string kRunTag = std::to_string(::getpid());
-
-/** A file or socket path private to this test process. */
-std::string
-tempPath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_faults_" + kRunTag + "_" + leaf;
-}
 
 std::string
 readFile(const std::string &path)

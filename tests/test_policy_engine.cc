@@ -22,18 +22,14 @@
 #include "policy/cache_policy.hh"
 #include "policy/policy_engine.hh"
 #include "policy/policy_registry.hh"
+#include "support/env.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
+using migc::test::tempPath;
 
 namespace
 {
-
-std::string
-tempCachePath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_" + leaf + ".csv";
-}
 
 const std::vector<std::string> kDynamicNames = {
     "CacheRW-DynAB", "CacheRW-Duel", "CacheRW-DynCR"};
@@ -284,7 +280,7 @@ TEST(WorkloadRegistryExtensions, AttentionHasThreePhases)
 
 TEST(DynamicPolicySweep, RegistryRoundTripHitsTheRunCache)
 {
-    const std::string path = tempCachePath("dynamic_roundtrip");
+    const std::string path = tempPath("dynamic_roundtrip.csv");
     std::remove(path.c_str());
     SimConfig cfg = SimConfig::testConfig();
 

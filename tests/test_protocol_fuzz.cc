@@ -23,17 +23,13 @@
 #include "serve/serve_protocol.hh"
 #include "serve/transport.hh"
 #include "sim/rng.hh"
+#include "support/env.hh"
 
 using namespace migc;
+using migc::test::tempPath;
 
 namespace
 {
-
-std::string
-tempPath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_fuzz_" + leaf;
-}
 
 bool
 fileExists(const std::string &path)

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,51 +26,15 @@
 #include "serve/serve_protocol.hh"
 #include "serve/serve_service.hh"
 #include "sim/parallel.hh"
+#include "support/env.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
+using migc::test::ScopedEnv;
+using migc::test::tempPath;
 
 namespace
 {
-
-/** Scoped env var set/restore so tests cannot leak state. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_ = false;
-};
-
-/** A cache path private to this test process, so two runs of this
- *  suite at once never share a file. */
-std::string
-tempCachePath(const std::string &leaf)
-{
-    return ::testing::TempDir() + "migc_serve_" +
-           std::to_string(::getpid()) + "_" + leaf + ".csv";
-}
 
 RunMetrics
 fakeMetrics(const std::string &workload, const std::string &policy,
@@ -105,7 +67,7 @@ std::map<std::pair<std::string, std::string>, std::string>
 expectedRows()
 {
     static const auto rows = [] {
-        std::string path = tempCachePath("expected");
+        std::string path = tempPath("expected.csv");
         std::remove(path.c_str());
         SweepEngine engine(path);
         std::vector<RunMetrics> results = engine.run(smallGrid());
@@ -264,8 +226,8 @@ TEST(Snapshot, PublishSharesUntouchedSectionsAndCopiesTouchedOnes)
     RunCache unpublished{std::string()};
     for (const auto &[sig, m] : rows)
         unpublished.insert(sig, m);
-    const std::string shared_path = tempCachePath("publish_shared");
-    const std::string whole_path = tempCachePath("publish_whole");
+    const std::string shared_path = tempPath("publish_shared.csv");
+    const std::string whole_path = tempPath("publish_whole.csv");
     ASSERT_TRUE(cache.exportFile(shared_path, CacheFormat::csv));
     ASSERT_TRUE(unpublished.exportFile(whole_path, CacheFormat::csv));
     auto slurp = [](const std::string &path) {
@@ -469,7 +431,7 @@ TEST(ServeProtocol, ParsesCommandsCommentsAndErrors)
 TEST(ServeService, WarmHitsAreByteIdenticalToWarmReplay)
 {
     const auto &expected = expectedRows();
-    std::string path = tempCachePath("warm_hits");
+    std::string path = tempPath("warm_hits.csv");
     std::remove(path.c_str());
     {
         SweepEngine warmup(path);
@@ -506,7 +468,7 @@ TEST(ServeService, WarmHitsAreByteIdenticalToWarmReplay)
 
 TEST(ServeService, ErrorsAndEdgeCases)
 {
-    std::string path = tempCachePath("errors");
+    std::string path = tempPath("errors.csv");
     std::remove(path.c_str());
     SweepEngine engine(path);
     ServeService service(engine);
@@ -532,7 +494,7 @@ TEST(ServeService, ErrorsAndEdgeCases)
 
 TEST(ServeService, NoSimulateModeAnswersMissWithoutEnqueueing)
 {
-    std::string path = tempCachePath("no_simulate");
+    std::string path = tempPath("no_simulate.csv");
     std::remove(path.c_str());
     SweepEngine engine(path);
     ServeService::Options opts;
@@ -550,7 +512,7 @@ TEST(ServeService, NoSimulateModeAnswersMissWithoutEnqueueing)
 TEST(ServeService, ColdPointSimulatesOnMissExactlyOnce)
 {
     const auto &expected = expectedRows();
-    std::string path = tempCachePath("cold_miss");
+    std::string path = tempPath("cold_miss.csv");
     std::remove(path.c_str());
     SweepEngine engine(path);
     ServeService service(engine);
@@ -581,7 +543,7 @@ TEST(ServeService, TortureConcurrentReadersDuringMissInserts)
 
     // Pre-warm half the grid; the other half stays cold and is
     // simulated on miss while readers hammer the snapshot.
-    std::string path = tempCachePath("torture");
+    std::string path = tempPath("torture.csv");
     std::remove(path.c_str());
     {
         SweepEngine warmup(path);
