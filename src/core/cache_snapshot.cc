@@ -9,13 +9,13 @@ namespace migc
 {
 
 bool
-globMatch(const std::string &pattern, const std::string &text)
+globMatch(std::string_view pattern, std::string_view text)
 {
     // Iterative two-pointer matcher with single-star backtracking:
     // on mismatch, retry from the most recent '*' consuming one more
     // character. O(|pattern| * |text|) worst case, no allocation.
     std::size_t p = 0, t = 0;
-    std::size_t star = std::string::npos, mark = 0;
+    std::size_t star = std::string_view::npos, mark = 0;
     while (t < text.size()) {
         if (p < pattern.size() &&
             (pattern[p] == '?' || pattern[p] == text[t])) {
@@ -24,7 +24,7 @@ globMatch(const std::string &pattern, const std::string &text)
         } else if (p < pattern.size() && pattern[p] == '*') {
             star = p++;
             mark = t;
-        } else if (star != std::string::npos) {
+        } else if (star != std::string_view::npos) {
             p = star + 1;
             t = ++mark;
         } else {
@@ -35,6 +35,116 @@ globMatch(const std::string &pattern, const std::string &text)
         ++p;
     return p == pattern.size();
 }
+
+namespace
+{
+
+/**
+ * One pattern of a `match` query, worked out once per query. Every
+ * string the pattern matches starts with its literal prefix (the
+ * text before the first '*' or '?'), so in a sorted index its
+ * matches lie in one key range: the keys that start with the prefix,
+ * or for a literal pattern the keys equal to it.
+ */
+struct GlobPlan
+{
+    std::string_view pattern;
+    std::string_view prefix;
+    bool literal; ///< no '*' or '?': matches only the pattern itself
+
+    explicit GlobPlan(std::string_view p)
+        : pattern(p), prefix(p.substr(0, p.find_first_of("*?"))),
+          literal(prefix.size() == p.size())
+    {}
+
+    /** True while @p s, walked in sorted order, is in the range. */
+    bool
+    inRange(std::string_view s) const
+    {
+        return literal ? s == pattern : s.starts_with(prefix);
+    }
+
+    bool
+    matches(std::string_view s) const
+    {
+        return literal ? s == pattern : globMatch(pattern, s);
+    }
+};
+
+void
+appendRow(const RunMetrics &row, std::string &out)
+{
+    row.appendCsv(out);
+    out += '\n';
+}
+
+/**
+ * Append the rows of @p section that @p wl and @p pol match, in key
+ * order, and return how many. Only @p wl's key range is visited, and
+ * its glob runs once per distinct workload; a literal @p pol is one
+ * lookup per matching workload, any other policy pattern scans that
+ * workload's rows.
+ */
+std::size_t
+matchSection(const CacheSnapshot::Section &section, const GlobPlan &wl,
+             const GlobPlan &pol, std::string &out)
+{
+    using Key = CacheSnapshot::Key;
+    std::size_t n = 0;
+    auto it = section.lower_bound(Key{std::string(wl.prefix), {}});
+    while (it != section.end() && wl.inRange(it->first.first)) {
+        const std::string &workload = it->first.first;
+        const bool hit = wl.matches(workload);
+        if (hit && !pol.literal) {
+            // Ends on the first key of the next workload.
+            for (; it != section.end() && it->first.first == workload;
+                 ++it) {
+                if (pol.matches(it->first.second)) {
+                    appendRow(*it->second, out);
+                    ++n;
+                }
+            }
+            continue;
+        }
+        if (hit) {
+            auto row =
+                section.find(Key{workload, std::string(pol.pattern)});
+            if (row != section.end()) {
+                appendRow(*row->second, out);
+                ++n;
+            }
+        }
+        // The first key past this workload's rows.
+        it = section.lower_bound(Key{workload + '\0', {}});
+    }
+    return n;
+}
+
+/** Ids of the interned strings @p plan's range holds in @p file. */
+MappedCacheV4::IdRange
+idRange(const MappedCacheV4 &file, const GlobPlan &plan)
+{
+    if (!plan.literal)
+        return file.prefixRange(plan.prefix);
+    const std::int64_t id = file.stringId(plan.pattern);
+    if (id < 0)
+        return {0, 0};
+    return {static_cast<std::uint32_t>(id),
+            static_cast<std::uint32_t>(id) + 1};
+}
+
+/** @p plan's verdict on each id of @p ids, at [id - ids.begin]. */
+std::vector<unsigned char>
+verdicts(const GlobPlan &plan, const V4SegmentView &seg,
+         MappedCacheV4::IdRange ids)
+{
+    std::vector<unsigned char> ok(ids.end - ids.begin);
+    for (std::uint32_t id = ids.begin; id < ids.end; ++id)
+        ok[id - ids.begin] = plan.matches(seg.str(id)) ? 1 : 0;
+    return ok;
+}
+
+} // namespace
 
 CacheSnapshot::CacheSnapshot(
     SectionMap sections, std::size_t rows,
@@ -76,25 +186,6 @@ CacheSnapshot::find(const std::string &sig, const std::string &workload,
     return rit == section.end() ? nullptr : rit->second;
 }
 
-std::vector<const RunMetrics *>
-CacheSnapshot::match(const std::string &sig_pattern,
-                     const std::string &workload_pattern,
-                     const std::string &policy_pattern) const
-{
-    std::vector<const RunMetrics *> out;
-    for (const auto &[sig, section] : sections_) {
-        if (!globMatch(sig_pattern, sig))
-            continue;
-        for (const auto &[key, row] : *section) {
-            if (globMatch(workload_pattern, key.first) &&
-                globMatch(policy_pattern, key.second)) {
-                out.push_back(row);
-            }
-        }
-    }
-    return out;
-}
-
 bool
 CacheSnapshot::findCsv(const std::string &sig,
                        const std::string &workload,
@@ -123,51 +214,69 @@ CacheSnapshot::matchCsv(const std::string &sig_pattern,
                         const std::string &policy_pattern,
                         std::string &out) const
 {
+    const GlobPlan sig(sig_pattern), wl(workload_pattern),
+        pol(policy_pattern);
+    std::size_t n = 0;
     if (mapped_ == nullptr) {
-        std::size_t n = 0;
-        for (const auto &[sig, section] : sections_) {
-            if (!globMatch(sig_pattern, sig))
-                continue;
-            for (const auto &[key, row] : *section) {
-                if (globMatch(workload_pattern, key.first) &&
-                    globMatch(policy_pattern, key.second)) {
-                    row->appendCsv(out);
-                    out += '\n';
-                    ++n;
-                }
-            }
+        // A literal signature is one lookup; a glob walks only the
+        // sections that start with its prefix.
+        auto sit = sig.literal
+                       ? sections_.find(sig_pattern)
+                       : sections_.lower_bound(std::string(sig.prefix));
+        for (; sit != sections_.end() && sig.inRange(sit->first); ++sit) {
+            if (sig.matches(sit->first))
+                n += matchSection(*sit->second, wl, pol, out);
         }
         return n;
     }
 
-    // Interned-table prefilter: evaluate the workload/policy globs
-    // once per distinct string, the signature glob once per section.
-    // Rows are only visited inside sections whose signature matched,
-    // and each visit is two byte-sized flag loads - the globs never
-    // rescan per row.
-    const V4SegmentView &seg = mapped_->segment();
-    std::vector<unsigned char> wl_ok(seg.stringCount, 0);
-    std::vector<unsigned char> pol_ok(seg.stringCount, 0);
-    for (std::uint64_t i = 0; i < seg.stringCount; ++i) {
-        const std::string s(seg.str(static_cast<std::uint32_t>(i)));
-        wl_ok[i] = globMatch(workload_pattern, s) ? 1 : 0;
-        pol_ok[i] = globMatch(policy_pattern, s) ? 1 : 0;
-    }
+    // Interned ids order like their strings, so each pattern's range
+    // is one id range, and each section's keys - sorted by (workload,
+    // policy) ids - hold their matches in one key range per
+    // workload. Each glob runs once per id of its range, before any
+    // key is read.
+    const MappedCacheV4 &file = *mapped_;
+    const V4SegmentView &seg = file.segment();
+    const MappedCacheV4::IdRange sig_ids = idRange(file, sig);
+    const MappedCacheV4::IdRange wl_ids = idRange(file, wl);
+    const MappedCacheV4::IdRange pol_ids = idRange(file, pol);
+    const std::vector<unsigned char> wl_ok = verdicts(wl, seg, wl_ids);
+    const std::vector<unsigned char> pol_ok = verdicts(pol, seg, pol_ids);
 
-    std::size_t n = 0;
-    for (const MappedCacheV4::SectionRange &range :
-         mapped_->sectionRanges()) {
-        const std::string sig(
-            seg.str(seg.keys[range.begin].sig));
-        if (!globMatch(sig_pattern, sig))
+    const V4Key *keys = seg.keys;
+    const auto &ranges = file.sectionRanges();
+    auto range = std::partition_point(
+        ranges.begin(), ranges.end(),
+        [&](const MappedCacheV4::SectionRange &r) {
+            return keys[r.begin].sig < sig_ids.begin;
+        });
+    for (; range != ranges.end() && keys[range->begin].sig < sig_ids.end;
+         ++range) {
+        if (!sig.matches(seg.str(keys[range->begin].sig)))
             continue;
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-            const V4Key &k = seg.keys[i];
-            if (!wl_ok[k.workload] || !pol_ok[k.policy])
-                continue;
-            mapped_->materialize(i).appendCsv(out);
-            out += '\n';
-            ++n;
+        const V4Key *end = keys + range->end;
+        const V4Key *k = std::partition_point(
+            keys + range->begin, end,
+            [&](const V4Key &key) { return key.workload < wl_ids.begin; });
+        while (k != end && k->workload < wl_ids.end) {
+            const std::uint32_t w = k->workload;
+            const V4Key *run_end = std::partition_point(
+                k, end, [w](const V4Key &key) { return key.workload == w; });
+            if (wl_ok[w - wl_ids.begin]) {
+                const V4Key *p = std::partition_point(
+                    k, run_end, [&](const V4Key &key) {
+                        return key.policy < pol_ids.begin;
+                    });
+                for (; p != run_end && p->policy < pol_ids.end; ++p) {
+                    if (pol_ok[p->policy - pol_ids.begin]) {
+                        appendRow(file.materialize(
+                                      static_cast<std::size_t>(p - keys)),
+                                  out);
+                        ++n;
+                    }
+                }
+            }
+            k = run_end;
         }
     }
     return n;

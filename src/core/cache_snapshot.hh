@@ -20,14 +20,14 @@
  * A snapshot has a second, zero-copy representation: fromMappedFile()
  * wraps an mmap'd single-segment v4 cache file (cache_v4.hh) without
  * materializing a single RunMetrics. Queries then run on the interned
- * columns directly - binary search over interned ids for exact finds,
- * glob evaluation once per distinct interned string (instead of once
- * per row) before any row is touched. Only the serialization-level
- * API (findCsv / matchCsv / rows / sectionCount / estimateEvents)
- * works on a mapped snapshot; the pointer-returning find()/match()
- * and sections() are materialized-only, because a mapped snapshot
- * has no RunMetrics objects to point at. This is how migc_serve
- * starts serving by mapping the cache instead of parsing it.
+ * columns directly - binary search over interned ids for exact finds
+ * and for the key range a glob can match. Only the
+ * serialization-level API (findCsv / matchCsv / rows / sectionCount /
+ * estimateEvents) works on a mapped snapshot; the pointer-returning
+ * find() and sections() are materialized-only, because a mapped
+ * snapshot has no RunMetrics objects to point at. This is how
+ * migc_serve starts serving by mapping the cache instead of parsing
+ * it.
  *
  * Ownership: a snapshot retains (via keep-alive shared_ptrs) every
  * row store - or mapped file - its pointers reach into, so a query
@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,7 +64,7 @@ class MappedCacheV4;
  * worst case even on adversarial multi-'*' patterns, never the
  * exponential blowup of naive recursive matchers.
  */
-bool globMatch(const std::string &pattern, const std::string &text);
+bool globMatch(std::string_view pattern, std::string_view text);
 
 class CacheSnapshot
 {
@@ -87,7 +88,7 @@ class CacheSnapshot
      * Zero-copy snapshot over a mapped v4 cache file: no rows are
      * materialized, queries answer straight from the interned
      * columns. Serialization-level queries only (see the file
-     * comment); find()/match()/sections() on the result are empty.
+     * comment); find() and sections() on the result are empty.
      */
     static std::shared_ptr<const CacheSnapshot>
     fromMappedFile(std::shared_ptr<const MappedCacheV4> file);
@@ -102,18 +103,6 @@ class CacheSnapshot
                            const std::string &policy) const;
 
     /**
-     * All rows whose (signature, workload, policy) match the three
-     * glob patterns, in canonical order (sorted by signature, then
-     * workload, then policy - the cache-file serialization order, so
-     * pattern answers are byte-stable across runs). Materialized
-     * snapshots only: empty on a mapped snapshot.
-     */
-    std::vector<const RunMetrics *>
-    match(const std::string &sig_pattern,
-          const std::string &workload_pattern,
-          const std::string &policy_pattern) const;
-
-    /**
      * Serialization-level exact lookup, valid on both
      * representations: on a hit, appends the row's CSV line (no
      * trailing newline) to @p out and returns true. A mapped
@@ -125,12 +114,20 @@ class CacheSnapshot
 
     /**
      * Serialization-level glob query, valid on both representations:
-     * appends one '\n'-terminated CSV line per matching row to
-     * @p out, canonical order, and returns the match count. A mapped
-     * snapshot evaluates each glob once per distinct interned string
-     * (signatures per section, workload/policy over the string
-     * table) and only then scans the key column - the prefilter that
-     * makes glob serving cheap on wide caches.
+     * appends to @p out one '\n'-terminated CSV line per row whose
+     * (signature, workload, policy) match the three globMatch()
+     * patterns, in canonical order (sorted by signature, then
+     * workload, then policy - the cache-file serialization order, so
+     * answers are byte-stable across runs), and returns the count.
+     *
+     * Only the keys a pattern can match are visited. Every match
+     * starts with the pattern's literal prefix (its text before the
+     * first '*' or '?'), so each section's matches lie in one key
+     * range: a literal signature is one section lookup, a workload
+     * glob runs once per workload of its prefix's range, and a
+     * literal policy is one lookup per matching workload. A mapped
+     * snapshot finds the same ranges as interned-id ranges
+     * (MappedCacheV4::prefixRange) by binary search.
      */
     std::size_t matchCsv(const std::string &sig_pattern,
                          const std::string &workload_pattern,

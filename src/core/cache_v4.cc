@@ -47,6 +47,24 @@ fail(std::string *why, const char *msg)
     return false;
 }
 
+/** The first id of @p seg's sorted string table whose string
+ *  @p before rejects; @p before must hold on a leading run of ids
+ *  and on none after it. */
+template <typename Before>
+std::uint32_t
+firstId(const V4SegmentView &seg, Before before)
+{
+    std::size_t lo = 0, hi = seg.stringCount;
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (before(seg.str(static_cast<std::uint32_t>(mid))))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return static_cast<std::uint32_t>(lo);
+}
+
 } // namespace
 
 std::uint64_t
@@ -382,19 +400,26 @@ MappedCacheV4::~MappedCacheV4()
 std::int64_t
 MappedCacheV4::stringId(std::string_view s) const
 {
-    std::size_t lo = 0, hi = seg_.stringCount;
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (seg_.str(static_cast<std::uint32_t>(mid)) < s)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < seg_.stringCount &&
-        seg_.str(static_cast<std::uint32_t>(lo)) == s) {
-        return static_cast<std::int64_t>(lo);
-    }
+    const std::uint32_t id =
+        firstId(seg_, [s](std::string_view t) { return t < s; });
+    if (id < seg_.stringCount && seg_.str(id) == s)
+        return id;
     return -1;
+}
+
+MappedCacheV4::IdRange
+MappedCacheV4::prefixRange(std::string_view prefix) const
+{
+    // Cutting every string to the prefix's length keeps the table
+    // sorted, and the strings that start with the prefix are exactly
+    // those whose cut equals it.
+    const auto cut = [prefix](std::string_view t) {
+        return t.substr(0, prefix.size());
+    };
+    return IdRange{
+        firstId(seg_, [&](std::string_view t) { return cut(t) < prefix; }),
+        firstId(seg_,
+                [&](std::string_view t) { return cut(t) <= prefix; })};
 }
 
 std::int64_t

@@ -181,6 +181,18 @@ class MappedCacheV4
      *  string table (id order == string order). */
     std::int64_t stringId(std::string_view s) const;
 
+    /** Interned ids [begin, end); empty when begin == end. */
+    struct IdRange
+    {
+        std::uint32_t begin;
+        std::uint32_t end;
+    };
+
+    /** Ids of every interned string that starts with @p prefix (all
+     *  of them for an empty prefix). Ids order like the strings, so
+     *  they are one range: two binary searches. */
+    IdRange prefixRange(std::string_view prefix) const;
+
     /** Row index for the exact key triple, or -1: interned-id
      *  binary search over the sorted key column. */
     std::int64_t findRow(std::string_view sig, std::string_view workload,

@@ -57,11 +57,15 @@ ServeService::ServeService(SweepEngine &engine, Options opts)
     loadMs_ = msSince(t0);
     snapshot_.store(std::move(snap));
 
-    presets_.emplace("default", SimConfig::defaultConfig());
-    presets_.emplace("paper", SimConfig::paperConfig());
-    presets_.emplace("test", SimConfig::testConfig());
-    for (const auto &[name, cfg] : presets_)
-        sigToPreset_.emplace(cfg.signature(), name);
+    // A signature is seven formatted fields and a hash: compute each
+    // preset's once here, not on every request that names it.
+    presets_.emplace("default", Preset{SimConfig::defaultConfig(), {}});
+    presets_.emplace("paper", Preset{SimConfig::paperConfig(), {}});
+    presets_.emplace("test", Preset{SimConfig::testConfig(), {}});
+    for (auto &[name, preset] : presets_) {
+        preset.sig = preset.cfg.signature();
+        sigToPreset_.emplace(preset.sig, name);
+    }
     if (opts_.simulate)
         worker_ = std::thread([this] { missWorker(); });
 }
@@ -84,15 +88,15 @@ ServeService::configFor(const std::string &token,
 {
     auto pit = presets_.find(token);
     if (pit != presets_.end()) {
-        sig_out = pit->second.signature();
-        return &pit->second;
+        sig_out = pit->second.sig;
+        return &pit->second.cfg;
     }
     // Not a preset: treat the token as a signature. It is still
     // simulatable if it happens to be a preset's signature.
     sig_out = token;
     auto sit = sigToPreset_.find(token);
     if (sit != sigToPreset_.end())
-        return &presets_.at(sit->second);
+        return &presets_.at(sit->second).cfg;
     return nullptr;
 }
 
@@ -168,15 +172,12 @@ ServeService::handleMatch(const ServeRequest &req)
     // A preset name resolves to that preset's exact signature;
     // anything else globs over section signatures directly (a
     // glob-free signature matches itself literally).
-    std::string sig_pattern = req.config;
     auto pit = presets_.find(req.config);
-    if (pit != presets_.end())
-        sig_pattern = pit->second.signature();
+    const std::string &sig_pattern =
+        pit != presets_.end() ? pit->second.sig : req.config;
 
     std::shared_ptr<const CacheSnapshot> snap = snapshot_.load();
     std::string out;
-    // matchCsv evaluates each glob once per distinct interned string
-    // on a mapped snapshot (not once per row) before scanning keys.
     const std::size_t n =
         snap->matchCsv(sig_pattern, req.workload, req.policy, out);
     served_.fetch_add(n, std::memory_order_relaxed);

@@ -144,8 +144,15 @@ class ServeService
     std::string format_;
     double loadMs_ = 0.0;
 
-    /** Preset configs by name and by signature. */
-    std::map<std::string, SimConfig> presets_;
+    /** A preset config and its signature, computed once. */
+    struct Preset
+    {
+        SimConfig cfg;
+        std::string sig;
+    };
+
+    /** Presets by name, and preset names by signature. */
+    std::map<std::string, Preset> presets_;
     std::map<std::string, std::string> sigToPreset_;
 
     /** The serving surface; load() to query, store() to publish. */

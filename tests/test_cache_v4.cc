@@ -456,6 +456,95 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
     std::remove(path.c_str());
 }
 
+TEST(CacheV4, MatchCsvEqualsABruteForceFilterOnBothSnapshots)
+{
+    // Names that stress the key ranges a glob's literal prefix picks:
+    // names that prefix each other (w1, w10, w1\x7f), bytes >= 0x80,
+    // a name holding a literal '?', and a string table whose first
+    // and last keys patterns can sort before and after.
+    const std::vector<std::string> sigs = {"sigA", "sigA2",
+                                           "sig\xc3\xa9", "sigB"};
+    const std::vector<std::string> workloads = {
+        "w1", "w10", "w1\x7f", "w2", "w?x", "wax", "w\xc3\xa9", "a0"};
+    const std::vector<std::string> policies = {
+        "p", "p1", "p10", "p1\x7f", "p?", "P\x80", "pz"};
+
+    const std::string path = tempPath("match_differential");
+    std::remove(path.c_str());
+    // Canonical order is the byte order of (sig, workload, policy).
+    std::map<std::vector<std::string>, std::string> all;
+    {
+        RunCache rc(path, 1000);
+        int seq = 0;
+        for (std::size_t s = 0; s < sigs.size(); ++s) {
+            for (std::size_t w = 0; w < workloads.size(); ++w) {
+                for (std::size_t p = 0; p < policies.size(); ++p) {
+                    if ((s + 2 * w + 3 * p) % 4 == 0)
+                        continue; // sparse: not every key exists
+                    const RunMetrics &row = rc.insert(
+                        sigs[s],
+                        simpleRow(workloads[w], policies[p], ++seq));
+                    all[{sigs[s], workloads[w], policies[p]}] =
+                        row.toCsv();
+                }
+            }
+        }
+        rc.flush();
+    }
+
+    std::string why;
+    auto file = MappedCacheV4::map(path, &why);
+    ASSERT_NE(file, nullptr) << why;
+    const auto mapped = CacheSnapshot::fromMappedFile(std::move(file));
+    RunCache reread(path);
+    const auto materialized = reread.snapshot();
+    ASSERT_FALSE(materialized->mapped());
+    ASSERT_EQ(materialized->rows(), all.size());
+
+    const std::vector<std::string> sig_patterns = {
+        "", "*", "?", "sigA", "sigZ", "sig?", "sigA*", "sig\xc3*",
+        "*2", "A*", "\xff*"};
+    const std::vector<std::string> name_patterns = {
+        "", "*", "?", "**", "w1", "w10", "w1\x7f", "w1*", "w1?",
+        "w1\x7f*", "w?", "w?x", "w?*", "w\xc3*", "*x", "*\x7f", "p",
+        "p1", "p1*", "p1?", "p?", "P*", "p*0", "nope", "0", "A*",
+        "zzz", "\xff*"};
+    std::size_t triples = 0, hits = 0;
+    for (const std::string &sp : sig_patterns) {
+        for (const std::string &wp : name_patterns) {
+            for (const std::string &pp : name_patterns) {
+                std::string want;
+                std::size_t want_n = 0;
+                for (const auto &[key, csv] : all) {
+                    if (globMatch(sp, key[0]) && globMatch(wp, key[1]) &&
+                        globMatch(pp, key[2])) {
+                        want += csv + "\n";
+                        ++want_n;
+                    }
+                }
+                for (const auto &snap : {mapped, materialized}) {
+                    std::string got;
+                    const std::size_t n = snap->matchCsv(sp, wp, pp, got);
+                    ASSERT_EQ(n, want_n)
+                        << (snap->mapped() ? "mapped" : "materialized")
+                        << " match '" << sp << "' '" << wp << "' '"
+                        << pp << "'";
+                    ASSERT_EQ(got, want)
+                        << (snap->mapped() ? "mapped" : "materialized")
+                        << " match '" << sp << "' '" << wp << "' '"
+                        << pp << "'";
+                }
+                ++triples;
+                hits += want_n;
+            }
+        }
+    }
+    EXPECT_EQ(triples, sig_patterns.size() * name_patterns.size() *
+                           name_patterns.size());
+    EXPECT_GT(hits, all.size()) << "the patterns must match rows";
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------
 // Glob matcher: adversarial input stays linear-ish
 // ---------------------------------------------------------------

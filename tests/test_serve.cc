@@ -134,15 +134,19 @@ TEST(Snapshot, BuildsFirstWinsIndexInCanonicalOrder)
     EXPECT_EQ(snap->find("sigB", "FwBN", "Missing"), nullptr);
     EXPECT_EQ(snap->find("nosig", "FwBN", "CacheR"), nullptr);
 
-    // match order: signature, then workload, then policy.
-    std::vector<const RunMetrics *> all = snap->match("*", "*", "*");
-    ASSERT_EQ(all.size(), 3u);
-    EXPECT_EQ(all[0]->workload, "BwBN");
-    EXPECT_EQ(all[1]->policy, "CacheR");
-    EXPECT_EQ(all[2]->policy, "Uncached");
+    // matchCsv order: signature, then workload, then policy.
+    const std::string canonical =
+        c.toCsv() + "\n" + a.toCsv() + "\n" + b.toCsv() + "\n";
+    std::string all;
+    EXPECT_EQ(snap->matchCsv("*", "*", "*", all), 3u);
+    EXPECT_EQ(all, canonical);
 
-    EXPECT_EQ(snap->match("sigB", "*", "Cache?").size(), 1u);
-    EXPECT_EQ(snap->match("sig?", "?w*", "*").size(), 3u);
+    std::string cache_r;
+    EXPECT_EQ(snap->matchCsv("sigB", "*", "Cache?", cache_r), 1u);
+    EXPECT_EQ(cache_r, a.toCsv() + "\n");
+    std::string both;
+    EXPECT_EQ(snap->matchCsv("sig?", "?w*", "*", both), 3u);
+    EXPECT_EQ(both, canonical);
 }
 
 TEST(Snapshot, RefusesNullRows)
