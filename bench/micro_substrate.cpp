@@ -564,8 +564,7 @@ writeSyntheticCache(const std::string &path, const SyntheticGrid &g)
 /**
  * Zero-copy load: map the v4 file and build the serving snapshot
  * (checksum pass included, no row materialization). This is the
- * migc_serve startup path; its counterpart cache_v3_parse below is
- * the same logical load through the text parser.
+ * migc_serve startup path.
  */
 BenchResult
 benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
@@ -585,26 +584,6 @@ benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
         }
         auto snap = CacheSnapshot::fromMappedFile(std::move(file));
         sink += snap->rows();
-    }
-    r.seconds = secondsSince(t0);
-    r.items = static_cast<std::uint64_t>(reps) * g.rows();
-    check(r, sink == r.items, "row count drifted");
-    return r;
-}
-
-/** The same grid loaded through the v3 text parser. */
-BenchResult
-benchCacheV3Parse(const std::string &path, const SyntheticGrid &g)
-{
-    BenchResult r;
-    r.name = "cache_v3_parse";
-    r.eventScenario = false;
-    const int reps = 3;
-    std::size_t sink = 0;
-    auto t0 = BenchClock::now();
-    for (int rep = 0; rep < reps; ++rep) {
-        RunCache rc(path, 1u << 30);
-        sink += rc.size();
     }
     r.seconds = secondsSince(t0);
     r.items = static_cast<std::uint64_t>(reps) * g.rows();
@@ -763,20 +742,14 @@ main(int argc, char **argv)
     results.push_back(benchSweepColdEngine());
     results.push_back(benchSweepWarmReplay());
 
-    // Data-plane scenarios: the same 100k-row synthetic grid as a
-    // v4 cache and as its v3 csv export.
+    // Data-plane scenarios over one 100k-row synthetic v4 cache.
     {
         const SyntheticGrid grid100k = syntheticGrid();
         const std::string v4_path = "BENCH_cache_v4.tmp.bin";
-        const std::string v3_path = "BENCH_cache_v3.tmp.csv";
         writeSyntheticCache(v4_path, grid100k);
-        RunCache(v4_path, 1u << 30).exportFile(v3_path,
-                                               CacheFormat::csv);
         results.push_back(benchCacheV4Load(v4_path, grid100k));
-        results.push_back(benchCacheV3Parse(v3_path, grid100k));
         results.push_back(benchWarmReplayV4(v4_path, grid100k));
         std::remove(v4_path.c_str());
-        std::remove(v3_path.c_str());
     }
 
     const double headline = geomeanRate(results, true);

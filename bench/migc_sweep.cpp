@@ -76,7 +76,6 @@ struct Options
     unsigned jobs = 0;     // threads per process (0 = MIGC_JOBS)
     bool manifest = false;
     std::string cacheFormat; // --export's format ("" = v4)
-    bool convert = false;    // rewrite the cache as v4
     std::string exportPath;  // write a copy there in --cache-format
 
     // Fleet (elastic lease queue) options. Sockets are endpoint
@@ -128,10 +127,9 @@ usage(const char *argv0)
         "                         its lease\n"
         "  --manifest             print the fleet coordinator + worker\n"
         "                         commands, then exit\n"
-        "  --convert              rewrite <cache> as v4 and exit\n"
-        "                         (migrates a v3 text cache)\n"
         "  --export PATH          write a copy of <cache> to PATH and\n"
-        "                         exit (the original is untouched)\n"
+        "                         exit (the original is untouched;\n"
+        "                         PATH must not be <cache> itself)\n"
         "  --cache-format v4|csv  --export's format: v4 binary\n"
         "                         columnar (default) or the v3 csv\n"
         "                         text; caches are always written v4\n"
@@ -236,8 +234,6 @@ parseArgs(int argc, char **argv)
                          opt.cacheFormat != "csv",
                      "--cache-format %s: expected v4 or csv",
                      opt.cacheFormat.c_str());
-        } else if (arg == "--convert") {
-            opt.convert = true;
         } else if (arg == "--export") {
             opt.exportPath = need(i++);
         } else {
@@ -269,12 +265,12 @@ parseArgs(int argc, char **argv)
     fatal_if(opt.slowWorkerIndex >= 0 && !opt.listenSocket.empty(),
              "--slow-worker injects at fork; with --listen, start "
              "the straggler yourself with --slow-ms");
-    fatal_if((opt.convert || !opt.exportPath.empty()) &&
+    fatal_if(!opt.exportPath.empty() &&
                  (opt.manifest || opt.shards > 0 ||
                   !opt.fleetSocket.empty() ||
                   !opt.listenSocket.empty()),
-             "--convert/--export only rewrite the cache; they cannot "
-             "be combined with sweep or fleet roles");
+             "--export only copies the cache; it cannot be combined "
+             "with sweep or fleet roles");
     fatal_if(!opt.cacheFormat.empty() && opt.exportPath.empty(),
              "--cache-format only picks --export's format: caches are "
              "always written as v4. For a v3 text copy, run "
@@ -680,21 +676,21 @@ main(int argc, char **argv)
              "a fleet needs a cache file to store its results in "
              "(unset MIGC_NO_CACHE or pass --cache)");
 
-    if (opt.convert || !opt.exportPath.empty()) {
+    if (!opt.exportPath.empty()) {
         fatal_if(cache.empty(),
-                 "--convert/--export need a cache file (unset "
-                 "MIGC_NO_CACHE or pass --cache)");
-        RunCache rc(cache); // sniffs whatever format is on disk
+                 "--export needs a cache file (unset MIGC_NO_CACHE or "
+                 "pass --cache)");
+        RunCache rc(cache);
         const CacheFormat fmt = opt.cacheFormat == "csv"
                                     ? CacheFormat::csv
                                     : CacheFormat::v4;
-        const std::string dest =
-            opt.exportPath.empty() ? cache : opt.exportPath;
-        fatal_if(!rc.exportFile(dest, fmt),
-                 "could not write %s", dest.c_str());
+        // exportFile() refuses the cache itself, by name or as the
+        // same file.
+        fatal_if(!rc.exportFile(opt.exportPath, fmt),
+                 "could not export to %s", opt.exportPath.c_str());
         std::printf("wrote %s as %s (%zu rows; source format %s)\n",
-                    dest.c_str(), cacheFormatName(fmt), rc.size(),
-                    rc.loadedFormatName());
+                    opt.exportPath.c_str(), cacheFormatName(fmt),
+                    rc.size(), rc.loadedFormatName());
         return 0;
     }
 

@@ -288,36 +288,6 @@ CacheSnapshot::sectionCount() const
     return mapped_ != nullptr ? mapped_->sections() : sections_.size();
 }
 
-double
-CacheSnapshot::estimateEvents(const std::string &workload,
-                              const std::string &policy) const
-{
-    if (mapped_ != nullptr) {
-        const std::int64_t w = mapped_->stringId(workload);
-        const std::int64_t p = mapped_->stringId(policy);
-        if (w < 0 || p < 0)
-            return 0.0;
-        const V4SegmentView &seg = mapped_->segment();
-        double best = 0.0;
-        for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
-            const V4Key &k = seg.keys[i];
-            if (k.workload == static_cast<std::uint32_t>(w) &&
-                k.policy == static_cast<std::uint32_t>(p) &&
-                seg.rows[i].m[20] > best) {
-                best = seg.rows[i].m[20];
-            }
-        }
-        return best;
-    }
-    double best = 0.0;
-    for (const auto &[sig, section] : sections_) {
-        auto it = section->find(Key{workload, policy});
-        if (it != section->end() && it->second->simEvents > best)
-            best = it->second->simEvents;
-    }
-    return best;
-}
-
 // ---------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------
@@ -399,25 +369,6 @@ CacheSnapshot::Builder::retain(std::shared_ptr<const void> owner)
     if (owner && std::find(keepAlive_.begin(), keepAlive_.end(),
                            owner) == keepAlive_.end())
         keepAlive_.push_back(std::move(owner));
-}
-
-void
-CacheSnapshot::Builder::addAll(
-    const std::shared_ptr<const CacheSnapshot> &snap)
-{
-    if (!snap)
-        return;
-    panic_if(snap->mapped(),
-             "Builder::addAll on a mapped snapshot: it has no "
-             "materialized rows to add, and dropping %zu rows "
-             "silently is not an option - materialize through "
-             "RunCache first",
-             snap->rows());
-    for (const auto &[sig, section] : snap->sections()) {
-        for (const auto &[key, row] : *section)
-            add(sig, row);
-    }
-    retain(snap);
 }
 
 std::shared_ptr<const CacheSnapshot>

@@ -22,8 +22,8 @@
  * materializing a single RunMetrics. Queries then run on the interned
  * columns directly - binary search over interned ids for exact finds
  * and for the key range a glob can match. Only the
- * serialization-level API (findCsv / matchCsv / rows / sectionCount /
- * estimateEvents) works on a mapped snapshot; the pointer-returning
+ * serialization-level API (findCsv / matchCsv / rows / sectionCount)
+ * works on a mapped snapshot; the pointer-returning
  * find() and sections() are materialized-only, because a mapped
  * snapshot has no RunMetrics objects to point at. This is how
  * migc_serve starts serving by mapping the cache instead of parsing
@@ -144,12 +144,6 @@ class CacheSnapshot
      *  serialization-level queries there). */
     const SectionMap &sections() const { return sections_; }
 
-    /** Largest simEvents recorded for (workload, policy) under any
-     *  signature; 0 when unseen (scheduler cost estimate). Valid on
-     *  both representations. */
-    double estimateEvents(const std::string &workload,
-                          const std::string &policy) const;
-
     /** Single-threaded assembler for a new snapshot. */
     class Builder
     {
@@ -188,13 +182,6 @@ class CacheSnapshot
         /** Keep @p owner alive as long as the built snapshot (once:
          *  an owner already retained is not added again). */
         void retain(std::shared_ptr<const void> owner);
-
-        /** add() every row of @p snap (existing keys win) and retain
-         *  it, so merged snapshots keep their row stores alive.
-         *  Mapped snapshots are refused (panic): they have no rows
-         *  to add, and silently dropping a whole cache would be far
-         *  worse than crashing. */
-        void addAll(const std::shared_ptr<const CacheSnapshot> &snap);
 
         /** Finish; the builder is empty afterwards. */
         std::shared_ptr<const CacheSnapshot> build();

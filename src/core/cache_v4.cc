@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -301,36 +300,6 @@ parseV4Segment(const char *p, std::size_t avail, V4SegmentView &seg,
         }
     }
     return true;
-}
-
-std::size_t
-v4SegmentCount(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return 0;
-    std::fseek(f, 0, SEEK_END);
-    const long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len <= 0) {
-        std::fclose(f);
-        return 0;
-    }
-    // 8-byte aligned backing store so segment casts are safe.
-    std::vector<std::uint64_t> words((len + 7) / 8, 0);
-    char *buf = reinterpret_cast<char *>(words.data());
-    const std::size_t got = std::fread(buf, 1, len, f);
-    std::fclose(f);
-
-    std::size_t n = 0, off = 0;
-    while (off < got) {
-        V4SegmentView seg;
-        if (!parseV4Segment(buf + off, got - off, seg, nullptr))
-            break;
-        ++n;
-        off += seg.bytes;
-    }
-    return n;
 }
 
 // ---------------------------------------------------------------------

@@ -147,17 +147,14 @@ struct V4SegmentView
 bool parseV4Segment(const char *p, std::size_t avail,
                     V4SegmentView &seg, std::string *why);
 
-/** Segments parseable from the front of @p path (stops at the first
- *  damaged one); 0 for missing/non-v4 files. Test/introspection. */
-std::size_t v4SegmentCount(const std::string &path);
-
 /**
  * A whole v4 cache file mapped read-only - the zero-copy base of a
  * mapped CacheSnapshot (cache_snapshot.hh). Mapping succeeds only
  * for a clean single-segment (i.e. compacted) file whose checksum
- * verifies; anything else - text formats, multi-segment files with
- * pending appends, torn tails - must go through RunCache's parsing
- * loader instead. The mapping lives until the last shared_ptr drops.
+ * verifies; multi-segment files with pending appends and torn tails
+ * must go through RunCache's parsing loader instead (which refuses
+ * anything that is not v4 at all). The mapping lives until the last
+ * shared_ptr drops.
  */
 class MappedCacheV4
 {

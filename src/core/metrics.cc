@@ -1,8 +1,6 @@
 #include "core/metrics.hh"
 
 #include <charconv>
-#include <sstream>
-#include <vector>
 
 namespace migc
 {
@@ -82,50 +80,6 @@ RunMetrics::appendCsv(std::string &out) const
                      rinseWritebacks, allocBypassed, predictorBypasses,
                      kernels, simEvents})
         appendFixed(out, v, 0);
-}
-
-bool
-RunMetrics::fromCsv(const std::string &line, RunMetrics &out)
-{
-    std::vector<std::string> fields;
-    std::stringstream ss(line);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        fields.push_back(item);
-    // 23 fields is the pre-sim_events schema; those rows are still
-    // valid results, just without a scheduler cost estimate.
-    if (fields.size() != 23 && fields.size() != 24)
-        return false;
-
-    out.workload = fields[0];
-    out.policy = fields[1];
-    try {
-        out.execTicks = std::stoull(fields[2]);
-        out.execSeconds = std::stod(fields[3]);
-        out.gpuMemRequests = std::stod(fields[4]);
-        out.dramReads = std::stod(fields[5]);
-        out.dramWrites = std::stod(fields[6]);
-        out.dramAccesses = std::stod(fields[7]);
-        out.dramRowHitRate = std::stod(fields[8]);
-        out.cacheStallCycles = std::stod(fields[9]);
-        out.stallsPerRequest = std::stod(fields[10]);
-        out.vops = std::stod(fields[11]);
-        out.gvops = std::stod(fields[12]);
-        out.gmrps = std::stod(fields[13]);
-        out.l1Hits = std::stod(fields[14]);
-        out.l1Misses = std::stod(fields[15]);
-        out.l2Hits = std::stod(fields[16]);
-        out.l2Misses = std::stod(fields[17]);
-        out.l2Writebacks = std::stod(fields[18]);
-        out.rinseWritebacks = std::stod(fields[19]);
-        out.allocBypassed = std::stod(fields[20]);
-        out.predictorBypasses = std::stod(fields[21]);
-        out.kernels = std::stod(fields[22]);
-        out.simEvents = fields.size() > 23 ? std::stod(fields[23]) : 0.0;
-    } catch (...) {
-        return false;
-    }
-    return true;
 }
 
 } // namespace migc

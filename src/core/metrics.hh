@@ -79,9 +79,6 @@ struct RunMetrics
     void appendCsv(std::string &out) const;
 
     static std::string csvHeader();
-
-    /** Parse a line produced by toCsv(); returns false on mismatch. */
-    static bool fromCsv(const std::string &line, RunMetrics &out);
 };
 
 } // namespace migc

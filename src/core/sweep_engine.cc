@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -33,27 +32,14 @@ namespace migc
 namespace
 {
 
-/** v3: multi-config sections, one per signature. */
-constexpr const char *kCacheTagV3 = "# migc-sweep-v3";
-
-/** Section separator inside a v3 file. */
-constexpr const char *kSectionTag = "# config ";
-
-bool
-startsWith(const std::string &s, const char *prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
 /** Serialize @p snap as a v3 text cache, byte-identical to what the
  *  pre-v4 writer produced for the same rows. */
 void
 writeCsvCache(std::string &out, const CacheSnapshot &snap)
 {
-    out += kCacheTagV3;
-    out += '\n';
+    out += "# migc-sweep-v3\n";
     for (const auto &[sig, section] : snap.sections()) {
-        out += kSectionTag;
+        out += "# config ";
         out += sig;
         out += '\n';
         out += RunMetrics::csvHeader();
@@ -197,119 +183,14 @@ RunCache::MergeStats
 RunCache::mergeFromFile(const std::string &path,
                         bool classify_collisions)
 {
-    // Sniff the first 8 bytes: the v4 magic never begins a v3
-    // text file (those start with '#'), so the dispatch is exact.
-    char magic[sizeof(kV4SegMagic)];
-    std::size_t got = 0;
-    {
-        std::FILE *probe = std::fopen(path.c_str(), "rb");
-        if (probe == nullptr) {
-            if (path == path_)
-                fileState_ = FileState::absent;
-            return {};
-        }
-        got = std::fread(magic, 1, sizeof(magic), probe);
-        std::fclose(probe);
-    }
-    if (got == sizeof(magic) && isV4Magic(magic))
-        return mergeV4File(path, classify_collisions);
-    return mergeTextFile(path, classify_collisions);
-}
-
-RunCache::MergeStats
-RunCache::mergeTextFile(const std::string &path,
-                        bool classify_collisions)
-{
     MergeStats stats;
-    std::ifstream in(path);
-    if (!in) {
-        if (path == path_)
+    const bool own = path == path_;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) {
+        if (own)
             fileState_ = FileState::absent;
         return stats;
     }
-    std::string line;
-    // Scan past blank lines for the format tag; running out of lines
-    // first means the file is empty. A zero-length file is a
-    // legitimate empty cache, not a corrupt one (a process killed
-    // between creating and writing it leaves one behind), so it
-    // merges as zero rows: no parse error, no format warning.
-    for (;;) {
-        if (!std::getline(in, line)) {
-            if (path == path_)
-                fileState_ = FileState::absent;
-            return stats;
-        }
-        if (!line.empty() && line != "\r")
-            break;
-    }
-
-    const bool durable = path == path_;
-    if (path == path_)
-        fileState_ = FileState::other; // text never takes appends
-    if (line != kCacheTagV3) {
-        // Anything else - including the single-config "# migc-sweep-
-        // v2" caches of early builds, whose signatures aliased
-        // structurally different configs - serves nothing.
-        warn("ignoring sweep cache %s: unrecognized format tag",
-             path.c_str());
-        if (path == path_)
-            noteLoadedFormat("foreign");
-        return stats;
-    }
-    // Sections follow; rows before the first "# config" line (there
-    // should be none) are ignored.
-    if (path == path_)
-        noteLoadedFormat("v3");
-    std::string sig;
-    bool in_section = false;
-
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (startsWith(line, kSectionTag)) {
-            sig = line.substr(std::strlen(kSectionTag));
-            in_section = true;
-            continue;
-        }
-        if (line[0] == '#' || startsWith(line, "workload,"))
-            continue; // comment / csv header
-        RunMetrics m;
-        if (in_section && RunMetrics::fromCsv(line, m)) {
-            // Rows already in memory win; for a key both sides hold,
-            // determinism says the values must be identical, so an
-            // actual difference is worth counting. The collision
-            // cases are rare, so rows only re-serialize for
-            // comparison when the key already exists.
-            const RunMetrics *held = find(sig, m.workload, m.policy);
-            if (held == nullptr) {
-                appendRow(sig, std::move(m), durable);
-                ++stats.rows;
-            } else if (!classify_collisions) {
-                ++stats.duplicates;
-            } else if (held->toCsv() == m.toCsv()) {
-                ++stats.duplicates;
-            } else {
-                ++stats.conflicts;
-            }
-        } else if (badLines_.insert(path + '\n' + line).second) {
-            // Each damaged line counts once per source file: a later
-            // checkpoint save re-reading the same file dedupes, but
-            // the same damaged text in two different files is two
-            // lost rows.
-            ++stats.parseErrors;
-            ++parseErrors_;
-        }
-    }
-    return stats;
-}
-
-RunCache::MergeStats
-RunCache::mergeV4File(const std::string &path, bool classify_collisions)
-{
-    MergeStats stats;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return stats;
     std::fseek(f, 0, SEEK_END);
     const long flen = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
@@ -324,7 +205,29 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
     std::fclose(f);
     const char *buf = reinterpret_cast<const char *>(words.data());
 
-    const bool durable = path == path_;
+    if (got == 0) {
+        // A zero-length file is a legitimate empty cache, not a
+        // corrupt one (a process killed between creating and writing
+        // it leaves one behind): no row, no parse error, no warning.
+        if (own)
+            fileState_ = FileState::absent;
+        return stats;
+    }
+    if (got < sizeof(kV4SegMagic) || !isV4Magic(buf)) {
+        // v4 is the only format read. Anything else - the v2 and v3
+        // text caches of older builds included - serves nothing, and
+        // the next save replaces it.
+        warn("ignoring sweep cache %s: not a v4 cache (text caches of "
+             "older builds are no longer read; their rows will "
+             "re-simulate)",
+             path.c_str());
+        if (own) {
+            fileState_ = FileState::other;
+            noteLoadedFormat("foreign");
+        }
+        return stats;
+    }
+
     bool damaged = false;
     std::size_t off = 0;
     while (off < got) {
@@ -333,12 +236,12 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
         if (!parseV4Segment(buf + off, got - off, seg, &why)) {
             damaged = true;
             // The damaged tail counts as one parse error, deduped
-            // per (file, offset, reason) like bad text lines so a
-            // checkpoint's re-read does not recount it.
+            // per (file, offset, reason) so a checkpoint's re-read
+            // does not recount it.
             const std::string key =
                 path + '\n' +
                 csprintf("segment@%zu:%s", off, why.c_str());
-            if (badLines_.insert(key).second) {
+            if (badSegments_.insert(key).second) {
                 ++stats.parseErrors;
                 ++parseErrors_;
             }
@@ -348,10 +251,10 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
                  stats.rows == 1 ? "" : "s");
             break;
         }
-        mergeV4Segment(seg, classify_collisions, durable, stats);
+        mergeV4Segment(seg, classify_collisions, /*durable=*/own, stats);
         off += seg.bytes;
     }
-    if (path == path_) {
+    if (own) {
         noteLoadedFormat("v4");
         // A damaged tail must not take appends: a fresh segment
         // after garbage would be unreachable (readers stop at the
@@ -431,9 +334,8 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
         } else if (!classify_collisions) {
             ++stats.duplicates;
         } else {
-            // Same dup/conflict test as the text reader: compare the
-            // serialized forms, so v3-loaded and v4-loaded copies of
-            // one row always classify as duplicates.
+            // A duplicate is a row whose csv line - what serve
+            // replies and the export carry - equals the held one's.
             RunMetrics m;
             m.workload = wl;
             m.policy = pol;
@@ -455,29 +357,16 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
     }
 }
 
-void
-RunCache::warnMergeProblems(const std::string &path,
-                            const MergeStats &stats)
+RunCache::MergeStats
+RunCache::mergeFile(const std::string &path)
 {
-    if (stats.parseErrors > 0) {
-        warn("sweep cache %s: ignored %zu unparseable row%s "
-             "(corrupted file or stale schema?)",
-             path.c_str(), stats.parseErrors,
-             stats.parseErrors == 1 ? "" : "s");
-    }
+    MergeStats stats = mergeFromFile(path);
     if (stats.conflicts > 0) {
         warn("sweep cache %s: %zu row%s conflict with rows already "
              "in memory for the same key (kept the in-memory rows)",
              path.c_str(), stats.conflicts,
              stats.conflicts == 1 ? "" : "s");
     }
-}
-
-RunCache::MergeStats
-RunCache::mergeFile(const std::string &path)
-{
-    MergeStats stats = mergeFromFile(path);
-    warnMergeProblems(path, stats);
     return stats;
 }
 
@@ -505,16 +394,14 @@ RunCache::save()
     // different configs against one cache path preserve each other's
     // freshly finished sections instead of racing whole-file
     // snapshots (a write between our merge and rename can still
-    // lose, but the next writer's merge re-converges). Rows another
-    // writer corrupted in the meantime are about to be dropped by
-    // the rewrite, so they must be counted and warned about here -
-    // this is the last time they are visible anywhere. Collision
+    // lose, but the next writer's merge re-converges). A tail another
+    // writer damaged in the meantime is about to be dropped by the
+    // rewrite, so the reader counts and warns about it here - this
+    // is the last time it is visible anywhere. Collision
     // classification is off: nearly every row in our own file
     // collides with the copy already in memory, and in-memory wins
     // regardless.
-    warnMergeProblems(path_,
-                      mergeFromFile(path_,
-                                    /*classify_collisions=*/false));
+    mergeFromFile(path_, /*classify_collisions=*/false);
     // Publish pending rows (including what the merge just pulled in)
     // so one sorted index covers everything; the snapshot's
     // canonical section/row order is the file's serialization order.
@@ -530,16 +417,17 @@ RunCache::save()
 bool
 RunCache::exportFile(const std::string &path, CacheFormat format)
 {
-    if (!writeSnapshotTo(path, *snapshot(), format))
+    std::error_code ec;
+    if (path == path_ || std::filesystem::equivalent(path, path_, ec)) {
+        // A csv copy there would replace the cache with a file no
+        // build reads back, and either format would rewrite it behind
+        // fileState_ and pendingAppend_.
+        warn("not exporting sweep cache %s onto itself: export to "
+             "another path",
+             path_.c_str());
         return false;
-    if (path == path_) {
-        // The export just rewrote our own file whole.
-        pendingAppend_.clear();
-        appendedSinceCompact_ = false;
-        fileState_ = format == CacheFormat::v4 ? FileState::cleanV4
-                                               : FileState::other;
     }
-    return true;
+    return writeSnapshotTo(path, *snapshot(), format);
 }
 
 bool
@@ -638,8 +526,8 @@ RunCache::insert(const std::string &sig, RunMetrics m)
     checkCacheName("policy", m.policy);
     fatal_if(m.workload == "workload",
              "workload name 'workload' cannot key the run cache: its "
-             "rows would start with the CSV header prefix "
-             "\"workload,\" and be skipped on reload");
+             "CSV rows would start with the header prefix "
+             "\"workload,\" and read as headers");
     if (const RunMetrics *held = find(sig, m.workload, m.policy))
         return *held; // first write wins
     const RunMetrics *stored = appendRow(sig, std::move(m));
@@ -676,12 +564,17 @@ double
 RunCache::estimateEvents(const std::string &workload,
                          const std::string &policy) const
 {
-    double best = base_->estimateEvents(workload, policy);
-    for (const auto &[sig, section] : fresh_) {
-        auto it = section.find(Key{workload, policy});
+    const Key key{workload, policy};
+    double best = 0.0;
+    auto consider = [&](const auto &section) {
+        auto it = section.find(key);
         if (it != section.end() && it->second->simEvents > best)
             best = it->second->simEvents;
-    }
+    };
+    for (const auto &[sig, section] : base_->sections())
+        consider(*section);
+    for (const auto &[sig, section] : fresh_)
+        consider(section);
     return best;
 }
 

@@ -81,15 +81,15 @@ std::string sweepCachePathFromEnv();
 void rejectRemovedEnv();
 
 /**
- * A cache serialization. RunCache writes v4 only; csv exists for
- * RunCache::exportFile. Reading sniffs the file (v4 magic / v3 tag),
- * so a v3 cache from an older build loads and its next write is v4.
+ * A cache serialization. RunCache reads and writes v4 only; csv
+ * exists for RunCache::exportFile.
  *
  *  - v4: binary columnar segments (cache_v4.hh) - interned sorted
  *    keys, fixed-width metric columns, checksummed footers, mmap'd
  *    zero-copy serving, O(fresh) checkpoint appends.
  *  - csv: the v3 text format, byte-identical to what pre-v4 builds
- *    wrote - for diffing, grep, and foreign tooling.
+ *    wrote - for diffing, grep, and foreign tooling. Export only:
+ *    no build reads it back.
  */
 enum class CacheFormat
 {
@@ -123,23 +123,13 @@ struct V4SegmentView; // core/cache_v4.hh
 /**
  * Multi-config on-disk result store.
  *
- * The cache writes the v4 binary columnar format (cache_v4.hh). It
- * also reads the v3 text format of older builds, one section per
- * configuration signature:
- *
- *   # migc-sweep-v3
- *   # config <signature>
- *   <csv header>
- *   <RunMetrics rows>
- *   # config <signature'>
- *   ...
- *
- * Reads sniff the format, so a v3 file loads transparently and the
- * next save migrates it to v4. Any other file is ignored with a
- * warning and serves nothing. Sections whose signature
- * belongs to some other configuration are preserved across save
- * cycles, so binaries with different configs can share one cache
- * path without clobbering each other.
+ * The cache reads and writes one format, v4 binary columnar
+ * segments (cache_v4.hh). Any other file - the v3 and v2 text
+ * caches of older builds included - loads as foreign with a
+ * warning, serves nothing, and is replaced by v4 at the next save.
+ * Rows whose signature belongs to some other configuration are
+ * preserved across save cycles, so binaries with different configs
+ * can share one cache path without clobbering each other.
  *
  * Durability is two-tier. checkpoint() appends only the rows
  * inserted since the last durable write - one small segment at the
@@ -191,8 +181,8 @@ class RunCache
 
     bool enabled() const { return !path_.empty(); }
 
-    /** Format the initial load found on disk: "v4", "v3", "foreign"
-     *  (unrecognized), or "none" (missing/empty file).
+    /** Format the initial load found on disk: "v4", "foreign" (not
+     *  v4, so nothing loaded), or "none" (missing/empty file).
      *  Operator-facing (migc_serve stats). */
     const char *loadedFormatName() const;
 
@@ -214,17 +204,19 @@ class RunCache
          *  config <signature>"; empty when there was none. */
         std::string firstConflict;
 
-        /** Unparseable rows this cache had not seen before (bad
-         *  lines are remembered, so re-reading the same damaged
+        /** Damaged v4 tails (a torn append, a corrupted segment)
+         *  this cache had not seen before: each is remembered by
+         *  file, offset and reason, so re-reading the same damaged
          *  file - e.g. at a checkpoint save - counts each loss
-         *  once). */
+         *  once. */
         std::size_t parseErrors = 0;
     };
 
     /**
-     * Union another cache file (v4 or v3 - sniffed) into memory
-     * without writing anything; rows already held win. A missing
-     * file merges zero rows.
+     * Union another v4 cache file into memory without writing
+     * anything; rows already held win. A missing or empty file
+     * merges zero rows; a file that is not v4 merges none, with a
+     * warning.
      */
     MergeStats mergeFile(const std::string &path);
 
@@ -239,11 +231,11 @@ class RunCache
     MergeStats mergeSegment(const V4SegmentView &seg);
 
     /**
-     * Distinct unparseable rows seen across the initial load, every
+     * Distinct damaged v4 tails seen across the initial load, every
      * explicit mergeFile(), and the pre-write merge of each save -
-     * corrupted or stale-schema cache lines whose results were
-     * lost. Surfaced in the sweep summary line so a truncated cache
-     * cannot silently masquerade as a cold one.
+     * torn or corrupted segments whose rows were lost. Surfaced in
+     * the sweep summary line so a truncated cache cannot silently
+     * masquerade as a cold one.
      */
     std::size_t parseErrors() const { return parseErrors_; }
 
@@ -259,10 +251,12 @@ class RunCache
 
     /**
      * Write the current contents to @p path in @p format (tmp +
-     * rename; this cache's own file and state are untouched unless
-     * @p path aliases it). The CSV export of a v4 cache is
-     * byte-identical to the v3 file a pure-text pipeline would have
-     * written for the same rows.
+     * rename; this cache's own file and state are untouched). The
+     * CSV export of a v4 cache is byte-identical to the v3 file a
+     * pure-text pipeline would have written for the same rows.
+     * @return false when the file could not be written, or, with a
+     * warning, when @p path names this cache's own file (by name or
+     * as the same file).
      */
     bool exportFile(const std::string &path, CacheFormat format);
 
@@ -275,10 +269,9 @@ class RunCache
      * Record a completed run under @p sig (first write wins). The
      * file is checkpointed (appended to) after every
      * checkpoint_interval inserts; call flush() when a sweep
-     * finishes. Fatal on workload/policy names the cache cannot
-     * round-trip: v3 metacharacters (',', line breaks, leading '#' -
-     * they would reload as parse errors and the result would be
-     * silently lost; see sim/names.hh).
+     * finishes. Fatal on workload/policy names its CSV rows cannot
+     * round-trip: ',', line breaks, a leading '#' (see
+     * sim/names.hh).
      * @return the stored row (stable reference).
      */
     const RunMetrics &insert(const std::string &sig, RunMetrics m);
@@ -337,14 +330,18 @@ class RunCache
     {
         absent,   ///< missing or empty
         cleanV4,  ///< v4, no damaged tail seen
-        other,    ///< v3 / foreign / torn v4 tail
+        other,    ///< foreign (not v4) / torn v4 tail
     };
 
     void load();
 
     /**
      * Union @p path into memory; rows already held in memory win.
-     * Shared by load(), mergeFile(), and save()'s pre-write merge -
+     * The one reader: it opens the file once, takes a zero-length
+     * file as empty, refuses anything without the v4 magic as
+     * foreign, and merges the v4 segments up to the first damaged
+     * one. Shared by load(), mergeFile(), and save()'s pre-write
+     * merge -
      * the latter is what lets concurrently running binaries share
      * one cache path: each writer unions the other's finished
      * sections instead of clobbering them with its own load-time
@@ -357,14 +354,6 @@ class RunCache
     MergeStats mergeFromFile(const std::string &path,
                              bool classify_collisions = true);
 
-    /** The v3 text reader behind mergeFromFile(). */
-    MergeStats mergeTextFile(const std::string &path,
-                             bool classify_collisions);
-
-    /** The v4 segment reader behind mergeFromFile(). */
-    MergeStats mergeV4File(const std::string &path,
-                           bool classify_collisions);
-
     /** Merge one parsed v4 segment. @p durable marks rows already in
      *  this cache's own file; @p all_or_nothing merges no row at all
      *  when any row conflicts (mergeSegment). */
@@ -374,10 +363,6 @@ class RunCache
 
     /** Record what the initial load found (first observation only). */
     void noteLoadedFormat(const char *format);
-
-    /** Shared warning text for merge problems found in @p path. */
-    static void warnMergeProblems(const std::string &path,
-                                  const MergeStats &stats);
 
     /** Compacting rewrite: pre-merge the file, then write the whole
      *  snapshot via tmp+rename. @return true when the file reached
@@ -404,7 +389,7 @@ class RunCache
     /** See FileState. */
     FileState fileState_ = FileState::absent;
 
-    /** First format the load sniffed; nullptr until something was. */
+    /** First format the load found; nullptr until it found one. */
     const char *loadedFormat_ = nullptr;
 
     /** Rows inserted/merged since the last durable write of this
@@ -417,11 +402,10 @@ class RunCache
      *  if nothing is pending. */
     bool appendedSinceCompact_ = false;
 
-    /** (source path, line) pairs already counted as parse errors:
-     *  re-reading the same damaged file dedupes, while the same
-     *  damaged text in two different files still counts as two lost
-     *  rows. */
-    std::set<std::string> badLines_;
+    /** (path, segment offset, reason) triples already counted as
+     *  parse errors: re-reading the same damaged file dedupes, while
+     *  the same damage in two different files still counts twice. */
+    std::set<std::string> badSegments_;
 
     /**
      * The append log: every row this cache ever learned (from disk
@@ -527,9 +511,9 @@ class SweepEngine
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
-    /** The cache's on-disk format at load ("v4", "v3",
-     *  "foreign", "none"); loads the cache if this engine has not
-     *  touched it yet. Operator-facing (migc_serve stats). */
+    /** The cache's on-disk format at load ("v4", "foreign",
+     *  "none"); loads the cache if this engine has not touched it
+     *  yet. Operator-facing (migc_serve stats). */
     const char *cacheFileFormat() const;
 
     /** Simulations actually executed (cache misses). */

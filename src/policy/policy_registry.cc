@@ -175,8 +175,8 @@ PolicyRegistry::tryMake(const std::string &spec, CachePolicy &out) const
 {
     // The full spec - parameter included - becomes the policy's name
     // and therefore a cache key, so a spec like "CacheRW-DynAB@0,5"
-    // must die here: its comma would split the serialized row and
-    // the result would be dropped as a parse error on reload. Fatal
+    // must die here: its comma would split every CSV row carrying
+    // it (the text export, serve replies) into the wrong fields. Fatal
     // rather than "unknown": the base name may be perfectly valid,
     // and an actionable message beats a misleading name listing.
     checkCacheName("policy", spec);

@@ -35,8 +35,9 @@ ServeService::ServeService(SweepEngine &engine, Options opts)
     // Zero-copy start when possible: map the cache file and serve
     // straight from its interned columns, deferring the engine's
     // parsing loader to the first cold miss. Any non-mappable file
-    // (csv text, appended-but-not-compacted v4, torn tail, missing)
-    // takes the classic parse-into-snapshot path.
+    // (appended-but-not-compacted v4, torn tail, missing, or not v4
+    // at all, which loads as foreign and serves nothing) takes the
+    // classic parse-into-snapshot path.
     const auto t0 = std::chrono::steady_clock::now();
     std::shared_ptr<const CacheSnapshot> snap;
     if (!opts_.cachePath.empty()) {

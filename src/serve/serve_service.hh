@@ -65,7 +65,8 @@ class ServeService
          * the engine's own loader runs only if a cold miss needs a
          * simulation (the first publish then swaps in a materialized
          * snapshot). Unset - or any non-mappable file - falls back
-         * to engine.snapshot(), which parses the cache.
+         * to engine.snapshot(), which parses the cache (a file that
+         * is not v4 at all loads as foreign and serves nothing).
          */
         std::string cachePath;
     };
@@ -101,7 +102,7 @@ class ServeService
 
     /** How the initial serving snapshot came to be: "v4-mmap" for a
      *  zero-copy mapped start, else the cache file's parsed format
-     *  ("v4", "v3", "foreign", "none"). */
+     *  ("v4", "foreign", "none"). */
     const std::string &snapshotFormat() const { return format_; }
 
     /** Wall time the initial snapshot took (map+checksum or full

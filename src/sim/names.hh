@@ -2,14 +2,13 @@
  * @file
  * Validation of user-visible names that key the on-disk run cache.
  *
- * Workload and policy names become the first two fields of v3 cache
- * CSV rows (core/metrics.hh) and section keys in the sweep cache
- * (core/sweep_engine.hh). A name containing a field separator (','),
- * a line break, or a leading comment marker ('#') serializes into a
- * row that cannot round-trip: on reload it fails the field-count
- * check, is counted as a parse error, and the result is silently
- * re-simulated - cached-and-lost. Such names must therefore be
- * rejected *before* they reach the cache: at registry registration
+ * Workload and policy names key the sweep cache (core/sweep_engine.hh)
+ * and become the first two fields of every CSV row it hands out: the
+ * v3 text export and migc_serve's replies (core/metrics.hh). A name
+ * containing a field separator (','), a line break, or a leading
+ * comment marker ('#') serializes into a row that no reader can split
+ * back into the same fields. Such names must therefore be rejected
+ * *before* they reach the cache: at registry registration
  * (PolicyRegistry::add / WorkloadRegistry::add), at policy-spec
  * resolution (a custom "@param" variant's full spec becomes its
  * name), and at RunCache::insert as the last line of defense.
@@ -26,7 +25,7 @@ namespace migc
 {
 
 /**
- * Can @p name round-trip through a v3 cache row unharmed? False for
+ * Can @p name round-trip through a CSV cache row unharmed? False for
  * empty names and names containing ',', '\n', '\r', or a leading
  * '#'. (Leading/trailing whitespace also breaks round-tripping -
  * "a, b" reloads as " b" - so it is rejected too.)
@@ -49,8 +48,9 @@ checkCacheName(const char *what, const std::string &name)
              "%s name '%s' cannot key the run cache: names must be "
              "non-empty, free of ',' and line breaks, not start with "
              "'#', and carry no leading/trailing spaces (they would "
-             "serialize into cache rows that fail to reload and are "
-             "silently re-simulated)",
+             "serialize into CSV rows - the cache's text export and "
+             "migc_serve's replies - that do not split back into the "
+             "same fields)",
              what, name.c_str());
 }
 

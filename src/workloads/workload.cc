@@ -104,15 +104,15 @@ WorkloadRegistry::instance()
 void
 WorkloadRegistry::add(Entry entry)
 {
-    // Workload names are the first field of every cache row: a name
-    // the v3 format cannot round-trip would be cached-and-lost. The
-    // literal name "workload" is also rejected - its rows would
-    // start with the CSV header prefix "workload," and be skipped as
-    // headers on reload.
+    // Workload names are the first field of every CSV cache row (the
+    // text export, serve replies): a name that cannot round-trip
+    // through CSV is refused. The literal name "workload" is also
+    // rejected - its rows would start with the CSV header prefix
+    // "workload," and read as headers.
     checkCacheName("workload", entry.name);
     fatal_if(entry.name == "workload",
              "workload name 'workload' collides with the run-cache "
-             "CSV header prefix; its rows would be dropped on reload");
+             "CSV header prefix; its rows would read as headers");
     for (auto &e : entries_) {
         if (e.name == entry.name) {
             e = std::move(entry);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 
 #include <unistd.h>
@@ -21,6 +22,16 @@ std::string
 tempPath(const std::string &leaf)
 {
     return ::testing::TempDir() + "migc_" + kRunTag + "_" + leaf;
+}
+
+TempFile::TempFile(const std::string &leaf) : path_(tempPath(leaf))
+{
+    std::remove(path_.c_str());
+}
+
+TempFile::~TempFile()
+{
+    std::remove(path_.c_str());
 }
 
 ScopedEnv::ScopedEnv(const char *name, const char *value) : name_(name)

@@ -21,6 +21,26 @@ namespace migc::test
  */
 std::string tempPath(const std::string &leaf);
 
+/**
+ * tempPath(@p leaf), removed when the guard is made and again when
+ * its scope ends - on every exit path, an ASSERT_* that returns early
+ * included - so a failing test leaves no file behind.
+ */
+class TempFile
+{
+  public:
+    explicit TempFile(const std::string &leaf);
+    ~TempFile();
+
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
 /** Set (or, with nullptr, unset) an environment variable until the
  *  end of the scope, then restore it, so tests cannot leak state. */
 class ScopedEnv

@@ -2,7 +2,7 @@
  * @file
  * The v4 binary columnar cache format: round-trip exactness, byte
  * determinism, O(fresh) checkpoint appends, torn-write rejection and
- * recovery, format migration (v3 -> v4) with byte-identical CSV
+ * recovery, text caches refused as foreign, the byte-identical CSV
  * export, and the zero-copy mapped snapshot's parity with the parsed
  * one. See src/core/cache_v4.hh and docs/SWEEPS.md.
  */
@@ -10,10 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,30 +20,17 @@
 #include "core/cache_v4.hh"
 #include "core/metrics.hh"
 #include "core/sweep_engine.hh"
+#include "support/cache_file.hh"
 #include "support/env.hh"
 
 using namespace migc;
-using migc::test::tempPath;
+using migc::test::readFile;
+using migc::test::TempFile;
+using migc::test::v4SegmentCount;
+using migc::test::writeFile;
 
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-void
-writeFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
 
 /** "<prefix><i>". Built from a std::string temporary: GCC 12 warns
  *  (-Wrestrict, a false positive) on `"w" + std::to_string(i)`. */
@@ -79,8 +64,8 @@ awkwardRow(const std::string &workload, const std::string &policy)
     return m;
 }
 
-/** A plain deterministic row. Whole-number doubles only, so the
- *  row survives a v3 text round trip bit-exactly. */
+/** A plain deterministic row. Whole-number doubles only, so its
+ *  CSV line is exact. */
 RunMetrics
 simpleRow(const std::string &workload, const std::string &policy,
           double seedv)
@@ -103,8 +88,8 @@ simpleRow(const std::string &workload, const std::string &policy,
 
 TEST(CacheV4, RoundTripPreservesExactDoubles)
 {
-    const std::string path = tempPath("roundtrip");
-    std::remove(path.c_str());
+    const TempFile file("roundtrip");
+    const std::string &path = file.path();
     const RunMetrics planted = awkwardRow("FwSoft", "CacheRW");
     {
         RunCache rc(path, 100);
@@ -125,17 +110,15 @@ TEST(CacheV4, RoundTripPreservesExactDoubles)
     EXPECT_EQ(held->stallsPerRequest, planted.stallsPerRequest);
     EXPECT_EQ(held->gvops, planted.gvops);
     EXPECT_EQ(held->simEvents, planted.simEvents);
-    std::remove(path.c_str());
 }
 
 TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
 {
     // Same rows inserted in different orders, different checkpoint
     // histories: the flushed files must be byte-identical.
-    const std::string a = tempPath("determ_a");
-    const std::string b = tempPath("determ_b");
-    std::remove(a.c_str());
-    std::remove(b.c_str());
+    const TempFile file_a("determ_a"), file_b("determ_b");
+    const std::string &a = file_a.path();
+    const std::string &b = file_b.path();
 
     std::vector<std::pair<std::string, RunMetrics>> rows;
     for (int i = 0; i < 20; ++i) {
@@ -159,8 +142,6 @@ TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
         rc.flush();
     }
     EXPECT_EQ(readFile(a), readFile(b));
-    std::remove(a.c_str());
-    std::remove(b.c_str());
 }
 
 // ---------------------------------------------------------------
@@ -169,8 +150,8 @@ TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
 
 TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 {
-    const std::string path = tempPath("appends");
-    std::remove(path.c_str());
+    const TempFile file("appends");
+    const std::string &path = file.path();
     RunCache rc(path, 1000);
 
     rc.insert("sig-a", simpleRow("w0", "p0", 1));
@@ -205,7 +186,6 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
     EXPECT_EQ(v4SegmentCount(path), 1u);
     std::string why;
     EXPECT_NE(MappedCacheV4::map(path, &why), nullptr) << why;
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------
@@ -214,8 +194,8 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 
 TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
 {
-    const std::string path = tempPath("truncated");
-    std::remove(path.c_str());
+    const TempFile file("truncated");
+    const std::string &path = file.path();
     {
         RunCache rc(path, 100);
         for (int i = 0; i < 5; ++i)
@@ -235,13 +215,12 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
     std::string why;
     EXPECT_EQ(MappedCacheV4::map(path, &why), nullptr);
     EXPECT_FALSE(why.empty());
-    std::remove(path.c_str());
 }
 
 TEST(CacheV4, CorruptedByteFailsTheChecksum)
 {
-    const std::string path = tempPath("corrupt");
-    std::remove(path.c_str());
+    const TempFile file("corrupt");
+    const std::string &path = file.path();
     {
         RunCache rc(path, 100);
         rc.insert("sig-a", awkwardRow("FwSoft", "CacheRW"));
@@ -256,13 +235,12 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     EXPECT_GE(rc.parseErrors(), 1u);
     std::string why;
     EXPECT_EQ(MappedCacheV4::map(path, &why), nullptr);
-    std::remove(path.c_str());
 }
 
 TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 {
-    const std::string path = tempPath("torn_append");
-    std::remove(path.c_str());
+    const TempFile file("torn_append");
+    const std::string &path = file.path();
 
     // A clean two-segment file (one compact write + one append)...
     std::string two_segments;
@@ -303,8 +281,8 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 
     // And the healed bytes equal a never-crashed cache holding the
     // same rows: crash history does not leak into the file.
-    const std::string ref = tempPath("torn_append_ref");
-    std::remove(ref.c_str());
+    const TempFile ref_file("torn_append_ref");
+    const std::string &ref = ref_file.path();
     {
         RunCache rr(ref, 1000);
         rr.insert("sig-a", simpleRow("w0", "p0", 1));
@@ -314,25 +292,21 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     }
     rc.flush();
     EXPECT_EQ(readFile(path), readFile(ref));
-    std::remove(path.c_str());
-    std::remove(ref.c_str());
 }
 
 // ---------------------------------------------------------------
-// Format migration
+// One read format; csv is export-only
 // ---------------------------------------------------------------
 
-TEST(CacheV4, V3LoadSaveExportIsByteIdenticalToTheTextPipeline)
+TEST(CacheV4, CsvExportIsByteIdenticalToTheV3TextFormat)
 {
-    // Write a v3 text cache by hand, the way a pre-v4 build laid it
-    // out (sections, then rows, in (sig, workload, policy) order),
-    // migrate it through v4, and export back to csv: the exported
-    // bytes must equal the original text file exactly.
-    const std::string v3 = tempPath("migrate_v3");
-    const std::string v4 = tempPath("migrate_v4");
-    const std::string out = tempPath("migrate_out");
-    std::remove(v4.c_str());
-    std::remove(out.c_str());
+    // Build the v3 text by hand, the way a pre-v4 build laid it out
+    // (sections, then rows, in (sig, workload, policy) order): a v4
+    // cache holding the same rows must export exactly these bytes,
+    // before and after a round trip through its file.
+    const TempFile cache_file("export_v4"), out_file("export_csv");
+    const std::string &v4 = cache_file.path();
+    const std::string &out = out_file.path();
     std::map<std::string, std::map<std::string, RunMetrics>> by_sig;
     for (int i = 0; i < 12; ++i) {
         std::string wl = "w";
@@ -346,53 +320,79 @@ TEST(CacheV4, V3LoadSaveExportIsByteIdenticalToTheTextPipeline)
         for (const auto &[wl, m] : rows)
             v3_bytes += m.toCsv() + "\n";
     }
-    writeFile(v3, v3_bytes);
 
     {
-        // Load the text file and save a binary copy.
-        RunCache rc(v3, 100);
-        EXPECT_EQ(rc.size(), 12u);
-        EXPECT_STREQ(rc.loadedFormatName(), "v3");
-        ASSERT_TRUE(rc.exportFile(v4, CacheFormat::v4));
+        // Insert in reverse, so only the export's own ordering can
+        // produce the canonical text.
+        RunCache rc(v4, 100);
+        for (auto sit = by_sig.rbegin(); sit != by_sig.rend(); ++sit)
+            for (auto rit = sit->second.rbegin();
+                 rit != sit->second.rend(); ++rit)
+                rc.insert(sit->first, rit->second);
+        ASSERT_TRUE(rc.exportFile(out, CacheFormat::csv));
+        EXPECT_EQ(readFile(out), v3_bytes);
     }
+    const std::string v4_bytes = readFile(v4);
     {
         RunCache rc(v4, 100);
         EXPECT_EQ(rc.size(), 12u);
         ASSERT_TRUE(rc.exportFile(out, CacheFormat::csv));
-    }
-    EXPECT_EQ(readFile(out), v3_bytes);
+        EXPECT_EQ(readFile(out), v3_bytes);
 
-    // The v3 file's own next write is v4.
-    {
-        RunCache rc(v3, 100);
-        ASSERT_TRUE(rc.saveNow());
+        // An export onto the cache itself - by its name or another
+        // path to the same file - is refused in either format, and
+        // the cache's bytes stay as they were.
+        const std::filesystem::path p(v4);
+        const std::string alias =
+            (p.parent_path() / "." / p.filename()).string();
+        for (const std::string &dest : {v4, alias}) {
+            EXPECT_FALSE(rc.exportFile(dest, CacheFormat::csv)) << dest;
+            EXPECT_FALSE(rc.exportFile(dest, CacheFormat::v4)) << dest;
+        }
     }
-    EXPECT_EQ(readFile(v3), readFile(v4));
-    std::remove(v3.c_str());
-    std::remove(v4.c_str());
-    std::remove(out.c_str());
+    EXPECT_EQ(readFile(v4), v4_bytes);
 }
 
-TEST(CacheV4, V2FileLoadsAsUnrecognizedAndServesNothing)
+TEST(CacheV4, TextCachesLoadAsForeignAndServeNothing)
 {
-    // The single-config v2 caches of early builds keyed rows by a
-    // signature format that aliased structurally different configs.
-    // They are no longer read: such a file is ignored like any
-    // unrecognized one.
-    const std::string path = tempPath("legacy_v2");
+    // v4 is the only format read. The single-config v2 caches of
+    // early builds (their signatures aliased structurally different
+    // configs) and the multi-config v3 text caches written before v4
+    // both load as foreign: nothing is served, no parse error is
+    // counted, and the next durable write replaces the text with v4
+    // rather than appending after it.
     const std::string old_sig =
         "test:cus4:l2x4:64kB:ch4:scale0.125:seed1";
-    std::string row = simpleRow("FwSoft", "CacheRW", 5).toCsv();
-    row = row.substr(0, row.rfind(',')); // no sim_events column
-    writeFile(path, "# migc-sweep-v2 " + old_sig +
-                        "\nworkload,policy,...legacy header...\n" +
-                        row + "\n");
+    const RunMetrics row = simpleRow("FwSoft", "CacheRW", 5);
+    std::string v2_row = row.toCsv();
+    v2_row = v2_row.substr(0, v2_row.rfind(',')); // no sim_events
+    const std::string v2 = "# migc-sweep-v2 " + old_sig +
+                           "\nworkload,policy,...legacy header...\n" +
+                           v2_row + "\n";
+    const std::string v3 = "# migc-sweep-v3\n# config " + old_sig +
+                           "\n" + RunMetrics::csvHeader() + "\n" +
+                           row.toCsv() + "\n";
 
-    RunCache rc(path, 100);
-    EXPECT_STREQ(rc.loadedFormatName(), "foreign");
-    EXPECT_EQ(rc.size(), 0u);
-    EXPECT_EQ(rc.find(old_sig, "FwSoft", "CacheRW"), nullptr);
-    std::remove(path.c_str());
+    for (const std::string &text : {v2, v3}) {
+        SCOPED_TRACE(text.substr(0, text.find('\n')));
+        const TempFile file("legacy_text");
+        const std::string &path = file.path();
+        writeFile(path, text);
+        {
+            RunCache rc(path, 100);
+            EXPECT_STREQ(rc.loadedFormatName(), "foreign");
+            EXPECT_EQ(rc.size(), 0u);
+            EXPECT_EQ(rc.parseErrors(), 0u);
+            EXPECT_EQ(rc.find(old_sig, "FwSoft", "CacheRW"), nullptr);
+            rc.insert("sig-new", simpleRow("w0", "p0", 1));
+            ASSERT_TRUE(rc.checkpoint());
+            EXPECT_EQ(v4SegmentCount(path), 1u);
+        }
+        RunCache reread(path, 100);
+        EXPECT_STREQ(reread.loadedFormatName(), "v4");
+        EXPECT_EQ(reread.size(), 1u);
+        EXPECT_NE(reread.find("sig-new", "w0", "p0"), nullptr);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -401,8 +401,8 @@ TEST(CacheV4, V2FileLoadsAsUnrecognizedAndServesNothing)
 
 TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
 {
-    const std::string path = tempPath("parity");
-    std::remove(path.c_str());
+    const TempFile tmp("parity");
+    const std::string &path = tmp.path();
     RunCache rc(path, 1000);
     for (int s = 0; s < 3; ++s)
         for (int w = 0; w < 4; ++w)
@@ -447,13 +447,6 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
         EXPECT_EQ(na, nb);
         EXPECT_EQ(a, b);
     }
-
-    // Scheduler cost estimates agree (max simEvents per key).
-    EXPECT_EQ(mapped->estimateEvents("w3", "p3"),
-              parsed->estimateEvents("w3", "p3"));
-    EXPECT_EQ(mapped->estimateEvents("w0", "absent"),
-              parsed->estimateEvents("w0", "absent"));
-    std::remove(path.c_str());
 }
 
 TEST(CacheV4, MatchCsvEqualsABruteForceFilterOnBothSnapshots)
@@ -469,8 +462,8 @@ TEST(CacheV4, MatchCsvEqualsABruteForceFilterOnBothSnapshots)
     const std::vector<std::string> policies = {
         "p", "p1", "p10", "p1\x7f", "p?", "P\x80", "pz"};
 
-    const std::string path = tempPath("match_differential");
-    std::remove(path.c_str());
+    const TempFile tmp("match_differential");
+    const std::string &path = tmp.path();
     // Canonical order is the byte order of (sig, workload, policy).
     std::map<std::vector<std::string>, std::string> all;
     {
@@ -542,7 +535,6 @@ TEST(CacheV4, MatchCsvEqualsABruteForceFilterOnBothSnapshots)
     EXPECT_EQ(triples, sig_patterns.size() * name_patterns.size() *
                            name_patterns.size());
     EXPECT_GT(hits, all.size()) << "the patterns must match rows";
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -21,43 +21,6 @@
 
 using namespace migc;
 
-TEST(RunMetrics, CsvRoundTrip)
-{
-    RunMetrics m;
-    m.workload = "FwAct";
-    m.policy = "CacheRW-PCby";
-    m.execTicks = 123456789;
-    m.execSeconds = 1.23456789e-4;
-    m.gpuMemRequests = 1000;
-    m.dramReads = 600;
-    m.dramWrites = 400;
-    m.dramAccesses = 1000;
-    m.dramRowHitRate = 0.875;
-    m.cacheStallCycles = 42;
-    m.stallsPerRequest = 0.042;
-    m.vops = 5000;
-    m.gvops = 2.5;
-    m.gmrps = 1.5;
-    m.l1Hits = 10;
-    m.l1Misses = 20;
-    m.l2Hits = 30;
-    m.l2Misses = 40;
-    m.l2Writebacks = 50;
-    m.rinseWritebacks = 5;
-    m.allocBypassed = 7;
-    m.predictorBypasses = 9;
-    m.kernels = 3;
-
-    RunMetrics out;
-    ASSERT_TRUE(RunMetrics::fromCsv(m.toCsv(), out));
-    EXPECT_EQ(out.workload, m.workload);
-    EXPECT_EQ(out.policy, m.policy);
-    EXPECT_EQ(out.execTicks, m.execTicks);
-    EXPECT_DOUBLE_EQ(out.dramRowHitRate, m.dramRowHitRate);
-    EXPECT_DOUBLE_EQ(out.rinseWritebacks, m.rinseWritebacks);
-    EXPECT_DOUBLE_EQ(out.kernels, m.kernels);
-}
-
 // ---------------------------------------------------------------------
 // toCsv against the printf format it replaced
 // ---------------------------------------------------------------------
@@ -258,13 +221,6 @@ TEST(RunMetricsCsv, MatchesPrintfOnSubnormals)
         const std::uint64_t sign = (rng() & 1) << 63;
         expectAllFieldsMatch(fromBits(sign | (rng() & fraction)));
     }
-}
-
-TEST(RunMetrics, FromCsvRejectsGarbage)
-{
-    RunMetrics out;
-    EXPECT_FALSE(RunMetrics::fromCsv("not,a,metrics,row", out));
-    EXPECT_FALSE(RunMetrics::fromCsv("", out));
 }
 
 TEST(RunMetrics, HeaderFieldCountMatchesRow)

@@ -5,20 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "core/metrics.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
+#include "support/cache_file.hh"
 #include "support/env.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
+using migc::test::readFile;
 using migc::test::ScopedEnv;
-using migc::test::tempPath;
+using migc::test::TempFile;
 
 namespace
 {
@@ -42,30 +46,39 @@ fakeMetrics(const std::string &workload, const std::string &policy,
     return m;
 }
 
-/** Multi-config header tags (see core/sweep_engine.cc). */
-constexpr const char *kCacheTagV3 = "# migc-sweep-v3";
-constexpr const char *kSectionTag = "# config ";
-
-/** Seed a v3 cache file with one section for @p cfg. */
+/** Replace @p path with a cache holding @p rows under @p sig. */
 void
-writeCacheFile(const std::string &path, const SimConfig &cfg,
+writeCacheFile(const std::string &path, const std::string &sig,
                const std::vector<RunMetrics> &rows)
 {
-    std::ofstream out(path, std::ios::trunc);
-    out << kCacheTagV3 << "\n";
-    out << kSectionTag << cfg.signature() << "\n";
-    out << RunMetrics::csvHeader() << "\n";
+    std::remove(path.c_str());
+    RunCache cache(path);
     for (const auto &m : rows)
-        out << m.toCsv() << "\n";
+        cache.insert(sig, m);
+    ASSERT_TRUE(cache.saveNow());
+}
+
+/** Append the first half of a one-row cache file to @p path: the
+ *  torn tail a crash mid-append leaves. */
+void
+appendTornSegment(const std::string &path)
+{
+    const TempFile donor("torn_donor");
+    writeCacheFile(donor.path(), "torn-config",
+                   {fakeMetrics("FwBN", "CacheR", 99)});
+    const std::string segment = readFile(donor.path());
+    ASSERT_FALSE(segment.empty());
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << segment.substr(0, segment.size() / 2);
 }
 
 } // namespace
 
 TEST(ExperimentSweep, CacheRoundTripBySignature)
 {
-    const std::string path = tempPath("roundtrip.csv");
-    const std::string text = tempPath("roundtrip_text.csv");
-    std::remove(path.c_str());
+    const TempFile file("roundtrip.csv"), text_file("roundtrip_text.csv");
+    const std::string &path = file.path();
+    const std::string &text = text_file.path();
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
 
@@ -89,17 +102,16 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
     std::ifstream in(text);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, kCacheTagV3);
+    EXPECT_EQ(line, "# migc-sweep-v3");
     ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, kSectionTag + cfg.signature());
-    std::remove(text.c_str());
+    EXPECT_EQ(line, "# config " + cfg.signature());
 
     // A new sweep on the same config must load the saved result
     // rather than resimulate: doctor the cached row and confirm the
     // doctored value (which no simulation would produce) comes back.
     RunMetrics doctored = first;
     doctored.execTicks = 424242;
-    writeCacheFile(path, cfg, {doctored});
+    writeCacheFile(path, cfg.signature(), {doctored});
     {
         ExperimentSweep sweep(cfg);
         EXPECT_EQ(sweep.get("FwSoft", "CacheRW").execTicks,
@@ -115,42 +127,34 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
         EXPECT_NE(sweep.get("FwSoft", "CacheRW").execTicks,
                   Tick(424242));
     }
-    std::remove(path.c_str());
 }
 
 TEST(ExperimentSweep, NoCacheEnvBypassesDisk)
 {
-    const std::string path = tempPath("bypass.csv");
-    std::remove(path.c_str());
+    const TempFile file("bypass.csv");
+    const std::string &path = file.path();
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
 
     // Plant a doctored cache: with MIGC_NO_CACHE=1 the sweep must
     // neither read it nor overwrite it.
     SimConfig cfg = SimConfig::testConfig();
-    writeCacheFile(path, cfg,
+    writeCacheFile(path, cfg.signature(),
                    {fakeMetrics("FwSoft", "CacheRW", 424242)});
+    const std::string planted = readFile(path);
+    ASSERT_FALSE(planted.empty());
     {
         ScopedEnv no_cache("MIGC_NO_CACHE", "1");
         ExperimentSweep sweep(cfg);
         EXPECT_NE(sweep.get("FwSoft", "CacheRW").execTicks,
                   Tick(424242));
     }
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    std::vector<std::string> lines;
-    do {
-        lines.push_back(line);
-    } while (std::getline(in, line));
-    // tag + section + header + planted row, untouched
-    EXPECT_EQ(lines.size(), 4u);
-    std::remove(path.c_str());
+    EXPECT_EQ(readFile(path), planted);
 }
 
 TEST(SweepEngine, CrossConfigSectionsDoNotClobberEachOther)
 {
-    const std::string path = tempPath("crossconfig.csv");
-    std::remove(path.c_str());
+    const TempFile file("crossconfig.csv");
+    const std::string &path = file.path();
 
     SimConfig cfg_a = SimConfig::testConfig();
     SimConfig cfg_b = SimConfig::testConfig();
@@ -182,13 +186,12 @@ TEST(SweepEngine, CrossConfigSectionsDoNotClobberEachOther)
         EXPECT_EQ(engine.simulationsPerformed(), 0u);
         EXPECT_EQ(engine.cacheHits(), 2u);
     }
-    std::remove(path.c_str());
 }
 
 TEST(SweepEngine, OverlappingWritersUnionInsteadOfClobbering)
 {
-    const std::string path = tempPath("unionwriters.csv");
-    std::remove(path.c_str());
+    const TempFile file("unionwriters.csv");
+    const std::string &path = file.path();
 
     SimConfig cfg_a = SimConfig::testConfig();
     SimConfig cfg_b = SimConfig::testConfig();
@@ -214,13 +217,12 @@ TEST(SweepEngine, OverlappingWritersUnionInsteadOfClobbering)
     EXPECT_EQ(reader.get(cfg_b, "FwSoft", "Uncached").execTicks,
               ticks_b);
     EXPECT_EQ(reader.simulationsPerformed(), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(SweepEngine, WarmCacheReplayPerformsZeroSimulations)
 {
-    const std::string path = tempPath("warmreplay.csv");
-    std::remove(path.c_str());
+    const TempFile file("warmreplay.csv");
+    const std::string &path = file.path();
 
     // An ablation-style multi-config grid: same (workload, policy)
     // at three DBI sizes plus a second workload.
@@ -253,85 +255,67 @@ TEST(SweepEngine, WarmCacheReplayPerformsZeroSimulations)
             EXPECT_EQ(warm[i].simEvents, cold[i].simEvents);
         }
     }
-    std::remove(path.c_str());
 }
 
 TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
 {
-    const std::string path = tempPath("parse_errors.csv");
-    std::remove(path.c_str());
+    const TempFile file("parse_errors.csv");
+    const std::string &path = file.path();
 
-    // A cache file with one good row and two corrupted lines (a
-    // truncated write, a stale schema, a stray editor). The good row
-    // must still be served, and the losses must be counted - a
-    // truncated cache should not be able to pass for a cold one.
+    // A cache file with one good segment and a torn tail (a crash
+    // mid-append). The good row must still be served, and the loss
+    // must be counted - a truncated cache should not be able to pass
+    // for a cold one.
     SimConfig cfg = SimConfig::testConfig();
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << kCacheTagV3 << "\n";
-        out << kSectionTag << cfg.signature() << "\n";
-        out << RunMetrics::csvHeader() << "\n";
-        out << fakeMetrics("FwSoft", "CacheRW", 424242).toCsv() << "\n";
-        out << "this line is not a metrics row\n";
-        out << "FwBN,CacheR,not-a-number\n";
-    }
+    writeCacheFile(path, cfg.signature(),
+                   {fakeMetrics("FwSoft", "CacheRW", 424242)});
+    appendTornSegment(path);
 
     SweepEngine engine(path);
-    EXPECT_EQ(engine.cacheParseErrors(), 2u);
+    EXPECT_EQ(engine.cacheParseErrors(), 1u);
     EXPECT_EQ(engine.get(cfg, "FwSoft", "CacheRW").execTicks,
               Tick(424242));
     EXPECT_EQ(engine.simulationsPerformed(), 0u);
-    std::remove(path.c_str());
 }
 
-TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
+TEST(RunCache, ParseErrorsCountEachDamagedTailOnce)
 {
-    const std::string corrupt = tempPath("corrupt_input.csv");
-    const std::string path = tempPath("parse_dedupe.csv");
-    std::remove(corrupt.c_str());
-    std::remove(path.c_str());
-    {
-        std::ofstream out(corrupt, std::ios::trunc);
-        out << kCacheTagV3 << "\n";
-        out << kSectionTag << "some-config\n";
-        out << "broken row\n";
-    }
+    const TempFile corrupt_file("corrupt_input.csv");
+    const TempFile cache_file("parse_dedupe.csv");
+    const std::string &corrupt = corrupt_file.path();
+    const std::string &path = cache_file.path();
+    writeCacheFile(corrupt, "some-config",
+                   {fakeMetrics("FwSoft", "CacheRW", 1)});
+    appendTornSegment(corrupt);
 
-    // A zero-length or blank file is an empty cache, not a damaged
-    // one: it merges no row and counts no parse error.
+    // A zero-length file is an empty cache and a blank one is not
+    // v4: neither merges a row nor counts a parse error.
     for (const char *text : {"", "\n\n"}) {
-        const std::string blank = tempPath("blank_input.csv");
+        const TempFile blank("blank_input.csv");
         {
-            std::ofstream out(blank, std::ios::trunc);
+            std::ofstream out(blank.path(), std::ios::trunc);
             out << text;
         }
         RunCache empty{std::string()};
-        EXPECT_EQ(empty.mergeFile(blank).rows, 0u);
+        EXPECT_EQ(empty.mergeFile(blank.path()).rows, 0u);
         EXPECT_EQ(empty.parseErrors(), 0u);
-        std::remove(blank.c_str());
     }
 
     RunCache cache(path);
     // Re-merging the same damaged file must not inflate the count.
-    cache.mergeFile(corrupt);
+    EXPECT_EQ(cache.mergeFile(corrupt).rows, 1u);
     cache.mergeFile(corrupt);
     EXPECT_EQ(cache.parseErrors(), 1u);
 
-    // A row corrupted (by a concurrent writer) after this cache
-    // loaded is seen - and counted - by the pre-write merge of
-    // save(), the last moment it is visible before the rewrite
-    // drops it.
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << kCacheTagV3 << "\n";
-        out << kSectionTag << "other-config\n";
-        out << "another broken row\n";
-    }
+    // A tail torn (by a concurrent writer) after this cache loaded
+    // is seen - and counted - by the pre-write merge of save(), the
+    // last moment it is visible before the rewrite drops it.
+    writeCacheFile(path, "other-config",
+                   {fakeMetrics("FwSoft", "CacheR", 2)});
+    appendTornSegment(path);
     cache.insert("fresh-config", fakeMetrics("FwSoft", "CacheR", 7));
-    cache.saveNow();
+    ASSERT_TRUE(cache.saveNow());
     EXPECT_EQ(cache.parseErrors(), 2u);
-    std::remove(corrupt.c_str());
-    std::remove(path.c_str());
 }
 
 TEST(SweepEngine, DuplicateRequestsSimulateOnce)
@@ -348,22 +332,21 @@ TEST(SweepEngine, DuplicateRequestsSimulateOnce)
 
 TEST(ExperimentSweep, StaticBestAndWorstSelection)
 {
-    const std::string path = tempPath("selection.csv");
-    std::remove(path.c_str());
+    const TempFile file("selection.csv");
+    const std::string &path = file.path();
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
 
     // Preload all three static policies so selection never
     // simulates: CacheR fastest, Uncached slowest.
     SimConfig cfg = SimConfig::testConfig();
-    writeCacheFile(path, cfg,
+    writeCacheFile(path, cfg.signature(),
                    {fakeMetrics("FwSoft", "Uncached", 3000),
                     fakeMetrics("FwSoft", "CacheR", 1000),
                     fakeMetrics("FwSoft", "CacheRW", 2000)});
     ExperimentSweep sweep(cfg);
     EXPECT_EQ(sweep.staticBest("FwSoft"), "CacheR");
     EXPECT_EQ(sweep.staticWorst("FwSoft"), "Uncached");
-    std::remove(path.c_str());
 }
 
 TEST(ExperimentSweep, PolicyNameSetsMatchThePaper)
@@ -379,8 +362,8 @@ TEST(ExperimentSweep, PolicyNameSetsMatchThePaper)
 
 TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
 {
-    const std::string path = tempPath("prefetch.csv");
-    std::remove(path.c_str());
+    const TempFile file("prefetch.csv");
+    const std::string &path = file.path();
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
     ScopedEnv jobs("MIGC_JOBS", "4");
@@ -389,9 +372,7 @@ TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
     ExperimentSweep sweep(cfg);
     sweep.prefetch({"Uncached"});
 
-    // Every workload row must now be in the cache file. Count them
-    // through RunCache so the check holds for v4 binary (the
-    // default) and csv alike.
+    // Every workload row must now be in the cache file.
     RunCache rows(path, 8);
     EXPECT_EQ(rows.size(), workloadOrder().size());
 
@@ -399,7 +380,6 @@ TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
     ExperimentSweep warm(cfg);
     warm.prefetch({"Uncached"});
     EXPECT_EQ(warm.engine().simulationsPerformed(), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(RemovedEnv, FatalInTheDefaultEngine)

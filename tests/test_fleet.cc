@@ -19,8 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -35,9 +33,11 @@
 #include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "sim/logging.hh"
+#include "support/cache_file.hh"
 #include "support/env.hh"
 
 using namespace migc;
+using migc::test::readFile;
 using migc::test::tempPath;
 
 // ThreadSanitizer cannot follow a forked child that starts threads
@@ -56,15 +56,6 @@ using migc::test::tempPath;
 
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /** The small grid the end-to-end fleet tests sweep. */
 std::vector<RunRequest>
@@ -896,8 +887,11 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
 {
     // --resume did nothing (every rerun resumes) and a worker's
     // --cache was never read (a worker keeps its rows in memory), so
-    // both are refused instead of silently accepted. --push is still
-    // accepted: the benchmark's fleet passes it.
+    // both are refused instead of silently accepted. --convert, which
+    // migrated text caches, is gone, and --export refuses the cache
+    // itself: a csv copy there would replace a cache with a file no
+    // build reads back. --push is still accepted: the benchmark's
+    // fleet passes it.
     const std::string bin = migcSweepBinary();
     if (bin.empty())
         GTEST_SKIP() << "migc_sweep was not built next to this test";
@@ -907,13 +901,38 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
     fs::create_directories(dir);
     const std::string cwd = dir.string();
     const std::string sock = "unix:" + (dir / "none.sock").string();
+    {
+        RunMetrics row;
+        row.workload = std::string("FwSoft");
+        row.policy = std::string("CacheR");
+        RunCache((dir / "c.v4").string()).insert("sig", row);
+    }
+    const std::string cache_bytes = readFile((dir / "c.v4").string());
+    ASSERT_FALSE(cache_bytes.empty());
 
-    EXPECT_EQ(waitExit(spawnQuiet({bin, "--resume"}, cwd)), 1);
-    EXPECT_EQ(waitExit(spawnQuiet({bin, "--fleet", sock, "--shard-index",
-                                   "0", "--cache", "w.v4"},
-                                  cwd)),
-              1);
+    const std::vector<std::vector<std::string>> refused = {
+        {bin, "--resume"},
+        {bin, "--fleet", sock, "--shard-index", "0", "--cache", "w.v4"},
+        {bin, "--cache", "c.v4", "--convert"},
+        {bin, "--cache", "c.v4", "--export", "c.v4", "--cache-format",
+         "csv"},
+        {bin, "--cache", "c.v4", "--export", "./c.v4", "--cache-format",
+         "csv"},
+    };
+    for (const auto &args : refused) {
+        std::string flags;
+        for (std::size_t i = 1; i < args.size(); ++i) {
+            flags += ' ';
+            flags += args[i];
+        }
+        SCOPED_TRACE(flags);
+        EXPECT_EQ(waitExit(spawnQuiet(args, cwd)), 1);
+        EXPECT_EQ(readFile((dir / "c.v4").string()), cache_bytes);
+    }
     EXPECT_EQ(waitExit(spawnQuiet({bin, "--push", "--help"}, cwd)), 0);
-    EXPECT_TRUE(fs::is_empty(dir));
+    // Nothing but the cache: no worker file, socket or export.
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1);
     fs::remove_all(dir);
 }

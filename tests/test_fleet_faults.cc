@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,6 +38,7 @@
 #include "serve/transport.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "support/cache_file.hh"
 #include "support/env.hh"
 #include "support/fault_stream.hh"
 
@@ -58,24 +58,6 @@ using namespace migc::test;
 
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-void
-writeFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path,
-                      std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
 
 /** The small grid every end-to-end case sweeps (same points as
  *  tests/test_fleet.cc, so sim cost stays bounded). */
