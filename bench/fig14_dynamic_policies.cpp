@@ -20,6 +20,7 @@
 #include <iostream>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "core/report.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
@@ -30,10 +31,8 @@ main()
 {
     using namespace migc;
 
-    const std::vector<std::string> policies = {
-        "Uncached",      "CacheR",       "CacheRW",
-        "CacheRW-AB",    "CacheRW-CR",   "CacheRW-PCby",
-        "CacheRW-DynAB", "CacheRW-Duel", "CacheRW-DynCR"};
+    const std::vector<std::string> policies =
+        ExperimentSweep::dynamicPolicyNames();
 
     SimConfig cfg = SimConfig::defaultConfig();
     const auto workloads = extendedWorkloadOrder();

@@ -422,7 +422,7 @@ benchSweepColdFifo()
     auto t0 = BenchClock::now();
     parallelFor(
         grid.size(),
-        [&](std::size_t i) {
+        [&](std::size_t i, unsigned) {
             RunMetrics m = runNamedWorkload(
                 grid[i].workload, grid[i].cfg, grid[i].policy);
             (void)m;

@@ -52,7 +52,6 @@
 #include "core/fleet.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
-#include "policy/cache_policy.hh"
 #include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -129,7 +128,8 @@ usage(const char *argv0)
         "                         commands, then exit\n"
         "  --export PATH          write a copy of <cache> to PATH and\n"
         "                         exit (the original is untouched;\n"
-        "                         PATH must not be <cache> itself)\n"
+        "                         PATH must not be <cache> itself, and\n"
+        "                         <cache> must be a v4 cache)\n"
         "  --cache-format v4|csv  --export's format: v4 binary\n"
         "                         columnar (default) or the v3 csv\n"
         "                         text; caches are always written v4\n"
@@ -305,11 +305,9 @@ buildGrid(const Options &opt, const SimConfig &cfg)
     }
     std::vector<std::string> policies = opt.policies;
     if (policies.empty()) {
-        policies = ExperimentSweep::allPolicyNames();
-        if (opt.grid == "dynamic") {
-            for (const CachePolicy &p : CachePolicy::dynamicPolicies())
-                policies.push_back(p.name);
-        }
+        policies = opt.grid == "dynamic"
+                       ? ExperimentSweep::dynamicPolicyNames()
+                       : ExperimentSweep::allPolicyNames();
     }
     std::vector<RunRequest> requests;
     requests.reserve(workloads.size() * policies.size());
@@ -520,7 +518,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
     // The fleet's one store: the plan reads it, the server appends
     // every push to its file, and the join compacts it.
     RunCache canonical(cache);
-    FleetPlan plan = planFleetSweep(requests, canonical);
+    SweepPlan plan = planSweep(requests, canonical);
     inform("fleet plan: %zu of %zu grid points pending (%zu cached)",
            plan.pending.size(), requests.size(), plan.cached);
 
@@ -681,6 +679,12 @@ main(int argc, char **argv)
                  "--export needs a cache file (unset MIGC_NO_CACHE or "
                  "pass --cache)");
         RunCache rc(cache);
+        // A cache that loaded as foreign holds no row; exporting it
+        // would report an empty copy as a success.
+        fatal_if(std::strcmp(rc.loadedFormatName(), "foreign") == 0,
+                 "could not export %s: it is not a v4 cache (text caches "
+                 "of older builds are no longer read)",
+                 cache.c_str());
         const CacheFormat fmt = opt.cacheFormat == "csv"
                                     ? CacheFormat::csv
                                     : CacheFormat::v4;

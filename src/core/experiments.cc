@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "policy/cache_policy.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
 
@@ -49,6 +50,15 @@ ExperimentSweep::allPolicyNames()
 {
     return {"Uncached",   "CacheR",     "CacheRW",
             "CacheRW-AB", "CacheRW-CR", "CacheRW-PCby"};
+}
+
+std::vector<std::string>
+ExperimentSweep::dynamicPolicyNames()
+{
+    std::vector<std::string> names = allPolicyNames();
+    for (const CachePolicy &p : CachePolicy::dynamicPolicies())
+        names.push_back(p.name);
+    return names;
 }
 
 std::string

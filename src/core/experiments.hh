@@ -65,6 +65,11 @@ class ExperimentSweep
     /** All six configuration names, paper order. */
     static std::vector<std::string> allPolicyNames();
 
+    /** The dynamic grid's nine policies (fig14, migc_sweep --grid
+     *  dynamic): allPolicyNames(), then the names of
+     *  CachePolicy::dynamicPolicies(). */
+    static std::vector<std::string> dynamicPolicyNames();
+
     /** The underlying engine (shared scheduler + run cache). */
     SweepEngine &engine() { return engine_; }
 

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
-#include <tuple>
 
 #include "core/cache_v4.hh"
 #include "core/sweep_engine.hh"
 #include "serve/serve_protocol.hh"
 #include "sim/logging.hh"
-#include "workloads/workload.hh"
 
 namespace migc
 {
@@ -831,7 +828,6 @@ FleetClient::lease()
             g.keys.push_back(static_cast<std::uint32_t>(
                 std::strtoul(tok[i].c_str(), nullptr, 10)));
         }
-        ++leasesTaken_;
         {
             std::lock_guard<std::mutex> lk(leaseMu_);
             activeLease_ = g.id;
@@ -1002,45 +998,6 @@ FleetClient::renewLoop()
             leaseStale_ = true;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// The plan step
-// ---------------------------------------------------------------------
-
-FleetPlan
-planFleetSweep(const std::vector<RunRequest> &requests,
-               const RunCache &canonical)
-{
-    FleetPlan plan;
-    plan.costs.assign(requests.size(), 0.0);
-
-    std::map<std::tuple<std::string, std::string, std::string>, bool>
-        seen;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const RunRequest &req = requests[i];
-        const std::string sig = req.cfg.signature();
-        if (canonical.find(sig, req.workload, req.policy) != nullptr) {
-            ++plan.cached;
-            continue;
-        }
-        // Duplicate grid points lease (and simulate) once; the
-        // result answers every copy at replay time.
-        if (!seen.emplace(std::make_tuple(sig, req.workload,
-                                          req.policy),
-                          true)
-                 .second)
-            continue;
-        double est = canonical.estimateEvents(req.workload, req.policy);
-        if (est <= 0.0) {
-            est = static_cast<double>(
-                makeWorkload(req.workload)
-                    ->footprintBytes(req.cfg.workloadScale));
-        }
-        plan.costs[i] = est;
-        plan.pending.push_back(static_cast<std::uint32_t>(i));
-    }
-    return plan;
 }
 
 } // namespace migc

@@ -63,11 +63,13 @@
  * an orphaned lease expires - which is what the fault-injection
  * suite (tests/test_fleet_faults.cc) leans on.
  *
- * planFleetSweep, at the bottom, is the step before the first lease:
- * it reads the canonical cache and decides which grid points the
- * queue still has to serve. A rerun after a crash is exactly that
- * step: every row pushed before the crash is in the canonical file,
- * so only the keys no worker ever pushed come back pending.
+ * Before the first lease, the coordinator plans the grid from the
+ * canonical cache with planSweep (sweep_engine.hh), the plan step a
+ * single-process sweep runs too: it decides which grid points the
+ * queue still has to serve and what each is expected to cost. A
+ * rerun after a crash is exactly that step: every row pushed before
+ * the crash is in the canonical file, so only the keys no worker
+ * ever pushed come back pending.
  */
 
 #ifndef MIGC_CORE_FLEET_HH
@@ -92,7 +94,6 @@ namespace migc
 
 struct ServeRequest; // serve/serve_protocol.hh
 class RunCache;      // core/sweep_engine.hh
-struct RunRequest;   // core/sweep_engine.hh
 
 /** Tuning for a fleet sweep; the coordinator's flags land here. */
 struct FleetConfig
@@ -313,7 +314,6 @@ class FleetServer
     std::vector<FleetQueue::Completion> completions() const;
     std::size_t pendingCount() const;
     std::uint64_t expiredLeases() const;
-    const std::string &socketPath() const { return path_; }
 
     /** The endpoint actually bound (tcp port 0 resolved); valid
      *  after start(). */
@@ -443,9 +443,6 @@ class FleetClient
     /** Stop renewing the current lease (it is fully processed). */
     void finishLease();
 
-    /** Leases this client was granted (worker-side accounting). */
-    std::uint64_t leasesTaken() const { return leasesTaken_; }
-
   private:
     /** One request line out, one response line back; txnMu_ held. */
     std::string transact(const std::string &line);
@@ -475,7 +472,6 @@ class FleetClient
     unsigned worker_;
     std::uint64_t gridHash_;
     FleetClientOptions opts_;
-    std::uint64_t leasesTaken_ = 0;
 
     mutable std::mutex txnMu_; ///< serializes socket transactions
     std::unique_ptr<Stream> stream_;
@@ -490,39 +486,6 @@ class FleetClient
     bool stopRenewer_ = false;
     std::thread renewer_;
 };
-
-// ---------------------------------------------------------------------
-// The plan step
-// ---------------------------------------------------------------------
-
-/**
- * What a fleet coordinator knows before the first lease: which grid
- * indices still need simulating, and what each one is expected to
- * cost. Built by planFleetSweep().
- */
-struct FleetPlan
-{
-    /** Grid indices with no cached row yet (deduplicated; the
-     *  FleetQueue serves them longest-estimate-first). */
-    std::vector<std::uint32_t> pending;
-
-    /** Scheduler cost estimate per grid index (sim_events of a prior
-     *  run of the same (workload, policy), falling back to the
-     *  workload-footprint heuristic - the same ladder run() uses). */
-    std::vector<double> costs;
-
-    /** Grid points already satisfied by the canonical cache. */
-    std::size_t cached = 0;
-};
-
-/**
- * The coordinator's grid scan: classify each of @p requests as
- * cached in @p canonical (the cache the coordinator opened on the
- * canonical file, and later stores pushes in) or pending, and
- * estimate pending costs.
- */
-FleetPlan planFleetSweep(const std::vector<RunRequest> &requests,
-                         const RunCache &canonical);
 
 } // namespace migc
 

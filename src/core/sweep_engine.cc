@@ -3,18 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <string_view>
 #include <system_error>
 #include <thread>
 #include <tuple>
 #include <utility>
-
-#include <chrono>
-#include <condition_variable>
 
 #include "core/cache_v4.hh"
 #include "core/fleet.hh"
@@ -216,11 +213,14 @@ RunCache::mergeFromFile(const std::string &path,
     if (got < sizeof(kV4SegMagic) || !isV4Magic(buf)) {
         // v4 is the only format read. Anything else - the v2 and v3
         // text caches of older builds included - serves nothing, and
-        // the next save replaces it.
-        warn("ignoring sweep cache %s: not a v4 cache (text caches of "
-             "older builds are no longer read; their rows will "
-             "re-simulate)",
-             path.c_str());
+        // the next save replaces it. Said once per path: the
+        // pre-write merge of every save re-reads the same file.
+        if (reported_.insert(path + "\nforeign").second) {
+            warn("ignoring sweep cache %s: not a v4 cache (text caches "
+                 "of older builds are no longer read; their rows will "
+                 "re-simulate)",
+                 path.c_str());
+        }
         if (own) {
             fileState_ = FileState::other;
             noteLoadedFormat("foreign");
@@ -230,28 +230,31 @@ RunCache::mergeFromFile(const std::string &path,
 
     bool damaged = false;
     std::size_t off = 0;
+    std::uint64_t kept = 0; // rows of the segments before any damage
     while (off < got) {
         V4SegmentView seg;
         std::string why;
         if (!parseV4Segment(buf + off, got - off, seg, &why)) {
             damaged = true;
-            // The damaged tail counts as one parse error, deduped
-            // per (file, offset, reason) so a checkpoint's re-read
-            // does not recount it.
+            // The damaged tail counts as one parse error and one
+            // warning, deduped per (file, offset, reason) so a
+            // checkpoint's re-read does not repeat it.
             const std::string key =
                 path + '\n' +
                 csprintf("segment@%zu:%s", off, why.c_str());
-            if (badSegments_.insert(key).second) {
+            if (reported_.insert(key).second) {
                 ++stats.parseErrors;
                 ++parseErrors_;
+                warn("sweep cache %s: damaged v4 segment at byte %zu "
+                     "(%s); keeping the %llu row%s of earlier segments",
+                     path.c_str(), off, why.c_str(),
+                     static_cast<unsigned long long>(kept),
+                     kept == 1 ? "" : "s");
             }
-            warn("sweep cache %s: damaged v4 segment at byte %zu "
-                 "(%s); keeping the %zu row%s of earlier segments",
-                 path.c_str(), off, why.c_str(), stats.rows,
-                 stats.rows == 1 ? "" : "s");
             break;
         }
         mergeV4Segment(seg, classify_collisions, /*durable=*/own, stats);
+        kept += seg.rowCount;
         off += seg.bytes;
     }
     if (own) {
@@ -649,6 +652,46 @@ gridFingerprint(const std::vector<RunRequest> &requests)
     return h;
 }
 
+SweepPlan
+planSweep(const std::vector<RunRequest> &requests, const RunCache &cache)
+{
+    SweepPlan plan;
+    plan.costs.assign(requests.size(), 0.0);
+    plan.sigs.reserve(requests.size());
+
+    std::set<std::tuple<std::string, std::string, std::string>> seen;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const RunRequest &req = requests[i];
+        const std::string &sig = plan.sigs.emplace_back(req.cfg.signature());
+        if (cache.find(sig, req.workload, req.policy) != nullptr) {
+            ++plan.cached;
+            continue;
+        }
+        // A repeated grid point runs once; its row answers every copy.
+        if (!seen.emplace(sig, req.workload, req.policy).second)
+            continue;
+        // The workload's footprint is a stable proxy for run length
+        // when no prior run of the pair exists.
+        double est = cache.estimateEvents(req.workload, req.policy);
+        if (est <= 0.0) {
+            est = static_cast<double>(
+                makeWorkload(req.workload)
+                    ->footprintBytes(req.cfg.workloadScale));
+        }
+        plan.costs[i] = est;
+        plan.pending.push_back(static_cast<std::uint32_t>(i));
+    }
+    // Longest-job-first; the index breaks ties so the schedule is
+    // reproducible.
+    std::sort(plan.pending.begin(), plan.pending.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  if (plan.costs[a] != plan.costs[b])
+                      return plan.costs[a] > plan.costs[b];
+                  return a < b;
+              });
+    return plan;
+}
+
 // ---------------------------------------------------------------------
 // SweepEngine
 // ---------------------------------------------------------------------
@@ -720,28 +763,26 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
 }
 
 RunMetrics
-SweepEngine::runJob(const Job &job, std::unique_ptr<System> &sys,
-                    std::string &sys_structure)
+SweepEngine::runJob(const RunRequest &req, WarmSystem &warm)
 {
-    const RunRequest &req = *job.req;
     const std::uint64_t run_seed =
         runSeedFor(req.cfg, req.workload, req.policy);
     const CachePolicy policy = CachePolicy::fromName(req.policy);
 
     std::string structure = req.cfg.structureKey();
-    if (sys != nullptr && sys_structure == structure) {
+    if (warm.sys != nullptr && warm.structure == structure) {
         // Same machine, different run: keep every allocation warm.
-        sys->reset(policy, run_seed);
+        warm.sys->reset(policy, run_seed);
     } else {
         SimConfig run_cfg = req.cfg;
         run_cfg.seed = run_seed;
-        sys = std::make_unique<System>(run_cfg, policy);
-        sys_structure = std::move(structure);
+        warm.sys = std::make_unique<System>(run_cfg, policy);
+        warm.structure = std::move(structure);
     }
 
     auto wl = makeWorkload(req.workload);
     sims_.fetch_add(1, std::memory_order_relaxed);
-    RunMetrics m = runWorkloadOn(*sys, *wl);
+    RunMetrics m = runWorkloadOn(*warm.sys, *wl);
     if (slowMs_ > 0) {
         // Straggler injection (setInjectedRunDelayMs): stretch wall
         // clock only, after the metrics are computed.
@@ -754,105 +795,31 @@ SweepEngine::runJob(const Job &job, std::unique_ptr<System> &sys,
 std::vector<RunMetrics>
 SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
 {
-    // Phase 1: split the batch into cached points and missing jobs,
-    // deduplicating repeated grid points.
-    std::vector<std::string> sigs;
-    sigs.reserve(requests.size());
-    std::vector<Job> missing;
+    SweepPlan plan;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        std::map<std::tuple<std::string, std::string, std::string>,
-                 bool>
-            seen;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            const RunRequest &req = requests[i];
-            sigs.push_back(req.cfg.signature());
-            if (cache().find(sigs[i], req.workload, req.policy)) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            auto key = std::make_tuple(sigs[i], req.workload,
-                                       req.policy);
-            if (!seen.emplace(std::move(key), true).second)
-                continue;
-            missing.push_back(Job{&req, sigs[i],
-                                  cache().estimateEvents(req.workload,
-                                                         req.policy),
-                                  i});
-        }
+        plan = planSweep(requests, cache());
     }
-    if (!missing.empty()) {
-        // Fill unknown costs from a workload-size heuristic: the
-        // simulated footprint is a stable proxy for run length when
-        // no prior run of the pair exists. Heuristic and measured
-        // costs only ever order runs, never change them.
-        for (Job &job : missing) {
-            if (job.estimate <= 0.0) {
-                job.estimate = static_cast<double>(
-                    makeWorkload(job.req->workload)
-                        ->footprintBytes(job.req->cfg.workloadScale));
-            }
-        }
-
-        // Longest-job-first; submission order breaks ties so the
-        // schedule is reproducible.
-        std::sort(missing.begin(), missing.end(),
-                  [](const Job &a, const Job &b) {
-                      if (a.estimate != b.estimate)
-                          return a.estimate > b.estimate;
-                      return a.submitOrder < b.submitOrder;
-                  });
-
-        if (jobs == 0)
-            jobs = sweepJobs();
-        if (static_cast<std::size_t>(jobs) > missing.size())
-            jobs = static_cast<unsigned>(missing.size());
+    hits_.fetch_add(plan.cached, std::memory_order_relaxed);
+    const std::vector<std::uint32_t> &pending = plan.pending;
+    if (!pending.empty()) {
+        jobs = static_cast<unsigned>(std::min<std::size_t>(
+            jobs == 0 ? sweepJobs() : jobs, pending.size()));
         inform("sweeping %zu (workload, policy) runs on %u worker%s "
                "(longest-first) ...",
-               missing.size(), jobs, jobs == 1 ? "" : "s");
+               pending.size(), jobs, jobs == 1 ? "" : "s");
 
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr error;
-        std::mutex error_mu;
-
-        auto worker = [&] {
-            // Worker-local System, reused across every structurally
-            // compatible run this worker executes.
-            std::unique_ptr<System> sys;
-            std::string sys_structure;
-            for (;;) {
-                std::size_t k =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (k >= missing.size())
-                    return;
-                const Job &job = missing[k];
-                try {
-                    RunMetrics m = runJob(job, sys, sys_structure);
-                    std::lock_guard<std::mutex> lk(mu_);
-                    cache().insert(job.sig, std::move(m));
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk(error_mu);
-                    if (!error)
-                        error = std::current_exception();
-                    next.store(missing.size(),
-                               std::memory_order_relaxed);
-                    return;
-                }
-            }
-        };
-
-        if (jobs <= 1) {
-            worker();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(jobs);
-            for (unsigned t = 0; t < jobs; ++t)
-                pool.emplace_back(worker);
-            for (auto &th : pool)
-                th.join();
-        }
-        if (error)
-            std::rethrow_exception(error);
+        // One warm System per pool slot, for this batch only.
+        std::vector<WarmSystem> systems(jobs);
+        parallelFor(
+            pending.size(),
+            [&](std::size_t k, unsigned slot) {
+                const std::uint32_t i = pending[k];
+                RunMetrics m = runJob(requests[i], systems[slot]);
+                std::lock_guard<std::mutex> lk(mu_);
+                cache().insert(plan.sigs[i], std::move(m));
+            },
+            jobs);
 
         flush();
 
@@ -863,16 +830,16 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
         const std::size_t lost = cache().parseErrors();
         inform("sweep batch done: %zu simulated, %zu cache parse "
                "error%s",
-               missing.size(), lost, lost == 1 ? "" : "s");
+               pending.size(), lost, lost == 1 ? "" : "s");
     }
 
-    // Phase 2: every request is now cached; answer in request order.
+    // Every request is now cached; answer in request order.
     std::vector<RunMetrics> results;
     results.reserve(requests.size());
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const RunMetrics *m = cache().find(
-            sigs[i], requests[i].workload, requests[i].policy);
+            plan.sigs[i], requests[i].workload, requests[i].policy);
         panic_if(m == nullptr, "sweep engine lost a result for %s/%s",
                  requests[i].workload.c_str(),
                  requests[i].policy.c_str());
@@ -887,28 +854,17 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
 {
     if (jobs == 0)
         jobs = sweepJobs();
-    if (jobs == 0)
-        jobs = 1;
 
     FleetRunStats stats;
     std::mutex stats_mu;
+    // One warm System per pool slot, kept across leases the way run()
+    // keeps them across one batch.
+    std::vector<WarmSystem> systems(jobs);
+    FleetGrant grant;
 
-    // Leased keys flow through a small channel to a persistent
-    // thread pool, so worker Systems stay warm across leases the
-    // same way run()'s pool keeps them warm across jobs.
-    std::mutex qmu;
-    std::condition_variable qcv;   // work arrived / closed
-    std::condition_variable idle;  // lease fully processed
-    std::deque<std::pair<std::uint64_t, std::uint32_t>> work;
-    std::size_t inflight = 0;
-    bool closed = false;
-
-    std::exception_ptr error;
-    std::mutex error_mu;
-
-    auto processKey = [&](std::uint64_t id, std::uint32_t key,
-                          std::unique_ptr<System> &sys,
-                          std::string &sys_structure) {
+    auto runKey = [&](std::size_t k, unsigned slot) {
+        const std::uint64_t id = grant.id;
+        const std::uint32_t key = grant.keys[k];
         panic_if(static_cast<std::size_t>(key) >= requests.size(),
                  "fleet lease key %u outside the %zu-point grid",
                  key, requests.size());
@@ -925,8 +881,7 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
         if (cached) {
             hits_.fetch_add(1, std::memory_order_relaxed);
         } else {
-            Job job{&req, sig, 0.0, key};
-            RunMetrics m = runJob(job, sys, sys_structure);
+            RunMetrics m = runJob(req, systems[slot]);
             std::lock_guard<std::mutex> lk(mu_);
             row = &cache().insert(sig, std::move(m));
         }
@@ -949,93 +904,18 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
             ++stats.stale;
     };
 
-    auto workerFn = [&] {
-        std::unique_ptr<System> sys;
-        std::string sys_structure;
-        for (;;) {
-            std::pair<std::uint64_t, std::uint32_t> item;
-            {
-                std::unique_lock<std::mutex> lk(qmu);
-                qcv.wait(lk,
-                         [&] { return closed || !work.empty(); });
-                if (work.empty())
-                    return; // closed and drained
-                item = work.front();
-                work.pop_front();
-                ++inflight;
-            }
-            try {
-                processKey(item.first, item.second, sys,
-                           sys_structure);
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lk(error_mu);
-                    if (!error)
-                        error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lk(qmu);
-                work.clear();
-                closed = true;
-                --inflight;
-                qcv.notify_all();
-                idle.notify_all();
-                return;
-            }
-            {
-                std::lock_guard<std::mutex> lk(qmu);
-                --inflight;
-            }
-            idle.notify_all();
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
-        pool.emplace_back(workerFn);
-
     for (;;) {
-        {
-            std::lock_guard<std::mutex> lk(qmu);
-            if (closed)
-                break; // a worker hit an error
-        }
-        FleetGrant grant = client.lease();
+        grant = client.lease();
         if (grant.kind == FleetGrant::Kind::drained)
             break;
-        {
-            std::lock_guard<std::mutex> lk(stats_mu);
-            ++stats.leases;
-        }
-        {
-            std::lock_guard<std::mutex> lk(qmu);
-            for (std::uint32_t key : grant.keys)
-                work.emplace_back(grant.id, key);
-        }
-        qcv.notify_all();
-        // One lease at a time: wait for this one to be fully
-        // processed (the renewer keeps it alive throughout) before
-        // asking for the next, so the coordinator's remaining-cost
-        // picture stays honest for steal decisions.
-        {
-            std::unique_lock<std::mutex> lk(qmu);
-            idle.wait(lk, [&] {
-                return closed || (work.empty() && inflight == 0);
-            });
-        }
+        ++stats.leases;
+        // One lease at a time: this one is fully processed (the
+        // renewer keeps it alive throughout) before the next is asked
+        // for, so the coordinator's remaining-cost picture stays
+        // honest for steal decisions.
+        parallelFor(grant.keys.size(), runKey, jobs);
         client.finishLease();
     }
-
-    {
-        std::lock_guard<std::mutex> lk(qmu);
-        closed = true;
-    }
-    qcv.notify_all();
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-
     return stats;
 }
 

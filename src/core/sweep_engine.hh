@@ -13,25 +13,28 @@
  *    and checkpoints are amortized (every K completions + on flush)
  *    instead of rewriting the whole file after every run.
  *
- *  - Cost-model scheduler: missing runs are dispatched longest-job-
- *    first, using simulator event counts from prior cached runs of
- *    the same (workload, policy) - falling back to a workload-size
- *    heuristic - which removes the FIFO tail-straggler problem.
- *    Scheduling only reorders execution; results depend solely on
- *    (cfg, workload, policy) (see runNamedWorkload), so any
- *    MIGC_JOBS value is bit-identical.
+ *  - Cost-model scheduler: planSweep() dispatches missing runs
+ *    longest-job-first, using simulator event counts from prior
+ *    cached runs of the same (workload, policy) - falling back to a
+ *    workload-size heuristic - which removes the FIFO tail-straggler
+ *    problem. The single-process sweep and the fleet coordinator
+ *    plan with it alike. Scheduling only reorders execution; results
+ *    depend solely on (cfg, workload, policy) (see runNamedWorkload),
+ *    so any MIGC_JOBS value is bit-identical.
  *
- *  - System reuse: each worker keeps its System alive between runs
- *    and re-runs on it via System::reset() whenever the next run's
- *    config is structurally equal, so PacketPool chunks, the event
- *    heap, tag/DBI storage, and DRAM bank state stay warm instead of
- *    being reconstructed per run.
+ *  - System reuse: batches run on parallelFor (sim/parallel.hh), the
+ *    one thread pool. Each pool slot keeps its System alive between
+ *    runs and re-runs on it via System::reset() whenever the next
+ *    run's config is structurally equal, so PacketPool chunks, the
+ *    event heap, tag/DBI storage, and DRAM bank state stay warm
+ *    instead of being reconstructed per run.
  *
  * A fourth mechanism scales past one process: as a fleet worker
  * (runFleet, on a memory-only engine) the engine simulates the run
- * keys a coordinator leases it and pushes each finished row as one
- * v4 segment before reporting the key done; the coordinator
- * (bench/migc_sweep) appends every push to the canonical cache and
+ * keys a coordinator leases it, each lease on the same pool slots,
+ * and pushes each finished row as one v4 segment before reporting
+ * the key done; the coordinator (bench/migc_sweep) plans the grid
+ * with planSweep(), appends every push to the canonical cache and
  * compacts it at the join, byte-identical to a single-process sweep
  * (see fleet.hh).
  */
@@ -216,7 +219,7 @@ class RunCache
      * Union another v4 cache file into memory without writing
      * anything; rows already held win. A missing or empty file
      * merges zero rows; a file that is not v4 merges none, with a
-     * warning.
+     * warning the first time this cache reads it.
      */
     MergeStats mergeFile(const std::string &path);
 
@@ -402,10 +405,11 @@ class RunCache
      *  if nothing is pending. */
     bool appendedSinceCompact_ = false;
 
-    /** (path, segment offset, reason) triples already counted as
-     *  parse errors: re-reading the same damaged file dedupes, while
+    /** Damage already reported: a (path, segment offset, reason)
+     *  triple, counted as one parse error, or a path that is not v4.
+     *  Re-reading the same file warns and counts nothing new, while
      *  the same damage in two different files still counts twice. */
-    std::set<std::string> badSegments_;
+    std::set<std::string> reported_;
 
     /**
      * The append log: every row this cache ever learned (from disk
@@ -423,6 +427,34 @@ class RunCache
      *  log_); folded into base_ by snapshot(). */
     std::map<std::string, FreshSection> fresh_;
 };
+
+/** What a batch of grid points still needs; see planSweep(). */
+struct SweepPlan
+{
+    /** Uncached request indices, deduplicated (a repeated point runs
+     *  once, at its first index), longest estimate first and lower
+     *  index first among equal estimates. */
+    std::vector<std::uint32_t> pending;
+
+    /** Cost estimate per request index, 0 unless pending: sim_events
+     *  of a prior run of the (workload, policy) under any config,
+     *  else the workload's footprint. Costs only order runs. */
+    std::vector<double> costs;
+
+    /** Per request index, the config signature it is cached under. */
+    std::vector<std::string> sigs;
+
+    /** Requests the cache already answers (every copy counts). */
+    std::size_t cached = 0;
+};
+
+/**
+ * The one plan step, shared by SweepEngine::run() and the fleet
+ * coordinator (bench/migc_sweep): classify each of @p requests as
+ * cached in @p cache or pending, and estimate and order the pending.
+ */
+SweepPlan planSweep(const std::vector<RunRequest> &requests,
+                    const RunCache &cache);
 
 /**
  * Shared run scheduler + cache. Construct once per process (the
@@ -458,8 +490,8 @@ class SweepEngine
 
     /**
      * Ensure every request is available, simulating the missing ones
-     * across the worker pool (@p jobs threads; 0 = MIGC_JOBS /
-     * hardware default), longest-estimated-job-first.
+     * in planSweep() order on parallelFor (@p jobs threads; 0 =
+     * MIGC_JOBS / hardware default).
      * @return metrics in request order.
      */
     std::vector<RunMetrics> run(const std::vector<RunRequest> &requests,
@@ -476,18 +508,18 @@ class SweepEngine
 
     /**
      * Fleet-worker main loop: lease run-key ranges from @p client
-     * until the coordinator reports the grid drained, simulating
-     * each leased index of @p requests on up to @p jobs threads
-     * (0 = MIGC_JOBS / hardware default). Each leased key's row is
-     * pushed to the coordinator as one one-row v4 segment *before*
-     * the key is reported done, so a worker killed at any instant
-     * leaves every reported key in the coordinator's file - the
-     * crash-safety half of the lease protocol. A key whose row this
-     * engine already holds (leased to it again after an expiry) is
-     * pushed again without simulating. Keys the coordinator stole
-     * (observed at renew) are skipped without simulating. A fleet
-     * worker runs on a memory-only engine (an empty cache path), so
-     * it writes no file.
+     * until the coordinator reports the grid drained, running one
+     * lease at a time on parallelFor (@p jobs threads; 0 = MIGC_JOBS
+     * / hardware default) with each slot's System warm across
+     * leases. Each leased key's row is pushed to the coordinator as
+     * one one-row v4 segment *before* the key is reported done, so a
+     * worker killed at any instant leaves every reported key in the
+     * coordinator's file - the crash-safety half of the lease
+     * protocol. A key whose row this engine already holds (leased to
+     * it again after an expiry) is pushed again without simulating.
+     * Keys the coordinator stole (observed at renew) are skipped
+     * without simulating. A fleet worker runs on a memory-only engine
+     * (an empty cache path), so it writes no file.
      */
     FleetRunStats runFleet(const std::vector<RunRequest> &requests,
                            FleetClient &client, unsigned jobs = 0);
@@ -526,20 +558,20 @@ class SweepEngine
     std::size_t cacheParseErrors() const;
 
   private:
-    struct Job
+    /** One pool slot's System, kept between runs, and the structure
+     *  key of the config it was built for. */
+    struct WarmSystem
     {
-        const RunRequest *req;
-        std::string sig;
-        double estimate;
-        std::size_t submitOrder;
+        std::unique_ptr<System> sys;
+        std::string structure;
     };
 
     /**
-     * Execute one job on @p sys, reusing it via System::reset() when
-     * its structure key matches, rebuilding it otherwise.
+     * Execute @p req on @p warm, reusing its System via
+     * System::reset() when the structure key matches, rebuilding it
+     * otherwise.
      */
-    RunMetrics runJob(const Job &job, std::unique_ptr<System> &sys,
-                      std::string &sys_structure);
+    RunMetrics runJob(const RunRequest &req, WarmSystem &warm);
 
     /**
      * The cache, constructed (and its file loaded) on

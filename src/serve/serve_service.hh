@@ -17,11 +17,6 @@
  *    the next query is a warm hit. `wait` blocks until the queue
  *    drains.
  *
- *  - Placeholder rows are refused twice over: CacheSnapshot::Builder
- *    never indexes one, and the miss path re-checks the flag on
- *    whatever the engine returns - an all-zero shard stand-in is
- *    served to nobody.
- *
  * handleLine() is safe to call from any number of threads (the
  * socket front end runs one thread per connection).
  */

@@ -4,7 +4,9 @@
  *
  * Simulated runs are single-threaded and self-contained (each owns
  * its System and event queue), so independent runs shard across a
- * std::thread pool. MIGC_JOBS overrides the worker count; the
+ * std::thread pool: parallelFor, the one pool that both
+ * SweepEngine::run and a fleet worker's SweepEngine::runFleet run
+ * their batches on. MIGC_JOBS overrides the worker count; the
  * default is one worker per hardware thread.
  */
 
@@ -43,12 +45,16 @@ sweepJobs()
 }
 
 /**
- * Run fn(i) for every i in [0, n), sharding dynamically across up
- * to @p jobs worker threads (0 = sweepJobs()). Blocks until all
- * iterations finish. The first exception thrown by any iteration is
- * rethrown in the caller after the pool drains.
+ * Run fn(i, slot) for every i in [0, n), sharding dynamically across
+ * up to @p jobs worker threads (0 = sweepJobs()). @p slot names the
+ * worker making the call: it lies in [0, min(jobs, n)), and no two
+ * threads use one slot at once, so state indexed by slot (a warm
+ * System, say) needs no lock. One worker runs every call on the
+ * caller's thread, in index order. Blocks until all iterations
+ * finish. The first exception thrown by any iteration is rethrown in
+ * the caller after the pool drains.
  *
- * @p fn must be safe to call concurrently for distinct i.
+ * @p fn must be safe to call concurrently for distinct i and slots.
  */
 template <typename Fn>
 void
@@ -63,7 +69,7 @@ parallelFor(std::size_t n, Fn &&fn, unsigned jobs = 0)
 
     if (jobs <= 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(i);
+            fn(i, 0u);
         return;
     }
 
@@ -71,13 +77,13 @@ parallelFor(std::size_t n, Fn &&fn, unsigned jobs = 0)
     std::exception_ptr error;
     std::mutex error_mu;
 
-    auto worker = [&] {
+    auto worker = [&](unsigned slot) {
         for (;;) {
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
             try {
-                fn(i);
+                fn(i, slot);
             } catch (...) {
                 std::lock_guard<std::mutex> lk(error_mu);
                 if (!error)
@@ -91,8 +97,8 @@ parallelFor(std::size_t n, Fn &&fn, unsigned jobs = 0)
 
     std::vector<std::thread> pool;
     pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
+    for (unsigned slot = 0; slot < jobs; ++slot)
+        pool.emplace_back(worker, slot);
     for (auto &th : pool)
         th.join();
 

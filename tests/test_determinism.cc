@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -88,13 +91,51 @@ TEST(Determinism, NamedRunIsRepeatable)
 
 TEST(Determinism, ParallelForCoversEveryIndexExactlyOnce)
 {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto &h : hits)
-        h.store(0);
-    parallelFor(hits.size(),
-                [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    // Each call also names its worker's slot: below min(jobs, n), and
+    // never held by two threads at once, which is what lets a slot
+    // own a warm System without a lock.
+    for (const std::size_t n : {std::size_t(3), std::size_t(257)}) {
+        SCOPED_TRACE(n);
+        const unsigned jobs = 8;
+        const std::size_t slots = std::min<std::size_t>(jobs, n);
+        std::vector<std::atomic<int>> hits(n);
+        for (auto &h : hits)
+            h.store(0);
+        std::vector<std::atomic<bool>> busy(jobs);
+        for (auto &b : busy)
+            b.store(false);
+        std::atomic<int> out_of_range{0};
+        std::atomic<int> shared{0};
+        std::atomic<std::size_t> started{0};
+        parallelFor(
+            n,
+            [&](std::size_t i, unsigned slot) {
+                if (slot >= slots) {
+                    out_of_range.fetch_add(1);
+                    return;
+                }
+                if (busy[slot].exchange(true))
+                    shared.fetch_add(1);
+                hits[i].fetch_add(1);
+                // Hold the first calls until one per worker has
+                // started (bounded), so every slot is in use at once
+                // and a slot handed to two threads is caught busy.
+                if (i < slots) {
+                    started.fetch_add(1);
+                    const auto until = std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(5);
+                    while (started.load() < slots &&
+                           std::chrono::steady_clock::now() < until)
+                        std::this_thread::yield();
+                }
+                busy[slot].store(false);
+            },
+            jobs);
+        EXPECT_EQ(out_of_range.load(), 0);
+        EXPECT_EQ(shared.load(), 0);
+        for (auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+    }
 }
 
 TEST(Determinism, SerialAndParallelSweepsAreBitIdentical)

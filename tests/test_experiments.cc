@@ -15,6 +15,7 @@
 #include "core/metrics.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
+#include "sim/logging.hh"
 #include "support/cache_file.hh"
 #include "support/env.hh"
 #include "workloads/workload.hh"
@@ -289,7 +290,8 @@ TEST(RunCache, ParseErrorsCountEachDamagedTailOnce)
     appendTornSegment(corrupt);
 
     // A zero-length file is an empty cache and a blank one is not
-    // v4: neither merges a row nor counts a parse error.
+    // v4: neither merges a row nor counts a parse error, and only the
+    // blank one warns - once, however often it is merged.
     for (const char *text : {"", "\n\n"}) {
         const TempFile blank("blank_input.csv");
         {
@@ -297,15 +299,22 @@ TEST(RunCache, ParseErrorsCountEachDamagedTailOnce)
             out << text;
         }
         RunCache empty{std::string()};
+        const std::uint64_t warned = logging_detail::warnCount();
         EXPECT_EQ(empty.mergeFile(blank.path()).rows, 0u);
+        empty.mergeFile(blank.path());
         EXPECT_EQ(empty.parseErrors(), 0u);
+        EXPECT_EQ(logging_detail::warnCount() - warned,
+                  text[0] == '\0' ? 0u : 1u);
     }
 
     RunCache cache(path);
-    // Re-merging the same damaged file must not inflate the count.
+    // Re-merging the same damaged file must not inflate the count,
+    // nor warn about the same damage again.
+    const std::uint64_t warned = logging_detail::warnCount();
     EXPECT_EQ(cache.mergeFile(corrupt).rows, 1u);
     cache.mergeFile(corrupt);
     EXPECT_EQ(cache.parseErrors(), 1u);
+    EXPECT_EQ(logging_detail::warnCount(), warned + 1);
 
     // A tail torn (by a concurrent writer) after this cache loaded
     // is seen - and counted - by the pre-write merge of save(), the

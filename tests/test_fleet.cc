@@ -370,18 +370,33 @@ TEST(GridFingerprint, KeyComponentsAreSeparated)
     EXPECT_NE(h, gridFingerprint({RunRequest{cfg, "FwSoft", "CacheR"}}));
 }
 
-TEST(FleetPlan, ColdGridIsAllPendingWithPositiveCosts)
+TEST(SweepPlan, ColdGridIsAllPendingWithPositiveCosts)
 {
     const RunCache empty{std::string()};
     const auto grid = smallGrid();
-    FleetPlan plan = planFleetSweep(grid, empty);
+    SweepPlan plan = planSweep(grid, empty);
     EXPECT_EQ(plan.pending.size(), grid.size());
     EXPECT_EQ(plan.cached, 0u);
     for (std::uint32_t key : plan.pending)
         EXPECT_GT(plan.costs[key], 0.0) << key;
+    ASSERT_EQ(plan.sigs.size(), grid.size());
+    EXPECT_EQ(plan.sigs[0], grid[0].cfg.signature());
+
+    // Longest estimate first, the lower index first among equal
+    // estimates (a workload's policies share its footprint).
+    std::vector<std::uint32_t> want(grid.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        want[i] = static_cast<std::uint32_t>(i);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return plan.costs[a] > plan.costs[b];
+                     });
+    EXPECT_EQ(plan.pending, want);
+    EXPECT_EQ(plan.costs[3], plan.costs[4]);
+    EXPECT_GT(plan.costs[3], plan.costs[0]); // not index order
 }
 
-TEST(FleetPlan, LeasesOnlyKeysTheCanonicalCacheLacks)
+TEST(SweepPlan, LeasesOnlyKeysTheCanonicalCacheLacks)
 {
     // What a rerun after a crash sees: the canonical file already
     // holds every row pushed before it, so only the rest is pending.
@@ -393,7 +408,7 @@ TEST(FleetPlan, LeasesOnlyKeysTheCanonicalCacheLacks)
         engine.run({grid[0], grid[3]});
     }
     const RunCache canonical(base);
-    FleetPlan plan = planFleetSweep(grid, canonical);
+    SweepPlan plan = planSweep(grid, canonical);
     EXPECT_EQ(plan.cached, 2u);
     EXPECT_EQ(plan.pending.size(), grid.size() - 2);
     for (std::uint32_t key : plan.pending) {
@@ -403,12 +418,12 @@ TEST(FleetPlan, LeasesOnlyKeysTheCanonicalCacheLacks)
     std::remove(base.c_str());
 }
 
-TEST(FleetPlan, DuplicateGridPointsLeaseOnce)
+TEST(SweepPlan, DuplicateGridPointsLeaseOnce)
 {
     const RunCache empty{std::string()};
     auto grid = smallGrid();
     grid.push_back(grid[2]); // same run key, new index
-    FleetPlan plan = planFleetSweep(grid, empty);
+    SweepPlan plan = planSweep(grid, empty);
     EXPECT_EQ(plan.pending.size(), grid.size() - 1);
     for (std::uint32_t key : plan.pending)
         EXPECT_NE(key, grid.size() - 1);
@@ -584,7 +599,7 @@ TEST(FleetEndToEnd, TwoWorkerSocketFleetMatchesSoloByteForByte)
 
     const std::uint64_t hash = gridFingerprint(grid);
     RunCache store(base);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 10000}),
@@ -651,7 +666,7 @@ TEST(FleetEndToEnd, ConcurrentPushesAreInTheFileBeforeTheJoin)
 
     const std::uint64_t hash = gridFingerprint(grid);
     RunCache store(base);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{4, 10000}),
@@ -713,7 +728,7 @@ TEST(FleetEndToEnd, SigkilledWorkerPlusTakeoverStaysByteIdentical)
 
     const std::uint64_t hash = gridFingerprint(grid);
     RunCache store(base);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     FleetServer server(sock,
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
@@ -890,8 +905,9 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
     // both are refused instead of silently accepted. --convert, which
     // migrated text caches, is gone, and --export refuses the cache
     // itself: a csv copy there would replace a cache with a file no
-    // build reads back. --push is still accepted: the benchmark's
-    // fleet passes it.
+    // build reads back. --export also refuses a cache that loads as
+    // foreign (an old text cache) rather than write an empty copy.
+    // --push is still accepted: the benchmark's fleet passes it.
     const std::string bin = migcSweepBinary();
     if (bin.empty())
         GTEST_SKIP() << "migc_sweep was not built next to this test";
@@ -905,7 +921,11 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
         RunMetrics row;
         row.workload = std::string("FwSoft");
         row.policy = std::string("CacheR");
-        RunCache((dir / "c.v4").string()).insert("sig", row);
+        RunCache cache((dir / "c.v4").string());
+        cache.insert("sig", row);
+        // The v3 text an older build wrote for the same row.
+        ASSERT_TRUE(cache.exportFile((dir / "old.csv").string(),
+                                     CacheFormat::csv));
     }
     const std::string cache_bytes = readFile((dir / "c.v4").string());
     ASSERT_FALSE(cache_bytes.empty());
@@ -918,6 +938,7 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
          "csv"},
         {bin, "--cache", "c.v4", "--export", "./c.v4", "--cache-format",
          "csv"},
+        {bin, "--cache", "old.csv", "--export", "out.v4"},
     };
     for (const auto &args : refused) {
         std::string flags;
@@ -930,9 +951,9 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
         EXPECT_EQ(readFile((dir / "c.v4").string()), cache_bytes);
     }
     EXPECT_EQ(waitExit(spawnQuiet({bin, "--push", "--help"}, cwd)), 0);
-    // Nothing but the cache: no worker file, socket or export.
+    // Nothing but the two caches: no worker file, socket or export.
     EXPECT_EQ(std::distance(fs::directory_iterator(dir),
                             fs::directory_iterator()),
-              1);
+              2);
     fs::remove_all(dir);
 }

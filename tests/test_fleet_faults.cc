@@ -117,7 +117,7 @@ runFaultedFleet(const std::string &tag,
     std::remove(coord.c_str());
 
     RunCache store(coord);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, renewMs}),
@@ -503,7 +503,7 @@ TEST(FleetFaults, PushedBytesAreOneRowSegmentPerCompletion)
     const std::string coord = tempPath("bytes_coord.csv");
     std::remove(coord.c_str());
     RunCache store(coord);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     // One lease holds the whole grid, and no run gets near the renew
     // deadline, so the worker never renews.
     FleetServer server("tcp:127.0.0.1:0",
@@ -577,7 +577,7 @@ TEST(FleetFaults, TornLastSegmentRerunLeasesOnlyTheLostKeys)
     RunCache store(base);
     EXPECT_EQ(store.size(), 4u);
     EXPECT_EQ(store.parseErrors(), 1u);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     EXPECT_EQ(plan.pending, (std::vector<std::uint32_t>{4, 5}));
 
     FleetServer server("tcp:127.0.0.1:0",
@@ -704,7 +704,7 @@ TEST(FleetFaults, TcpSigkilledWorkerPlusTakeoverMatchesSolo)
     std::remove(coord.c_str());
 
     RunCache store(coord);
-    FleetPlan plan = planFleetSweep(grid, store);
+    SweepPlan plan = planSweep(grid, store);
     FleetServer server("tcp:127.0.0.1:0",
                        FleetQueue(plan.costs, plan.pending,
                                   FleetConfig{1, 500}),
