@@ -13,9 +13,6 @@ int
 main()
 {
     migc::ExperimentSweep sweep;
-    // Simulate any missing grid points in parallel (MIGC_JOBS workers)
-    // before the serial figure assembly below.
-    sweep.prefetch({"CacheR"});
     migc::FigureData fig = migc::figure4(sweep);
     migc::printFigure(std::cout, fig, 4);
     migc::writeFigureCsv("fig04_compute_bandwidth.csv", fig);

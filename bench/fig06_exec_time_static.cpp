@@ -13,9 +13,6 @@ int
 main()
 {
     migc::ExperimentSweep sweep;
-    // Simulate any missing grid points in parallel (MIGC_JOBS workers)
-    // before the serial figure assembly below.
-    sweep.prefetch(migc::ExperimentSweep::staticPolicyNames());
     migc::FigureData fig = migc::figure6(sweep);
     migc::printFigure(std::cout, fig, 4);
     migc::writeFigureCsv("fig06_exec_time_static.csv", fig);

@@ -13,9 +13,6 @@ int
 main()
 {
     migc::ExperimentSweep sweep;
-    // Simulate any missing grid points in parallel (MIGC_JOBS workers)
-    // before the serial figure assembly below.
-    sweep.prefetch(migc::ExperimentSweep::staticPolicyNames());
     migc::FigureData fig = migc::figure9(sweep);
     migc::printFigure(std::cout, fig, 4);
     migc::writeFigureCsv("fig09_row_hits_static.csv", fig);

@@ -13,9 +13,6 @@ int
 main()
 {
     migc::ExperimentSweep sweep;
-    // Simulate any missing grid points in parallel (MIGC_JOBS workers)
-    // before the serial figure assembly below.
-    sweep.prefetchAll();
     migc::FigureData fig = migc::figure10(sweep);
     migc::printFigure(std::cout, fig, 4);
     migc::writeFigureCsv("fig10_exec_time_opts.csv", fig);

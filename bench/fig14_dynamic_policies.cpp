@@ -16,6 +16,7 @@
  * fig14_dynamic_policies.csv.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -24,28 +25,19 @@
 #include "core/report.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
-#include "workloads/workload.hh"
 
 int
 main()
 {
     using namespace migc;
 
-    const std::vector<std::string> policies =
-        ExperimentSweep::dynamicPolicyNames();
-
-    SimConfig cfg = SimConfig::defaultConfig();
-    const auto workloads = extendedWorkloadOrder();
-
-    std::vector<RunRequest> requests;
-    requests.reserve(workloads.size() * policies.size());
-    for (const auto &w : workloads) {
-        for (const auto &p : policies)
-            requests.push_back(RunRequest{cfg, w, p});
-    }
+    const ExperimentGrid grid =
+        experimentGrid("dynamic", SimConfig::defaultConfig());
+    const std::vector<std::string> &workloads = grid.workloads;
+    const std::vector<std::string> &policies = grid.policies;
 
     SweepEngine engine;
-    std::vector<RunMetrics> results = engine.run(requests);
+    std::vector<RunMetrics> results = engine.run(grid.requests());
 
     FigureData fig;
     fig.title = "Figure 14: dynamic policies vs the paper's six "
@@ -59,7 +51,9 @@ main()
         return static_cast<double>(
             results[w * policies.size() + p].execTicks);
     };
-    const std::size_t cacherw = 2; // "CacheRW" index in `policies`
+    const std::size_t cacherw =
+        std::find(policies.begin(), policies.end(), "CacheRW") -
+        policies.begin();
     for (std::size_t p = 0; p < policies.size(); ++p) {
         std::vector<double> row;
         row.reserve(workloads.size());

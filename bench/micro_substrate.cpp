@@ -40,6 +40,7 @@
 
 #include "cache/tags.hh"
 #include "core/cache_v4.hh"
+#include "core/experiments.hh"
 #include "core/runner.hh"
 #include "core/sweep_engine.hh"
 #include "core/system.hh"
@@ -396,15 +397,7 @@ constexpr unsigned kSweepJobs = 4;
 std::vector<RunRequest>
 sweepGrid()
 {
-    std::vector<RunRequest> grid;
-    SimConfig cfg = SimConfig::testConfig();
-    for (const auto &w : workloadOrder()) {
-        for (const char *p :
-             {"Uncached", "CacheR", "CacheRW", "CacheRW-AB",
-              "CacheRW-CR", "CacheRW-PCby"})
-            grid.push_back(RunRequest{cfg, w, p});
-    }
-    return grid;
+    return experimentGrid("paper", SimConfig::testConfig()).requests();
 }
 
 /**

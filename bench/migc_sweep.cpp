@@ -26,11 +26,13 @@
  *    coordinator without the forking - workers are started by hand
  *    or a launcher (what `--manifest` prints); it joins at drain.
  *
- * The grid is workloads x policies on one configuration; results
- * land in the same RunCache namespaces the figure binaries read, so
- * a fleet sweep of `--grid paper` or `--grid dynamic` makes every
- * figure binary's run free. See docs/SWEEPS.md for the workflows
- * and the fleet protocol.
+ * The grid is the registry's `--grid` (experimentGrid() in
+ * core/experiments.hh) on the `--config` preset (SimConfig::preset):
+ * workloads x policies on one configuration. Results land in the
+ * same RunCache namespaces the figure binaries read, so a fleet sweep
+ * of `--grid paper` or `--grid dynamic` makes every figure binary's
+ * run free. See docs/SWEEPS.md for the workflows and the fleet
+ * protocol.
  */
 
 #include <sys/wait.h>
@@ -56,7 +58,6 @@
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
-#include "workloads/workload.hh"
 
 namespace
 {
@@ -129,7 +130,8 @@ usage(const char *argv0)
         "  --export PATH          write a copy of <cache> to PATH and\n"
         "                         exit (the original is untouched;\n"
         "                         PATH must not be <cache> itself, and\n"
-        "                         <cache> must be a v4 cache)\n"
+        "                         <cache> must be an existing, non-empty\n"
+        "                         v4 cache)\n"
         "  --cache-format v4|csv  --export's format: v4 binary\n"
         "                         columnar (default) or the v3 csv\n"
         "                         text; caches are always written v4\n"
@@ -179,15 +181,8 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         } else if (arg == "--grid") {
             opt.grid = need(i++);
-            fatal_if(opt.grid != "paper" && opt.grid != "dynamic",
-                     "--grid %s: expected paper or dynamic",
-                     opt.grid.c_str());
         } else if (arg == "--config") {
             opt.config = need(i++);
-            fatal_if(opt.config != "default" && opt.config != "paper" &&
-                         opt.config != "test",
-                     "--config %s: expected default, paper, or test",
-                     opt.config.c_str());
         } else if (arg == "--workloads") {
             opt.workloads = splitList(need(i++));
         } else if (arg == "--policies") {
@@ -283,39 +278,6 @@ std::string
 resolveCachePath(const Options &opt)
 {
     return opt.cache.empty() ? sweepCachePathFromEnv() : opt.cache;
-}
-
-SimConfig
-makeConfig(const Options &opt)
-{
-    if (opt.config == "paper")
-        return SimConfig::paperConfig();
-    if (opt.config == "test")
-        return SimConfig::testConfig();
-    return SimConfig::defaultConfig();
-}
-
-std::vector<RunRequest>
-buildGrid(const Options &opt, const SimConfig &cfg)
-{
-    std::vector<std::string> workloads = opt.workloads;
-    if (workloads.empty()) {
-        workloads = opt.grid == "dynamic" ? extendedWorkloadOrder()
-                                          : workloadOrder();
-    }
-    std::vector<std::string> policies = opt.policies;
-    if (policies.empty()) {
-        policies = opt.grid == "dynamic"
-                       ? ExperimentSweep::dynamicPolicyNames()
-                       : ExperimentSweep::allPolicyNames();
-    }
-    std::vector<RunRequest> requests;
-    requests.reserve(workloads.size() * policies.size());
-    for (const auto &w : workloads) {
-        for (const auto &p : policies)
-            requests.push_back(RunRequest{cfg, w, p});
-    }
-    return requests;
 }
 
 /** The fleet-worker command line for worker @p index (no --cache:
@@ -439,10 +401,9 @@ fleetSocketPath(const std::string &cache)
 }
 
 int
-runSweep(const Options &opt, const std::string &cache)
+runSweep(const std::vector<RunRequest> &requests, const Options &opt,
+         const std::string &cache)
 {
-    SimConfig cfg = makeConfig(opt);
-    std::vector<RunRequest> requests = buildGrid(opt, cfg);
     SweepEngine engine(cache);
     if (opt.slowMs > 0)
         engine.setInjectedRunDelayMs(opt.slowMs);
@@ -461,10 +422,8 @@ runSweep(const Options &opt, const std::string &cache)
  *  keeps its rows in memory and pushes each one to the coordinator,
  *  so it reads and writes no cache file. */
 int
-runFleetWorker(const Options &opt)
+runFleetWorker(const std::vector<RunRequest> &requests, const Options &opt)
 {
-    SimConfig cfg = makeConfig(opt);
-    std::vector<RunRequest> requests = buildGrid(opt, cfg);
     const unsigned index = static_cast<unsigned>(opt.shardIndex);
 
     FleetClientOptions copts;
@@ -509,12 +468,11 @@ printFleetSummary(const FleetServer &server)
  * (forked locally unless @p listen_only), and join at drain.
  */
 int
-coordinateFleet(const Options &opt, const std::string &cache,
-                const char *argv0, bool listen_only)
+coordinateFleet(const std::vector<RunRequest> &requests, const Options &opt,
+                const std::string &cache, const char *argv0,
+                bool listen_only)
 {
     const std::string self = selfExePath(argv0);
-    SimConfig cfg = makeConfig(opt);
-    std::vector<RunRequest> requests = buildGrid(opt, cfg);
     // The fleet's one store: the plan reads it, the server appends
     // every push to its file, and the join compacts it.
     RunCache canonical(cache);
@@ -655,6 +613,15 @@ int
 main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
+    // Every role names its grid: an unknown --grid or --config dies
+    // here, before any file is opened.
+    ExperimentGrid grid =
+        experimentGrid(opt.grid, SimConfig::preset(opt.config));
+    if (!opt.workloads.empty())
+        grid.workloads = opt.workloads;
+    if (!opt.policies.empty())
+        grid.policies = opt.policies;
+    const std::vector<RunRequest> requests = grid.requests();
     rejectRemovedEnv();
 
     fatal_if(opt.manifest && opt.shards == 0,
@@ -667,7 +634,7 @@ main(int argc, char **argv)
     // their --cache): the cache path only matters to the other
     // roles.
     if (!opt.fleetSocket.empty())
-        return runFleetWorker(opt);
+        return runFleetWorker(requests, opt);
 
     const std::string cache = resolveCachePath(opt);
     fatal_if(cache.empty() && opt.shards > 0,
@@ -679,8 +646,13 @@ main(int argc, char **argv)
                  "--export needs a cache file (unset MIGC_NO_CACHE or "
                  "pass --cache)");
         RunCache rc(cache);
-        // A cache that loaded as foreign holds no row; exporting it
-        // would report an empty copy as a success.
+        // A cache that loaded as none (a missing or empty file, such
+        // as a mistyped --cache) or as foreign holds no row;
+        // exporting it would report an empty copy as a success.
+        fatal_if(std::strcmp(rc.loadedFormatName(), "none") == 0,
+                 "could not export %s: no such cache (the file is "
+                 "missing or empty)",
+                 cache.c_str());
         fatal_if(std::strcmp(rc.loadedFormatName(), "foreign") == 0,
                  "could not export %s: it is not a v4 cache (text caches "
                  "of older builds are no longer read)",
@@ -742,12 +714,12 @@ main(int argc, char **argv)
     }
 
     if (!opt.listenSocket.empty())
-        return coordinateFleet(opt, cache, argv[0],
+        return coordinateFleet(requests, opt, cache, argv[0],
                                /*listen_only=*/true);
 
     if (opt.shards > 0)
-        return coordinateFleet(opt, cache, argv[0],
+        return coordinateFleet(requests, opt, cache, argv[0],
                                /*listen_only=*/false);
 
-    return runSweep(opt, cache);
+    return runSweep(requests, opt, cache);
 }

@@ -9,6 +9,48 @@
 namespace migc
 {
 
+namespace
+{
+
+std::vector<std::string>
+namesOf(const std::vector<CachePolicy> &policies)
+{
+    std::vector<std::string> names;
+    names.reserve(policies.size());
+    for (const CachePolicy &p : policies)
+        names.push_back(p.name);
+    return names;
+}
+
+} // namespace
+
+std::vector<RunRequest>
+ExperimentGrid::requests() const
+{
+    std::vector<RunRequest> out;
+    out.reserve(workloads.size() * policies.size());
+    for (const auto &w : workloads) {
+        for (const auto &p : policies)
+            out.push_back(RunRequest{cfg, w, p});
+    }
+    return out;
+}
+
+ExperimentGrid
+experimentGrid(const std::string &name, const SimConfig &cfg)
+{
+    std::vector<std::string> policies =
+        namesOf(CachePolicy::allPolicies());
+    if (name == "paper")
+        return ExperimentGrid{cfg, workloadOrder(), std::move(policies)};
+    fatal_if(name != "dynamic", "unknown grid '%s' (valid: paper, dynamic)",
+             name.c_str());
+    for (const CachePolicy &p : CachePolicy::dynamicPolicies())
+        policies.push_back(p.name);
+    return ExperimentGrid{cfg, extendedWorkloadOrder(),
+                          std::move(policies)};
+}
+
 ExperimentSweep::ExperimentSweep(SimConfig cfg) : cfg_(std::move(cfg))
 {}
 
@@ -22,43 +64,14 @@ ExperimentSweep::get(const std::string &workload,
 void
 ExperimentSweep::prefetch(const std::vector<std::string> &policies)
 {
-    // Submit the full grid in the deterministic workload-major
-    // order; the engine skips cached points, schedules the missing
-    // ones longest-first across the worker pool, reuses each
-    // worker's System across runs, and checkpoints the cache
-    // periodically so an interrupted sweep resumes from the finished
-    // runs instead of starting over. Each run seeds its RNG streams
-    // from the (workload, policy) labels, so the shards never share
-    // mutable simulation state and any job count is bit-identical.
-    std::vector<RunRequest> requests;
-    requests.reserve(workloadOrder().size() * policies.size());
-    for (const auto &w : workloadOrder()) {
-        for (const auto &p : policies)
-            requests.push_back(RunRequest{cfg_, w, p});
-    }
-    engine_.run(requests);
-}
-
-std::vector<std::string>
-ExperimentSweep::staticPolicyNames()
-{
-    return {"Uncached", "CacheR", "CacheRW"};
-}
-
-std::vector<std::string>
-ExperimentSweep::allPolicyNames()
-{
-    return {"Uncached",   "CacheR",     "CacheRW",
-            "CacheRW-AB", "CacheRW-CR", "CacheRW-PCby"};
-}
-
-std::vector<std::string>
-ExperimentSweep::dynamicPolicyNames()
-{
-    std::vector<std::string> names = allPolicyNames();
-    for (const CachePolicy &p : CachePolicy::dynamicPolicies())
-        names.push_back(p.name);
-    return names;
+    // The engine skips cached points, schedules the missing ones
+    // longest-first across the worker pool, reuses each worker's
+    // System across runs, and checkpoints the cache periodically so
+    // an interrupted sweep resumes from the finished runs instead of
+    // starting over. Each run seeds its RNG streams from the
+    // (workload, policy) labels, so the shards never share mutable
+    // simulation state and any job count is bit-identical.
+    engine_.run(ExperimentGrid{cfg_, workloadOrder(), policies}.requests());
 }
 
 std::string
@@ -66,10 +79,10 @@ ExperimentSweep::staticBest(const std::string &workload)
 {
     std::string best;
     double best_ticks = 0;
-    for (const auto &p : staticPolicyNames()) {
-        double t = static_cast<double>(get(workload, p).execTicks);
+    for (const CachePolicy &p : CachePolicy::staticPolicies()) {
+        double t = static_cast<double>(get(workload, p.name).execTicks);
         if (best.empty() || t < best_ticks) {
-            best = p;
+            best = p.name;
             best_ticks = t;
         }
     }
@@ -81,10 +94,10 @@ ExperimentSweep::staticWorst(const std::string &workload)
 {
     std::string worst;
     double worst_ticks = 0;
-    for (const auto &p : staticPolicyNames()) {
-        double t = static_cast<double>(get(workload, p).execTicks);
+    for (const CachePolicy &p : CachePolicy::staticPolicies()) {
+        double t = static_cast<double>(get(workload, p.name).execTicks);
         if (worst.empty() || t > worst_ticks) {
-            worst = p;
+            worst = p.name;
             worst_ticks = t;
         }
     }
@@ -98,7 +111,8 @@ ExperimentSweep::staticWorst(const std::string &workload)
 namespace
 {
 
-/** Common scaffolding: one series per policy, rows in paper order. */
+/** Common scaffolding: one series per policy, rows in paper order.
+ *  @p normalize_to_policy, when set, must be one of @p policies. */
 FigureData
 policyFigure(ExperimentSweep &sweep, const std::string &title,
              const std::string &label,
@@ -106,6 +120,7 @@ policyFigure(ExperimentSweep &sweep, const std::string &title,
              double (*extract)(const RunMetrics &),
              const char *normalize_to_policy)
 {
+    sweep.prefetch(policies);
     FigureData fig;
     fig.title = title;
     fig.valueLabel = label;
@@ -124,6 +139,18 @@ policyFigure(ExperimentSweep &sweep, const std::string &title,
         fig.values.push_back(std::move(row));
     }
     return fig;
+}
+
+double
+extractGvops(const RunMetrics &m)
+{
+    return m.gvops;
+}
+
+double
+extractGmrps(const RunMetrics &m)
+{
+    return m.gmrps;
 }
 
 double
@@ -176,6 +203,9 @@ optFigure(ExperimentSweep &sweep, const std::string &title,
           double (*extract)(const RunMetrics &), bool norm_to_best,
           bool norm_to_uncached)
 {
+    // StaticBest and StaticWorst read all three static policies, so
+    // these figures read the paper grid's six.
+    sweep.prefetch(namesOf(CachePolicy::allPolicies()));
     FigureData fig;
     fig.title = title;
     fig.valueLabel = label;
@@ -205,31 +235,17 @@ optFigure(ExperimentSweep &sweep, const std::string &title,
 FigureData
 figure4(ExperimentSweep &sweep)
 {
-    FigureData fig;
-    fig.title = "Figure 4: compute bandwidth with CacheR policy";
-    fig.valueLabel = "GVOPS";
-    fig.workloads = workloadOrder();
-    fig.series = {"CacheR"};
-    std::vector<double> row;
-    for (const auto &w : fig.workloads)
-        row.push_back(sweep.get(w, "CacheR").gvops);
-    fig.values.push_back(std::move(row));
-    return fig;
+    return policyFigure(sweep,
+                        "Figure 4: compute bandwidth with CacheR policy",
+                        "GVOPS", {"CacheR"}, extractGvops, nullptr);
 }
 
 FigureData
 figure5(ExperimentSweep &sweep)
 {
-    FigureData fig;
-    fig.title = "Figure 5: memory request bandwidth with CacheR policy";
-    fig.valueLabel = "GMR/s";
-    fig.workloads = workloadOrder();
-    fig.series = {"CacheR"};
-    std::vector<double> row;
-    for (const auto &w : fig.workloads)
-        row.push_back(sweep.get(w, "CacheR").gmrps);
-    fig.values.push_back(std::move(row));
-    return fig;
+    return policyFigure(
+        sweep, "Figure 5: memory request bandwidth with CacheR policy",
+        "GMR/s", {"CacheR"}, extractGmrps, nullptr);
 }
 
 FigureData
@@ -238,7 +254,7 @@ figure6(ExperimentSweep &sweep)
     return policyFigure(
         sweep, "Figure 6: execution time, static policies",
         "normalized to Uncached",
-        ExperimentSweep::staticPolicyNames(), extractExecTicks,
+        namesOf(CachePolicy::staticPolicies()), extractExecTicks,
         "Uncached");
 }
 
@@ -248,7 +264,7 @@ figure7(ExperimentSweep &sweep)
     return policyFigure(
         sweep, "Figure 7: GPU memory requests reaching DRAM",
         "normalized to Uncached",
-        ExperimentSweep::staticPolicyNames(), extractDramAccesses,
+        namesOf(CachePolicy::staticPolicies()), extractDramAccesses,
         "Uncached");
 }
 
@@ -258,7 +274,7 @@ figure8(ExperimentSweep &sweep)
     return policyFigure(
         sweep, "Figure 8: cache stalls per GPU memory request",
         "stall cycles / request (log-scale in the paper)",
-        ExperimentSweep::staticPolicyNames(), extractStalls, nullptr);
+        namesOf(CachePolicy::staticPolicies()), extractStalls, nullptr);
 }
 
 FigureData
@@ -267,7 +283,7 @@ figure9(ExperimentSweep &sweep)
     return policyFigure(sweep,
                         "Figure 9: DRAM row buffer hit ratio",
                         "row hits / DRAM accesses",
-                        ExperimentSweep::staticPolicyNames(),
+                        namesOf(CachePolicy::staticPolicies()),
                         extractRowHit, nullptr);
 }
 

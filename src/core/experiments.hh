@@ -1,19 +1,26 @@
 /**
  * @file
- * The experiment harness shared by all bench binaries: a cached
- * 17-workload x 6-policy sweep plus builders for every figure in the
+ * The experiment harness shared by all bench binaries: the grid
+ * registry, a cached sweep, and builders for every figure in the
  * paper's evaluation (Figures 4-13).
+ *
+ * experimentGrid() is the one definition of each named grid: "paper"
+ * (17 workloads x the six paper policies, Figures 4-13) and "dynamic"
+ * (18 x 9, fig14), on whatever SimConfig the caller picks - usually a
+ * preset by name, SimConfig::preset(). The figure binaries,
+ * migc_sweep --grid and the tests all read it.
  *
  * All figures derive from one sweep, so results are cached on disk
  * through the SweepEngine's multi-config RunCache (keyed by the
  * configuration signature). Set MIGC_NO_CACHE=1 to force fresh
  * simulation, or MIGC_SWEEP_CACHE=<path> to relocate the cache file.
  *
- * prefetch() submits missing (workload, policy) runs to the engine,
- * which shards them longest-job-first across a thread pool
- * (MIGC_JOBS workers, default one per core) with per-worker System
- * reuse. Each run seeds its own RNG streams, so a parallel sweep is
- * bit-identical to a serial one.
+ * Each figure builder fetches exactly the points it reads: it calls
+ * prefetch() with its policies, which submits the missing (workload,
+ * policy) runs to the engine. The engine shards them longest-job-
+ * first across a thread pool (MIGC_JOBS workers, default one per
+ * core) with per-worker System reuse. Each run seeds its own RNG
+ * streams, so a parallel sweep is bit-identical to a serial one.
  */
 
 #ifndef MIGC_CORE_EXPERIMENTS_HH
@@ -31,6 +38,29 @@
 namespace migc
 {
 
+/** Every workload under every policy on one configuration. */
+struct ExperimentGrid
+{
+    SimConfig cfg;
+    std::vector<std::string> workloads;
+    std::vector<std::string> policies;
+
+    /** The grid's points, workload-major: each workload's policies in
+     *  list order. Leases index this order and gridFingerprint()
+     *  hashes it, so it is part of the grid's identity. */
+    std::vector<RunRequest> requests() const;
+};
+
+/**
+ * The registry: grid @p name on @p cfg. "paper" is workloadOrder()
+ * under CachePolicy::allPolicies(); "dynamic" is
+ * extendedWorkloadOrder() under those six and then
+ * CachePolicy::dynamicPolicies(). Fatal on any other name, listing
+ * the valid ones.
+ */
+ExperimentGrid experimentGrid(const std::string &name,
+                              const SimConfig &cfg);
+
 class ExperimentSweep
 {
   public:
@@ -41,15 +71,12 @@ class ExperimentSweep
                           const std::string &policy);
 
     /**
-     * Ensure all (workload x policy) combinations are available,
+     * Ensure every workload has a row under each of @p policies,
      * simulating missing ones in parallel through the sweep engine.
      * The on-disk cache is checkpointed periodically and on
      * completion, so an interrupted sweep resumes where it left.
      */
     void prefetch(const std::vector<std::string> &policies);
-
-    /** Prefetch the full 17-workload x 6-policy grid. */
-    void prefetchAll() { prefetch(allPolicyNames()); }
 
     const SimConfig &config() const { return cfg_; }
 
@@ -59,17 +86,6 @@ class ExperimentSweep
     /** The static policy with the highest exec time for @p workload. */
     std::string staticWorst(const std::string &workload);
 
-    /** Names of the three static policies, paper order. */
-    static std::vector<std::string> staticPolicyNames();
-
-    /** All six configuration names, paper order. */
-    static std::vector<std::string> allPolicyNames();
-
-    /** The dynamic grid's nine policies (fig14, migc_sweep --grid
-     *  dynamic): allPolicyNames(), then the names of
-     *  CachePolicy::dynamicPolicies(). */
-    static std::vector<std::string> dynamicPolicyNames();
-
     /** The underlying engine (shared scheduler + run cache). */
     SweepEngine &engine() { return engine_; }
 
@@ -77,6 +93,10 @@ class ExperimentSweep
     SimConfig cfg_;
     SweepEngine engine_;
 };
+
+// Each builder prefetches the policies it reads: CacheR (Figures 4
+// and 5, 17 points), the static three (6-9, 51 points) or all six
+// (10-13, the 102-point paper grid).
 
 /** Figure 4: compute bandwidth (GVOPS) per workload, CacheR. */
 FigureData figure4(ExperimentSweep &sweep);

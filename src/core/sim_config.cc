@@ -106,6 +106,25 @@ SimConfig::testConfig()
     return c;
 }
 
+std::vector<SimConfig>
+SimConfig::presets()
+{
+    return {defaultConfig(), paperConfig(), testConfig()};
+}
+
+SimConfig
+SimConfig::preset(const std::string &name)
+{
+    std::vector<std::string> names;
+    for (SimConfig &c : presets()) {
+        if (c.name == name)
+            return std::move(c);
+        names.push_back(c.name);
+    }
+    fatal("unknown config preset '%s' (valid: %s)", name.c_str(),
+          joinStrings(names).c_str());
+}
+
 namespace
 {
 

@@ -7,14 +7,17 @@
  * harness so a full 17-workload x 6-policy sweep runs in minutes;
  * footprints in src/workloads are sized against it, preserving the
  * footprint:capacity ratios that drive the paper's effects (see
- * docs/ARCHITECTURE.md, scaling note). testConfig() is a tiny fast preset for unit and
- * integration tests.
+ * docs/ARCHITECTURE.md, scaling note). testConfig() is a tiny fast
+ * preset for unit and integration tests. preset() looks each one up
+ * by its name ("default", "paper", "test"), the name command lines
+ * and the serve protocol use.
  */
 
 #ifndef MIGC_CORE_SIM_CONFIG_HH
 #define MIGC_CORE_SIM_CONFIG_HH
 
 #include <string>
+#include <vector>
 
 #include "cache/gpu_cache.hh"
 #include "dram/dram_config.hh"
@@ -58,6 +61,13 @@ struct SimConfig
 
     /** Tiny system for fast tests. */
     static SimConfig testConfig();
+
+    /** The three presets above: default, paper, test. */
+    static std::vector<SimConfig> presets();
+
+    /** The preset whose name is @p name; fatal on any other name,
+     *  listing the valid ones. */
+    static SimConfig preset(const std::string &name);
 
     /**
      * One-line signature used to key the sweep result cache. Covers

@@ -60,12 +60,10 @@ ServeService::ServeService(SweepEngine &engine, Options opts)
 
     // A signature is seven formatted fields and a hash: compute each
     // preset's once here, not on every request that names it.
-    presets_.emplace("default", Preset{SimConfig::defaultConfig(), {}});
-    presets_.emplace("paper", Preset{SimConfig::paperConfig(), {}});
-    presets_.emplace("test", Preset{SimConfig::testConfig(), {}});
-    for (auto &[name, preset] : presets_) {
-        preset.sig = preset.cfg.signature();
-        sigToPreset_.emplace(preset.sig, name);
+    for (const SimConfig &cfg : SimConfig::presets()) {
+        const std::string sig = cfg.signature();
+        presets_.emplace(cfg.name, Preset{cfg, sig});
+        sigToPreset_.emplace(sig, cfg.name);
     }
     if (opts_.simulate)
         worker_ = std::thread([this] { missWorker(); });

@@ -1,82 +1,23 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace migc
 {
-
-StatHistogram::StatHistogram(double min, double max, std::size_t buckets)
-    : min_(min), max_(max),
-      width_((max - min) / static_cast<double>(buckets)),
-      buckets_(buckets, 0.0)
-{
-    panic_if(buckets == 0, "histogram needs at least one bucket");
-    panic_if(max <= min, "histogram range is empty");
-}
-
-void
-StatHistogram::sample(double v, double weight)
-{
-    double idx_f = (v - min_) / width_;
-    std::size_t idx;
-    if (idx_f < 0.0) {
-        idx = 0;
-    } else if (idx_f >= static_cast<double>(buckets_.size())) {
-        idx = buckets_.size() - 1;
-    } else {
-        idx = static_cast<std::size_t>(idx_f);
-    }
-    buckets_[idx] += weight;
-    count_ += weight;
-    sum_ += v * weight;
-    if (!any_ || v < minSeen_)
-        minSeen_ = v;
-    if (!any_ || v > maxSeen_)
-        maxSeen_ = v;
-    any_ = true;
-}
-
-double
-StatHistogram::bucketLow(std::size_t i) const
-{
-    return min_ + width_ * static_cast<double>(i);
-}
-
-void
-StatHistogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0.0);
-    count_ = 0.0;
-    sum_ = 0.0;
-    minSeen_ = 0.0;
-    maxSeen_ = 0.0;
-    any_ = false;
-}
 
 void
 StatGroup::addScalar(const std::string &name, const std::string &desc,
                      const StatScalar *stat)
 {
     entries_.push_back(
-        Entry{name, desc, [stat]() { return stat->value(); }, nullptr});
+        Entry{name, desc, [stat]() { return stat->value(); }});
 }
 
 void
 StatGroup::addFormula(const std::string &name, const std::string &desc,
                       std::function<double()> fn)
 {
-    entries_.push_back(Entry{name, desc, std::move(fn), nullptr});
-}
-
-void
-StatGroup::addHistogram(const std::string &name, const std::string &desc,
-                        const StatHistogram *stat)
-{
-    entries_.push_back(
-        Entry{name, desc, [stat]() { return stat->mean(); }, stat});
+    entries_.push_back(Entry{name, desc, std::move(fn)});
 }
 
 StatGroup &

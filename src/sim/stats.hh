@@ -82,45 +82,6 @@ class StatAverage
 };
 
 /**
- * A fixed-bucket histogram over [min, max); out-of-range samples go
- * to saturating end buckets.
- */
-class StatHistogram
-{
-  public:
-    StatHistogram() : StatHistogram(0.0, 1.0, 1) {}
-
-    StatHistogram(double min, double max, std::size_t buckets);
-
-    void sample(double v, double weight = 1.0);
-
-    double count() const { return count_; }
-
-    double mean() const { return count_ > 0 ? sum_ / count_ : 0.0; }
-
-    double minSample() const { return minSeen_; }
-
-    double maxSample() const { return maxSeen_; }
-
-    const std::vector<double> &buckets() const { return buckets_; }
-
-    double bucketLow(std::size_t i) const;
-
-    void reset();
-
-  private:
-    double min_;
-    double max_;
-    double width_;
-    std::vector<double> buckets_;
-    double count_ = 0.0;
-    double sum_ = 0.0;
-    double minSeen_ = 0.0;
-    double maxSeen_ = 0.0;
-    bool any_ = false;
-};
-
-/**
  * Registry of named statistics for one subsystem, arranged in a tree
  * by dotted path.
  */
@@ -136,9 +97,6 @@ class StatGroup
     /** Register a derived value computed at dump time. */
     void addFormula(const std::string &name, const std::string &desc,
                     std::function<double()> fn);
-
-    void addHistogram(const std::string &name, const std::string &desc,
-                      const StatHistogram *stat);
 
     /** Create (or get) a child group named @p name. */
     StatGroup &child(const std::string &name);
@@ -167,7 +125,6 @@ class StatGroup
         std::string name;
         std::string desc;
         std::function<double()> value;
-        const StatHistogram *histogram = nullptr;
     };
 
     const Entry *findLocal(const std::string &name) const;

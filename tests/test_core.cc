@@ -302,11 +302,3 @@ TEST(Experiments, Table1TextMentionsKeyParameters)
     EXPECT_NE(t.find("1600 MHz"), std::string::npos);
     EXPECT_NE(t.find("HBM2"), std::string::npos);
 }
-
-TEST(Experiments, PolicyNameLists)
-{
-    EXPECT_EQ(ExperimentSweep::staticPolicyNames().size(), 3u);
-    EXPECT_EQ(ExperimentSweep::allPolicyNames().size(), 6u);
-    EXPECT_EQ(ExperimentSweep::allPolicyNames().back(),
-              "CacheRW-PCby");
-}

@@ -1,10 +1,12 @@
 /** @file Tests for the experiment harness and the sweep engine: the
- *  multi-config on-disk cache, cache bypass, cross-config isolation,
- *  warm-cache replay, static-policy selection logic, and the fatal
- *  check on removed environment variables. */
+ *  grid registry and config presets, the points each figure fetches,
+ *  the multi-config on-disk cache, cache bypass, cross-config
+ *  isolation, warm-cache replay, static-policy selection logic, and
+ *  the fatal check on removed environment variables. */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -358,15 +360,68 @@ TEST(ExperimentSweep, StaticBestAndWorstSelection)
     EXPECT_EQ(sweep.staticWorst("FwSoft"), "Uncached");
 }
 
-TEST(ExperimentSweep, PolicyNameSetsMatchThePaper)
+TEST(ExperimentGrid, RegistryPinsEachGridAndPreset)
 {
-    auto stat = ExperimentSweep::staticPolicyNames();
-    auto all = ExperimentSweep::allPolicyNames();
-    EXPECT_EQ(stat.size(), 3u);
-    EXPECT_EQ(all.size(), 6u);
-    // The static policies lead the full list, same order.
-    for (std::size_t i = 0; i < stat.size(); ++i)
-        EXPECT_EQ(all[i], stat[i]);
+    // The fingerprints hash every run key in order, so they pin each
+    // grid's workloads, policies and workload-major order at once.
+    const std::vector<RunRequest> paper =
+        experimentGrid("paper", SimConfig::defaultConfig()).requests();
+    EXPECT_EQ(paper.size(), 102u);
+    EXPECT_EQ(gridFingerprint(paper), 0xc1a2090f18452b98ull);
+    const std::vector<RunRequest> dynamic =
+        experimentGrid("dynamic", SimConfig::defaultConfig()).requests();
+    EXPECT_EQ(dynamic.size(), 162u);
+    EXPECT_EQ(gridFingerprint(dynamic), 0x0273d62875a9575eull);
+    EXPECT_EQ(gridFingerprint(
+                  experimentGrid("dynamic", SimConfig::testConfig())
+                      .requests()),
+              0x3b46519d9499b05dull);
+
+    for (const SimConfig &want :
+         {SimConfig::defaultConfig(), SimConfig::paperConfig(),
+          SimConfig::testConfig()})
+        EXPECT_EQ(SimConfig::preset(want.name).signature(),
+                  want.signature());
+}
+
+TEST(ExperimentGrid, UnknownNamesDieListingTheValidOnes)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(experimentGrid("bogus", SimConfig::testConfig()),
+                ::testing::ExitedWithCode(1),
+                "unknown grid 'bogus' [(]valid: paper, dynamic[)]");
+    EXPECT_EXIT(SimConfig::preset("bogus"), ::testing::ExitedWithCode(1),
+                "unknown config preset 'bogus' "
+                "[(]valid: default, paper, test[)]");
+}
+
+TEST(ExperimentSweep, FiguresFetchExactlyTheirPoints)
+{
+    // Each builder prefetches the points it reads, as one batch: on a
+    // fresh memory-only sweep Figure 4 simulates the 17 CacheR
+    // points, Figure 6 the 51 static-policy points and Figure 10 the
+    // 102-point paper grid, none of them one by one through get()
+    // (which informs "simulating ..."), and a second call replays.
+    ScopedEnv no_cache("MIGC_NO_CACHE", "1");
+    ScopedEnv jobs("MIGC_JOBS", "4");
+    const struct
+    {
+        FigureData (*build)(ExperimentSweep &);
+        std::uint64_t points;
+    } figures[] = {{figure4, 17}, {figure6, 51}, {figure10, 102}};
+    for (const auto &f : figures) {
+        SCOPED_TRACE(f.points);
+        ExperimentSweep sweep(SimConfig::testConfig());
+        ::testing::internal::CaptureStdout();
+        const FigureData first = f.build(sweep);
+        const std::string log = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(sweep.engine().simulationsPerformed(), f.points);
+        EXPECT_EQ(log.find("info: simulating"), std::string::npos);
+
+        const FigureData again = f.build(sweep);
+        EXPECT_EQ(sweep.engine().simulationsPerformed(), f.points);
+        EXPECT_EQ(again.values, first.values);
+    }
 }
 
 TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)

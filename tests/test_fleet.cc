@@ -35,9 +35,11 @@
 #include "sim/logging.hh"
 #include "support/cache_file.hh"
 #include "support/env.hh"
+#include "support/small_grid.hh"
 
 using namespace migc;
 using migc::test::readFile;
+using migc::test::smallGrid;
 using migc::test::tempPath;
 
 // ThreadSanitizer cannot follow a forked child that starts threads
@@ -56,19 +58,6 @@ using migc::test::tempPath;
 
 namespace
 {
-
-/** The small grid the end-to-end fleet tests sweep. */
-std::vector<RunRequest>
-smallGrid()
-{
-    const SimConfig cfg = SimConfig::testConfig();
-    std::vector<RunRequest> grid;
-    for (const char *w : {"FwSoft", "FwBN"}) {
-        for (const char *p : {"Uncached", "CacheR", "CacheRW"})
-            grid.push_back(RunRequest{cfg, w, p});
-    }
-    return grid;
-}
 
 std::vector<std::uint32_t>
 allPending(std::size_t n)
@@ -906,8 +895,10 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
     // migrated text caches, is gone, and --export refuses the cache
     // itself: a csv copy there would replace a cache with a file no
     // build reads back. --export also refuses a cache that loads as
-    // foreign (an old text cache) rather than write an empty copy.
-    // --push is still accepted: the benchmark's fleet passes it.
+    // foreign (an old text cache) or as none (a missing file, such as
+    // a mistyped --cache) rather than write an empty copy. An unknown
+    // --grid or --config dies before any file is opened. --push is
+    // still accepted: the benchmark's fleet passes it.
     const std::string bin = migcSweepBinary();
     if (bin.empty())
         GTEST_SKIP() << "migc_sweep was not built next to this test";
@@ -939,6 +930,10 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
         {bin, "--cache", "c.v4", "--export", "./c.v4", "--cache-format",
          "csv"},
         {bin, "--cache", "old.csv", "--export", "out.v4"},
+        {bin, "--cache", "typo.v4", "--export", "out.csv",
+         "--cache-format", "csv"},
+        {bin, "--cache", "c.v4", "--grid", "bogus"},
+        {bin, "--cache", "c.v4", "--config", "bogus"},
     };
     for (const auto &args : refused) {
         std::string flags;
@@ -951,7 +946,8 @@ TEST(FleetCli, RefusesResumeAndAWorkersCache)
         EXPECT_EQ(readFile((dir / "c.v4").string()), cache_bytes);
     }
     EXPECT_EQ(waitExit(spawnQuiet({bin, "--push", "--help"}, cwd)), 0);
-    // Nothing but the two caches: no worker file, socket or export.
+    // Nothing but the two caches: no worker file, socket, export or
+    // typo.v4.
     EXPECT_EQ(std::distance(fs::directory_iterator(dir),
                             fs::directory_iterator()),
               2);

@@ -41,6 +41,7 @@
 #include "support/cache_file.hh"
 #include "support/env.hh"
 #include "support/fault_stream.hh"
+#include "support/small_grid.hh"
 
 using namespace migc;
 using namespace migc::test;
@@ -58,20 +59,6 @@ using namespace migc::test;
 
 namespace
 {
-
-/** The small grid every end-to-end case sweeps (same points as
- *  tests/test_fleet.cc, so sim cost stays bounded). */
-std::vector<RunRequest>
-smallGrid()
-{
-    const SimConfig cfg = SimConfig::testConfig();
-    std::vector<RunRequest> grid;
-    for (const char *w : {"FwSoft", "FwBN"}) {
-        for (const char *p : {"Uncached", "CacheR", "CacheRW"})
-            grid.push_back(RunRequest{cfg, w, p});
-    }
-    return grid;
-}
 
 /** Single-process reference bytes for smallGrid(), computed once. */
 const std::string &

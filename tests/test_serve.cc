@@ -27,10 +27,12 @@
 #include "serve/serve_service.hh"
 #include "sim/parallel.hh"
 #include "support/env.hh"
+#include "support/small_grid.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
 using migc::test::ScopedEnv;
+using migc::test::smallGrid;
 using migc::test::tempPath;
 
 namespace
@@ -45,20 +47,6 @@ fakeMetrics(const std::string &workload, const std::string &policy,
     m.policy = policy;
     m.execTicks = exec_ticks;
     return m;
-}
-
-/** The serve-test grid: 2 workloads x 3 policies on the tiny test
- *  system (the same slice the shard tests sweep). */
-std::vector<RunRequest>
-smallGrid()
-{
-    const SimConfig cfg = SimConfig::testConfig();
-    std::vector<RunRequest> grid;
-    for (const char *w : {"FwSoft", "FwBN"}) {
-        for (const char *p : {"Uncached", "CacheR", "CacheRW"})
-            grid.push_back(RunRequest{cfg, w, p});
-    }
-    return grid;
 }
 
 /** Expected CSV per (workload, policy), from an independent warm

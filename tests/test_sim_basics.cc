@@ -120,20 +120,6 @@ TEST(Stats, AverageMean)
     EXPECT_DOUBLE_EQ(a.count(), 2.0);
 }
 
-TEST(Stats, HistogramBucketsAndSaturation)
-{
-    StatHistogram h(0, 10, 5);
-    h.sample(0.5);
-    h.sample(9.5);
-    h.sample(-3);  // clamps to first bucket
-    h.sample(100); // clamps to last bucket
-    EXPECT_DOUBLE_EQ(h.count(), 4.0);
-    EXPECT_DOUBLE_EQ(h.buckets()[0], 2.0);
-    EXPECT_DOUBLE_EQ(h.buckets()[4], 2.0);
-    EXPECT_DOUBLE_EQ(h.minSample(), -3.0);
-    EXPECT_DOUBLE_EQ(h.maxSample(), 100.0);
-}
-
 TEST(Stats, GroupPathsAndFormulas)
 {
     StatGroup root;
